@@ -10,7 +10,6 @@ comes from Philox counter streams, block trials each own the stream
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -217,12 +216,13 @@ def random_typical_codebook(
     n_words = max(1, int(n_words_exact))
     gen = stream(seed, CODEBOOK_STREAM)
     k = len(probs)
-    span = 1
-    for p in probs:
-        hi = math.floor(n * p * (1.0 + delta) + 1e-9)
-        lo = max(0, math.ceil(n * p * (1.0 - delta) - 1e-9))
-        span *= max(0, hi - lo + 1)
-    if 0 < span <= 500_000:
+    his = [math.floor(n * p * (1.0 + delta) + 1e-9) for p in probs]
+    los = [max(0, math.ceil(n * p * (1.0 - delta) - 1e-9)) for p in probs]
+    span = math.prod(max(0, hi - lo + 1) for hi, lo in zip(his, los))
+    # the per-symbol count intervals admit no composition summing to n
+    if span == 0 or sum(los) > n or sum(his) < n:
+        raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
+    if span <= 500_000:
         comps = _typical_compositions(n, probs, delta)
         if not comps:
             raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
@@ -231,12 +231,12 @@ def random_typical_codebook(
         for s in sizes:
             cum.append(cum[-1] + s)
         total = cum[-1]
+        multisets = [np.repeat(np.arange(k), c) for c in comps]
         words = np.empty((n_words, n), dtype=np.int64)
         for m in range(n_words):
             r = randint_below(gen, total)
             t = bisect.bisect_right(cum, r) - 1
-            multiset = np.repeat(np.arange(k), comps[t])
-            words[m] = gen.permutation(multiset)
+            words[m] = gen.permutation(multisets[t])
     else:
         words = _rejection_sample_words(gen, target, n, delta, n_words)
     return Codebook(
@@ -346,9 +346,14 @@ class SeedMap:
 def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     """Greedy near-uniform binning of the |X|^{n0} product atoms into n bins.
 
-    Atoms are placed largest-first into the currently lightest bin, so each
-    bin overshoots 1/n by at most p_max^{n0}; hence the total variation to
-    Unif[0:n-1] is at most n * p_max^{n0} (checked, and returned exactly).
+    Atoms are placed largest-first (ties by atom index) into the currently
+    lightest bin (ties by bin index), so each bin overshoots 1/n by at most
+    p_max^{n0}; hence the total variation to Unif[0:n-1] is at most
+    n * p_max^{n0} (checked, and returned exactly).
+
+    The greedy rule is evaluated per run of equal masses rather than per
+    atom (see `_place_run`); the bins and float totals are exactly those of
+    the atom-by-atom rule.
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be positive")
@@ -360,13 +365,13 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     for _ in range(n0 - 1):
         masses = np.multiply.outer(masses, probs).ravel()
     order = np.argsort(-masses, kind="stable")
+    sorted_masses = masses[order]
+    starts = np.flatnonzero(np.r_[True, sorted_masses[1:] != sorted_masses[:-1]])
+    ends = np.r_[starts[1:], len(order)]
     bins = np.empty(len(masses), dtype=np.int64)
-    heap = [(0.0, b) for b in range(n)]
-    heapq.heapify(heap)
-    for rank in order:
-        total, b = heapq.heappop(heap)
-        bins[rank] = b
-        heapq.heappush(heap, (total + float(masses[rank]), b))
+    totals = np.zeros(n)
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        bins[order[start:end]] = _place_run(totals, float(sorted_masses[start]), end - start)
     bin_totals = np.zeros(n)
     np.add.at(bin_totals, bins, masses)
     tv = float(0.5 * np.abs(bin_totals - 1.0 / n).sum())
@@ -381,6 +386,47 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
         tv_to_uniform=tv,
         bound=bound,
     )
+
+
+def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
+    """Bins of `count` atoms of equal `mass`, in placement order, under the
+    lightest-bin rule; `totals` is updated in place.
+
+    Each placement takes the least (total, bin) and gives that bin the total
+    total + mass, so the placements are the first `count` keys, in
+    (key, bin, j) order, of the per-bin sequences t_b, t_b + mass,
+    (t_b + mass) + mass, ...  np.cumsum adds sequentially, so these keys
+    are the same floats as one-at-a-time placement.  Each bin gets keys up
+    to the level the run fills to, plus a margin; if a bin uses all of its
+    keys, its next key might have come earlier, so the margin doubles.
+    """
+    n = len(totals)
+    if mass == 0.0:
+        # a massless atom leaves the lightest bin lightest
+        return np.full(count, np.argmin(totals), dtype=np.int64)
+    # the level that count * mass fills the lightest bins up to, as if mass
+    # were divisible; a bin takes about (level - total) / mass atoms
+    s = np.sort(totals)
+    levels = (mass * count + np.cumsum(s)) / np.arange(1, n + 1)
+    level = levels[np.flatnonzero(levels >= s)[-1]]
+    depth = np.floor((level - totals) / mass)
+    margin = 2
+    while True:
+        n_keys = np.clip(depth + margin, 1, count + 1).astype(np.int64)
+        ends = np.cumsum(n_keys)
+        starts = ends - n_keys
+        keys = np.full(ends[-1], mass)
+        keys[starts] = totals
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            np.cumsum(keys[lo:hi], out=keys[lo:hi])
+        owner = np.repeat(np.arange(n), n_keys)
+        picks = np.argsort(keys, kind="stable")[:count]
+        used = np.bincount(owner[picks], minlength=n)
+        if np.all(used < n_keys):
+            break
+        margin *= 2
+    totals[:] = keys[starts + used]
+    return owner[picks]
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +527,13 @@ def shift_ensemble_sim(
     )
     violations = 0
     if dv is not None:
-        word_divs = np.empty(len(cb))
-        for m in range(len(cb)):
-            gamma = Pmf.from_probs(
-                support, np.bincount(cb.words[m], minlength=k_tgt) / n
-            )
-            word_divs[m] = divergence(dv, p_x, gamma)
-        violations = int(np.sum(word_divs[m_star] > budget))
+        # a word's divergence depends only on its composition
+        word_comps = np.stack([(cb.words == b).sum(axis=1) for b in range(k_tgt)], axis=1)
+        comps, comp_of_word = np.unique(word_comps, axis=0, return_inverse=True)
+        comp_divs = np.array(
+            [divergence(dv, p_x, Pmf.from_probs(support, c / n)) for c in comps]
+        )
+        violations = int(np.sum(comp_divs[comp_of_word.ravel()[m_star]] > budget))
     return SimReport(
         n=n,
         trials=trials,

@@ -8,7 +8,8 @@ Problem:  {"source": Pmf, "distortion": [[...]], "divergence":
            "output_alphabet": [...]?}
 
 CSV files use '.' decimals and 12 significant digits so identical runs diff
-byte-identically across platforms.
+byte-identically across platforms.  Both formats spell infinite values
+"inf" / "-inf"; JSON output is strict (no bare Infinity or NaN).
 """
 
 from __future__ import annotations
@@ -180,7 +181,20 @@ def kkt_report_from_dict(d: dict) -> KktReport:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: infinite floats become the strings "inf" / "-inf" (the
+    CSV spelling, read back by the `*_from_dict` readers through float());
+    a NaN raises."""
+    return json.dumps(_spell_infinities(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _spell_infinities(value):
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _spell_infinities(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_infinities(v) for v in value]
+    return value
 
 
 def curve_csv(rows: list[dict], columns: list[str]) -> str:

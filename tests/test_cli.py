@@ -5,6 +5,7 @@ import pytest
 
 from rdplab import serialize
 from rdplab.cli import main
+from rdplab.coding import SimReport
 from rdplab.divergences import coupling_cost, total_variation, wasserstein_sq
 from rdplab.pmf import Channel, Pmf
 from rdplab.solver import RdpProblem, solve_rdp
@@ -68,6 +69,53 @@ def test_round_trip_solution_and_reports():
     assert back.rate == sol.rate
     assert back.status == sol.status
     assert np.array_equal(back.channel.matrix, sol.channel.matrix)
+
+
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_round_trip_infinities_through_strict_json():
+    prob = RdpProblem(
+        source=Pmf.bernoulli(0.25),
+        # outputs {2, 3} are at squared distance >= 1 from {0, 1}: D < 1 is out of reach
+        distortion=np.array([[4.0, 9.0], [1.0, 4.0]]),
+        divergence=wasserstein_sq(),
+        dist_budget=0.5,
+        perc_budget=0.5,
+        output_alphabet=(2, 3),
+    )
+    sol = solve_rdp(prob)
+    assert sol.status == "infeasible" and sol.rate == float("inf")
+    text = serialize.dumps(serialize.solution_to_dict(sol))
+    assert _strict_loads(text)["rate_bits"] == "inf"
+    back = serialize.solution_from_dict(_strict_loads(text))
+    assert back.rate == float("inf")
+    assert back.status == sol.status
+
+    rep = SimReport(
+        n=1,
+        trials=10,
+        rate_bits=0.0,
+        avg_distortion=0.5,
+        per_letter_marginals=[Pmf.bernoulli(0.5)],
+        max_perletter_divergence=float("inf"),
+        perception_violations=0,
+        seed=3,
+        diagnostics={"gap": float("-inf")},
+    )
+    text = serialize.dumps(serialize.sim_report_to_dict(rep))
+    payload = _strict_loads(text)
+    assert payload["max_perletter_divergence"] == "inf"
+    assert payload["diagnostics"]["gap"] == "-inf"
+    back = serialize.sim_report_from_dict(payload)
+    assert back.max_perletter_divergence == float("inf")
+    assert back.per_letter_marginals[0].atoms == rep.per_letter_marginals[0].atoms
+    with pytest.raises(ValueError):
+        serialize.dumps({"x": float("nan")})
 
 
 def test_channel_outputs_default_to_inputs():

@@ -1,11 +1,16 @@
+import hashlib
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdplab.pmf import Channel, Pmf, is_delta_typical
-from rdplab.divergences import total_variation, wasserstein_sq
+from rdplab.divergences import divergence, total_variation, wasserstein_sq
+from rdplab.serialize import dumps, sim_report_to_dict
 from rdplab.closed_forms import binary_optimal_construction, mirror_construction
+from rdplab import coding
 from rdplab.coding import (
     Codebook,
     DERANDOMIZED,
@@ -151,6 +156,127 @@ def test_seed_map_errors():
         simulate_seed_map(Pmf.bernoulli(0.5), n0=0, n=4)
     with pytest.raises(ValueError):
         simulate_seed_map(Pmf.uniform(tuple(range(10))), n0=8, n=4)
+
+
+def _heap_seed_map_bins(p_x, n0, n):
+    """The atom-by-atom greedy rule: largest atom first into the lightest bin."""
+    probs = p_x.probs
+    masses = probs.copy()
+    for _ in range(n0 - 1):
+        masses = np.multiply.outer(masses, probs).ravel()
+    bins = np.empty(len(masses), dtype=np.int64)
+    heap = [(0.0, b) for b in range(n)]
+    heapq.heapify(heap)
+    for rank in np.argsort(-masses, kind="stable"):
+        total, b = heapq.heappop(heap)
+        bins[rank] = b
+        heapq.heappush(heap, (total + float(masses[rank]), b))
+    return bins
+
+
+@pytest.mark.parametrize(
+    "p, n0, n",
+    [
+        # acceptance criterion 12
+        (Pmf.bernoulli(0.5), 4, 16),
+        (Pmf.bernoulli(0.5), 3, 8),
+        (Pmf.bernoulli(0.5), 5, 32),
+        (Pmf.bernoulli(0.25), 8, 8),
+        (Pmf.bernoulli(0.3), 6, 10),
+        (Pmf.uniform((0, 1, 2)), 5, 9),
+        (Pmf.from_probs((0, 1, 2), (0.6, 0.3, 0.1)), 7, 12),
+        # the derandomized block-coding cases at n = 64
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 13, 64),
+        (Pmf.bernoulli(0.25), 16, 64),
+        # massless atoms, and masses too small to move a bin total
+        (Pmf.bernoulli(1.0), 5, 7),
+        (Pmf.bernoulli(1e-6), 12, 64),
+    ],
+)
+def test_seed_map_matches_atom_by_atom_rule(p, n0, n):
+    assert np.array_equal(simulate_seed_map(p, n0, n).bins, _heap_seed_map_bins(p, n0, n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.integers(0, 12), min_size=1, max_size=4).filter(any),
+    n0=st.integers(1, 7),
+    n=st.integers(1, 40),
+)
+def test_seed_map_matches_atom_by_atom_rule_drawn(weights, n0, n):
+    w = np.array(weights, dtype=float)
+    p = Pmf.from_probs(tuple(range(len(w))), w / w.sum())
+    assert np.array_equal(simulate_seed_map(p, n0, n).bins, _heap_seed_map_bins(p, n0, n))
+
+
+def _ternary_case(mode):
+    p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    ch3 = Channel((0, 1, 2), (0, 1, 2), 0.3 * np.eye(3) + 0.7 * np.tile(p3.probs, (3, 1)))
+    lab = np.arange(3, dtype=float)
+    # a tight budget, so that some of the 8 compositions in the codebook violate it
+    kw = dict(
+        n=12, rate_bits=0.6, delta=0.5, trials=300, seed=11, mode=mode, alpha=0.5,
+        perception_budget=0.12,
+    )
+    return ch3, p3, np.abs(lab[:, None] - lab[None, :]), kw
+
+
+def _binary_case(mode):
+    kw = dict(n=16, rate_bits=0.35, delta=0.4, trials=300, seed=7, mode=mode, alpha=0.5)
+    return _test_channel(), Pmf.bernoulli(0.25), lambda x, v: (x - v) ** 2, kw
+
+
+SIM_CASES = {"binary": _binary_case, "ternary": _ternary_case}
+
+
+# sha256 of the serialized report, recorded before the seed map and the
+# perception audit were vectorized; any change to a report or to the random
+# streams behind it shows here
+GOLDEN_REPORTS = {
+    ("binary", SHARED_SEED): "fd1623d08a6da88437adaefdd28314142d5d4000d7de4a4c386f816acd99c96d",
+    ("binary", DERANDOMIZED): "ac6dda18a9964afe2e986216fad4091a970e6928b0c568b817b868fc4d651b07",
+    ("ternary", SHARED_SEED): "b60afaca141389b8ce185c50b960154685753776d23ba085a9aaa4ec132ff170",
+    ("ternary", DERANDOMIZED): "8b26635990a16f35aa3456f774fa81d8938e4e39144c177ed3f19555cf27f03d",
+}
+
+
+@pytest.mark.parametrize("case, mode", sorted(GOLDEN_REPORTS))
+def test_shift_ensemble_report_is_pinned(case, mode):
+    channel, p_x, dist, kw = SIM_CASES[case](mode)
+    rep = shift_ensemble_sim(channel, p_x, dist, **kw)
+    digest = hashlib.sha256(dumps(sim_report_to_dict(rep)).encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[case, mode]
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+@pytest.mark.parametrize("mode", [SHARED_SEED, DERANDOMIZED])
+def test_perception_audit_matches_per_word_loop(case, mode, monkeypatch):
+    channel, p_x, dist, kw = SIM_CASES[case](mode)
+    encoded = []
+    batch_encode = coding._batch_encode
+
+    def spy(*args, **kwargs):
+        m_star, best = batch_encode(*args, **kwargs)
+        encoded.append(m_star)
+        return m_star, best
+
+    monkeypatch.setattr(coding, "_batch_encode", spy)
+    rep = shift_ensemble_sim(channel, p_x, dist, **kw)
+    budget = rep.diagnostics["perception_budget"]
+    pushed = channel.push(p_x)
+    target = Pmf.from_pairs([(a, pushed.prob(a)) for a in pushed.support()])
+    cb = random_typical_codebook(target, kw["n"], kw["rate_bits"], kw["delta"], kw["seed"])
+    assert len(cb) == rep.diagnostics["codebook_words"]
+    dv = total_variation() if p_x.labels == target.labels else wasserstein_sq()
+    k = len(target.atoms)
+    word_divs = [
+        divergence(dv, p_x, Pmf.from_probs(target.labels, np.bincount(w, minlength=k) / kw["n"]))
+        for w in cb.words
+    ]
+    expected = sum(word_divs[m] > budget for m in encoded[0])
+    assert rep.perception_violations == expected
+    if case == "ternary":
+        assert expected > 0
 
 
 def _test_channel(rho=0.25, dist=0.3):
