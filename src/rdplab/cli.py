@@ -1,6 +1,7 @@
 """Command-line front end: curves, solving, simulations, verification.
 
-Exit codes: 0 ok, 1 usage or I/O error, 2 verification failed, 3 infeasible.
+Exit codes: 0 ok, 1 usage, I/O or solver error, 2 verification failed,
+3 infeasible.
 The seed falls back to the RDPLAB_SEED environment variable, then 0.
 """
 
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"rdplab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"rdplab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

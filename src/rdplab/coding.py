@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .closed_forms import circle_analytic
 from .divergences import KL, TV, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
-from .pmf import Channel, Pmf, empirical_pmf
+from .pmf import Channel, Pmf, _distortion_matrix, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream
 
 MAX_CODEBOOK_WORDS = 1 << 20
@@ -266,23 +266,6 @@ def _rejection_sample_words(gen, target, n, delta, n_words):
         if got == n_words:
             return words
     raise ValueError("rejection sampling failed; delta-typical set too small")
-
-
-def _distortion_matrix(dist, source_labels, target_labels) -> np.ndarray:
-    if callable(dist):
-        mat = np.array(
-            [[float(dist(x, y)) for y in target_labels] for x in source_labels]
-        )
-    else:
-        mat = np.asarray(dist, dtype=float)
-    if mat.shape != (len(source_labels), len(target_labels)):
-        raise ValueError(
-            f"distortion shape {mat.shape}, expected "
-            f"{(len(source_labels), len(target_labels))}"
-        )
-    if np.any(mat < 0.0) or not np.all(np.isfinite(mat)):
-        raise ValueError("distortion must be finite and nonnegative")
-    return mat
 
 
 def encode_min_distortion(

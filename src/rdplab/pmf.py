@@ -256,6 +256,24 @@ def mutual_information_matrix(p: np.ndarray, w: np.ndarray) -> float:
     return max(float(np.sum(joint * logs, where=mask)), 0.0)
 
 
+def _distortion_matrix(dist, source_labels, target_labels) -> np.ndarray:
+    """The matrix d(x, y) from a callable or an array, finite and nonnegative."""
+    if callable(dist):
+        mat = np.array(
+            [[float(dist(x, y)) for y in target_labels] for x in source_labels]
+        )
+    else:
+        mat = np.asarray(dist, dtype=float)
+    if mat.shape != (len(source_labels), len(target_labels)):
+        raise ValueError(
+            f"distortion shape {mat.shape}, expected "
+            f"{(len(source_labels), len(target_labels))}"
+        )
+    if np.any(mat < 0.0) or not np.all(np.isfinite(mat)):
+        raise ValueError("distortion must be finite and nonnegative")
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # Empirical distributions, typicality, shifts, grids
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ Algorithms:
   I + mu * KL(p_X || p_Xhat) over the distortion polytope.
 
 A channel with independent output (rate zero) is tried first; when some
-product channel satisfies both budgets the optimum is exactly zero.
+product channel satisfies both budgets the optimum is exactly zero.  One LP
+builder, `_Polytope`, writes the distortion and perception rows for both
+the Frank-Wolfe channel polytope and this zero-rate check: the two differ
+only in the linear map from their variables to the output law.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .divergences import (
     DivergenceSpec,
     divergence,
 )
-from .pmf import Channel, Pmf, mutual_information_matrix
+from .pmf import Channel, Pmf, _distortion_matrix, mutual_information_matrix
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -130,85 +133,69 @@ class RdpSolution:
 # ---------------------------------------------------------------------------
 
 
-class _Polytope:
-    """LP data for min <c, w> over the feasible channel set.
+# perception constraints an LP can carry (None: distortion only)
+_EQUAL = "equal"  # the output law equals the source law (P = 0)
+_TV_SLACK = "tv_slack"  # TV <= P through one slack per output atom
+_COUPLING = "coupling"  # an embedded coupling of p_X and the output law
 
-    Variable layout: the m*k channel entries first, then auxiliary variables
-    (TV slack per output atom, or an embedded coupling for transport-type
-    perception constraints).
+
+def _perception(prob: RdpProblem) -> str | None:
+    """The perception constraint of the LPs; None sends KL to the dual path."""
+    if prob.perc_budget == 0.0:
+        return _EQUAL
+    if prob.divergence.kind == KL:
+        return None
+    return _TV_SLACK if prob.divergence.kind == TV else _COUPLING
+
+
+class _Polytope:
+    """LP data for min <c, v> over row-stochastic v >= 0 and the budgets.
+
+    `marg` maps v to the output law, `stoch` gives the normalization rows
+    (each sums to one) and `dist_row` the expected distortion.  Auxiliary
+    variables follow v: a TV slack per output atom, or an embedded coupling.
     """
 
-    def __init__(self, prob: RdpProblem, perception: bool, equality: bool):
+    def __init__(self, prob: RdpProblem, marg, stoch, dist_row, perception):
         p = prob.source.probs
         m, k = prob.distortion.shape
-        self.m, self.k = m, k
-        n = m * k
-        a_eq, b_eq, a_ub, b_ub = [], [], [], []
-        for i in range(m):  # row-stochasticity
-            row = np.zeros(n)
-            row[i * k : (i + 1) * k] = 1.0
-            a_eq.append(row)
-            b_eq.append(1.0)
-        drow = (p[:, None] * prob.distortion).ravel()
-        a_ub.append(drow)
-        b_ub.append(prob.dist_budget)
-        self.n_aux = 0
-        if equality:
-            # P = 0: the output marginal must equal the source law exactly
-            target = {lab: pr for lab, pr in prob.source.atoms}
-            for j, lab in enumerate(prob.output_alphabet):
-                row = np.zeros(n)
-                row[j::k] = p
-                a_eq.append(row)
-                b_eq.append(target.get(lab, 0.0))
-        elif perception and prob.divergence.kind == TV:
-            self.n_aux = k
-            px = prob.source.probs  # matching alphabets enforced upstream
-            for j in range(k):
-                qrow = np.zeros(n)
-                qrow[j::k] = p
-                row = np.concatenate([qrow, np.zeros(k)])
-                row[n + j] = -1.0
-                a_ub.append(row)  # q_j - t_j <= px_j
-                b_ub.append(px[j])
-                row2 = np.concatenate([-qrow, np.zeros(k)])
-                row2[n + j] = -1.0
-                a_ub.append(row2)  # -q_j - t_j <= -px_j
-                b_ub.append(-px[j])
-            trow = np.concatenate([np.zeros(n), 0.5 * np.ones(k)])
-            a_ub.append(trow)
-            b_ub.append(prob.perc_budget)
-        elif perception:
-            cost = prob.perception_cost_matrix()
-            if cost is None:
-                raise ValueError("no LP encoding for this divergence")
-            self.n_aux = m * k
-            for i in range(m):  # coupling rows match the source
-                row = np.zeros(n + m * k)
-                row[n + i * k : n + (i + 1) * k] = 1.0
-                a_eq.append(row)
-                b_eq.append(p[i])
-            for j in range(k):  # coupling columns match the output marginal
-                row = np.zeros(n + m * k)
-                row[j::k][:m] = -p  # note: first n entries, stride k
-                row[n + j :: k][: m] = 1.0
-                a_eq.append(row)
-                b_eq.append(0.0)
-            crow = np.concatenate([np.zeros(n), cost.ravel()])
-            a_ub.append(crow)
-            b_ub.append(prob.perc_budget)
-        n_tot = n + self.n_aux
-        self.a_eq = np.array([np.pad(r, (0, n_tot - len(r))) for r in a_eq])
-        self.b_eq = np.array(b_eq)
-        self.a_ub = np.array([np.pad(r, (0, n_tot - len(r))) for r in a_ub])
-        self.b_ub = np.array(b_ub)
-        self.n_tot = n_tot
+        n = marg.shape[1]
+        n_aux = {_TV_SLACK: k, _COUPLING: m * k}.get(perception, 0)
+        self.n = n
+        self.shape = (len(stoch), n // len(stoch))
+        eq = [np.hstack([stoch, np.zeros((len(stoch), n_aux))])]
+        b_eq = [np.ones(len(stoch))]
+        ub = [np.concatenate([dist_row, np.zeros(n_aux)])[None, :]]
+        b_ub = [[prob.dist_budget]]
+        if perception == _EQUAL:
+            target = dict(prob.source.atoms)
+            eq.append(marg)
+            b_eq.append([target.get(lab, 0.0) for lab in prob.output_alphabet])
+        elif perception == _TV_SLACK:
+            # q_j - t_j <= p_j and -q_j - t_j <= -p_j, then sum(t) / 2 <= P
+            tv = np.empty((2 * k, n + k))
+            tv[0::2] = np.hstack([marg, -np.eye(k)])
+            tv[1::2] = np.hstack([-marg, -np.eye(k)])
+            ub += [tv, np.concatenate([np.zeros(n), np.full(k, 0.5)])[None, :]]
+            b_ub += [np.column_stack([p, -p]).ravel(), [prob.perc_budget]]
+        elif perception == _COUPLING:
+            # coupling rows sum to p_X, its columns to the output law
+            eq.append(np.hstack([np.zeros((m, n)), np.kron(np.eye(m), np.ones(k))]))
+            eq.append(np.hstack([-marg, np.kron(np.ones(m), np.eye(k))]))
+            b_eq += [p, np.zeros(k)]
+            cost = prob.perception_cost_matrix().ravel()
+            ub.append(np.concatenate([np.zeros(n), cost])[None, :])
+            b_ub.append([prob.perc_budget])
+        self.a_eq = np.vstack(eq)
+        self.b_eq = np.concatenate(b_eq)
+        self.a_ub = np.vstack(ub)
+        self.b_ub = np.concatenate(b_ub)
 
     def minimize(self, grad: np.ndarray | None) -> np.ndarray | None:
-        """Vertex minimizing <grad, w>; None when the polytope is empty."""
-        c = np.zeros(self.n_tot)
+        """Vertex minimizing <grad, v>; None when the polytope is empty."""
+        c = np.zeros(self.a_eq.shape[1])
         if grad is not None:
-            c[: self.m * self.k] = grad.ravel()
+            c[: self.n] = grad.ravel()
         res = linprog(
             c,
             A_ub=self.a_ub,
@@ -220,89 +207,32 @@ class _Polytope:
         )
         if not res.success:
             return None
-        return res.x[: self.m * self.k].reshape(self.m, self.k)
+        return res.x[: self.n].reshape(self.shape)
 
 
-def _zero_rate_channel(prob: RdpProblem) -> np.ndarray | None:
-    """Feasible product channel p(xhat|x) = q(xhat), which has rate zero."""
+def _channel_polytope(prob: RdpProblem, perception: str | None) -> _Polytope:
+    """The feasible channels p(xhat|x), as m*k row-major variables."""
     p = prob.source.probs
     m, k = prob.distortion.shape
-    col_cost = p @ prob.distortion
-    a_eq = [np.ones(k)]
-    b_eq = [1.0]
-    a_ub = [col_cost]
-    b_ub = [prob.dist_budget]
-    n_aux = 0
-    if prob.perc_budget == 0.0 or prob.divergence.kind == KL:
-        if prob.divergence.kind == KL and prob.perc_budget > 0.0:
-            return None  # handled by the dual path
-        # q must equal the source law
-        target = {lab: pr for lab, pr in prob.source.atoms}
-        for j, lab in enumerate(prob.output_alphabet):
-            row = np.zeros(k)
-            row[j] = 1.0
-            a_eq.append(row)
-            b_eq.append(target.get(lab, 0.0))
-    elif prob.divergence.kind == TV:
-        n_aux = k
-        px = prob.source.probs
-        for j in range(k):
-            row = np.zeros(2 * k)
-            row[j] = 1.0
-            row[k + j] = -1.0
-            a_ub.append(row)
-            b_ub.append(px[j])
-            row2 = np.zeros(2 * k)
-            row2[j] = -1.0
-            row2[k + j] = -1.0
-            a_ub.append(row2)
-            b_ub.append(-px[j])
-        trow = np.zeros(2 * k)
-        trow[k:] = 0.5
-        a_ub.append(trow)
-        b_ub.append(prob.perc_budget)
-    else:
-        cost = prob.perception_cost_matrix()
-        n_aux = m * k
-        for i in range(m):
-            row = np.zeros(k + m * k)
-            row[k + i * k : k + (i + 1) * k] = 1.0
-            a_eq.append(row)
-            b_eq.append(p[i])
-        for j in range(k):
-            row = np.zeros(k + m * k)
-            row[j] = -1.0
-            row[k + j :: k][: m] = 1.0
-            a_eq.append(row)
-            b_eq.append(0.0)
-        crow = np.zeros(k + m * k)
-        crow[k:] = cost.ravel()
-        a_ub.append(crow)
-        b_ub.append(prob.perc_budget)
-    n_tot = k + n_aux
-    res = linprog(
-        np.zeros(n_tot),
-        A_ub=np.array([np.pad(r, (0, n_tot - len(r))) for r in a_ub]),
-        b_ub=np.array(b_ub),
-        A_eq=np.array([np.pad(r, (0, n_tot - len(r))) for r in a_eq]),
-        b_eq=np.array(b_eq),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
+    marg = np.kron(p, np.eye(k))
+    dist_row = (p[:, None] * prob.distortion).ravel()
+    return _Polytope(prob, marg, np.kron(np.eye(m), np.ones(k)), dist_row, perception)
+
+
+def _zero_rate_channel(prob: RdpProblem, perception: str) -> np.ndarray | None:
+    """Feasible product channel p(xhat|x) = q(xhat), which has rate zero."""
+    k = len(prob.output_alphabet)
+    dist_row = prob.source.probs @ prob.distortion
+    q = _Polytope(prob, np.eye(k), np.ones((1, k)), dist_row, perception).minimize(None)
+    if q is None:
         return None
-    q = np.clip(res.x[:k], 0.0, None)
-    q = q / q.sum()
-    return np.tile(q, (m, 1))
+    q = np.clip(q, 0.0, None)
+    return np.tile(q / q.sum(), (len(prob.source.atoms), 1))
 
 
 # ---------------------------------------------------------------------------
 # Objective and away-step Frank-Wolfe
 # ---------------------------------------------------------------------------
-
-
-def _mi_value(p: np.ndarray, w: np.ndarray) -> float:
-    return mutual_information_matrix(p, w)
 
 
 def _mi_grad(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -318,17 +248,11 @@ def _kl_to_marginal(px: np.ndarray, q: np.ndarray) -> float:
 
 
 class _Objective:
-    """I(X; Xhat) plus an optional mu * KL(p_X || p_Xhat) penalty."""
+    """Gradient of I(X; Xhat) plus an optional mu * KL(p_X || p_Xhat) penalty."""
 
     def __init__(self, p: np.ndarray, mu: float = 0.0):
         self.p = p
         self.mu = mu
-
-    def value(self, w: np.ndarray) -> float:
-        v = _mi_value(self.p, w)
-        if self.mu > 0.0:
-            v += self.mu * _kl_to_marginal(self.p, self.p @ w)
-        return v
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         g = _mi_grad(self.p, w)
@@ -422,17 +346,17 @@ def _frank_wolfe(
 def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolution:
     """Minimize I(X; Xhat) subject to the distortion and perception budgets."""
     opts = opts or SolverOptions()
-    p = prob.source.probs
-    zr = _zero_rate_channel(prob)
+    perception = _perception(prob)
+    if perception is None:
+        return _solve_kl_dual(prob, opts)
+    zr = _zero_rate_channel(prob, perception)
     if zr is not None:
         return _finish(prob, zr, 0.0, 0, OPTIMAL)
-    if prob.divergence.kind == KL and prob.perc_budget > 0.0:
-        return _solve_kl_dual(prob, opts)
-    polytope = _Polytope(prob, perception=True, equality=prob.perc_budget == 0.0)
+    polytope = _channel_polytope(prob, perception)
     w0 = polytope.minimize(None)
     if w0 is None:
         return _infeasible(prob)
-    obj = _Objective(p)
+    obj = _Objective(prob.source.probs)
     w, gap, it = _frank_wolfe(obj, polytope, w0, opts.tol, opts.max_iter)
     status = OPTIMAL if gap < opts.tol else ITER_LIMIT
     return _finish(prob, w, gap, it, status)
@@ -444,7 +368,7 @@ def _solve_kl_dual(prob: RdpProblem, opts: SolverOptions) -> RdpSolution:
     min_dist = float(np.sum(p * prob.distortion.min(axis=1)))
     if min_dist > prob.dist_budget + opts.feas_tol:
         return _infeasible(prob)
-    polytope = _Polytope(prob, perception=False, equality=False)
+    polytope = _channel_polytope(prob, None)
     w0 = polytope.minimize(None)
     if w0 is None:
         return _infeasible(prob)
@@ -536,8 +460,8 @@ def sweep_curve(
 ) -> list[tuple[float, float, RdpSolution]]:
     """Solve over a sorted (D, P) grid, one instance per point.
 
-    Failures at single grid points are recorded in the per-point status and
-    the sweep continues.
+    An infeasible point is recorded with status `infeasible` and the sweep
+    continues; a solver error propagates and stops the sweep.
     """
     dist_grid = list(dist_grid)
     perc_grid = list(perc_grid) if perc_grid is not None else [prob_template.perc_budget]
@@ -549,11 +473,7 @@ def sweep_curve(
     for perc in perc_grid:
         for dist in dist_grid:
             prob = replace(prob_template, dist_budget=dist, perc_budget=perc)
-            try:
-                sol = solve_rdp(prob, opts)
-            except Exception:
-                sol = _infeasible(prob)
-            out.append((float(dist), float(perc), sol))
+            out.append((float(dist), float(perc), solve_rdp(prob, opts)))
     return out
 
 
@@ -581,12 +501,7 @@ def rd_function_grid(
     """
     p = p_x.probs
     atoms = list(output_atoms)
-    if callable(cost):
-        cmat = np.array([[float(cost(x, v)) for v in atoms] for x in p_x.labels])
-    else:
-        cmat = np.asarray(cost, dtype=float)
-    if cmat.shape != (len(p), len(atoms)):
-        raise ValueError("cost shape does not match alphabets")
+    cmat = _distortion_matrix(cost, p_x.labels, atoms)
     d_floor = float(np.sum(p * cmat.min(axis=1)))
     if dist < d_floor - 1e-12:
         raise GridInfeasibleError(

@@ -200,6 +200,24 @@ def test_curve_solve_sweep(problem_file, tmp_path):
     assert rates == sorted(rates, reverse=True)
 
 
+def test_curve_solve_stops_on_solver_error(problem_file, monkeypatch, capsys):
+    import rdplab.solver as solver_mod
+
+    real = solver_mod.solve_rdp
+
+    def failing(prob, opts=None):
+        if prob.dist_budget > 0.15:
+            raise RuntimeError("LP subproblem became infeasible")
+        return real(prob, opts)
+
+    monkeypatch.setattr(solver_mod, "solve_rdp", failing)
+    code = main(["curve", "solve", "--problem", problem_file, "--D-grid", "0.1:0.3:3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "rdplab: LP subproblem became infeasible\n"
+
+
 def test_simulate_circle_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["simulate", "circle", "--scheme", "common", "--samples", "20000",

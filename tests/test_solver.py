@@ -1,10 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import rdplab.solver
+from rdplab import serialize
 from rdplab.pmf import Pmf, binary_entropy
-from rdplab.divergences import kullback_leibler, total_variation, wasserstein_sq
+from rdplab.divergences import (
+    coupling_cost,
+    kullback_leibler,
+    total_variation,
+    wasserstein_sq,
+)
 from rdplab.closed_forms import phi_binary, varphi_binary
 from rdplab.solver import (
     GridInfeasibleError,
@@ -194,6 +202,19 @@ def test_sweep_huge_p_matches_classic_rd():
         assert sol.rate == pytest.approx(ba, abs=1e-3)
 
 
+def test_sweep_curve_propagates_solver_errors(monkeypatch):
+    real = rdplab.solver.solve_rdp
+
+    def failing(prob, opts=None):
+        if prob.dist_budget == 0.2:
+            raise RuntimeError("LP subproblem became infeasible")
+        return real(prob, opts)
+
+    monkeypatch.setattr(rdplab.solver, "solve_rdp", failing)
+    with pytest.raises(RuntimeError, match="LP subproblem"):
+        sweep_curve(binary_problem(0.25, 0.1, 0.0), [0.1, 0.2, 0.3])
+
+
 def test_rd_function_grid_binary():
     grid = np.linspace(0.0, 1.0, 513)
     rate = rd_function_grid(Pmf.bernoulli(0.25), grid, lambda x, v: (x - v) ** 2, 0.1)
@@ -218,6 +239,14 @@ def test_rd_function_grid_degenerate():
     assert rd_function_grid(p, grid, lambda x, v: (x - v) ** 2, var + 0.01) == 0.0
     with pytest.raises(GridInfeasibleError):
         rd_function_grid(p, [0.4, 0.6], lambda x, v: (x - v) ** 2, 1e-6)
+
+
+def test_rd_function_grid_rejects_bad_costs():
+    p = Pmf.bernoulli(0.25)
+    for cost in ([[0.0, -1.0], [1.0, 0.0]], lambda x, v: math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative") as info:
+            rd_function_grid(p, (0, 1), cost, 0.1)
+        assert not isinstance(info.value, GridInfeasibleError)
 
 
 def test_brute_force_ternary_output():
@@ -245,3 +274,94 @@ def test_convex_curve_fixed_p():
     rates = [sol.rate for _, _, sol in sweep_curve(template, grid, [0.1])]
     for i in range(1, len(rates) - 1):
         assert rates[i] <= 0.5 * (rates[i - 1] + rates[i + 1]) + 1e-5
+
+
+# One instance per branch of the LP builder (P = 0 equality, TV slack, the
+# embedded coupling for W2 and for a coupling cost, the distortion-only
+# polytope of the KL dual path, a zero-rate hit per perception encoding, and
+# an infeasible problem), with the HiGHS call count and the sha256 of the
+# serialized solution.  Recorded before the channel polytope and the
+# zero-rate check shared one builder: the LPs, and so the bytes, must not move.
+_CC = coupling_cost(np.array([[0.0, 2.0], [1.0, 0.0]]))
+PINNED_SOLVES = {
+    "p0-equality": (
+        binary_problem(0.25, 0.2, 0.0),
+        4, "7d0629c92e9e3a79e4e8cebc4eb9b399c7d5e37f117b12276c627e96c6d2a7dd",
+    ),
+    "tv-slack": (
+        binary_problem(0.25, 0.1, 0.05),
+        4, "be19948b25daef8bca67f5830b8d33a87f546c46dee11d58e31048b60fe3c04b",
+    ),
+    "w2-coupling": (
+        binary_problem(0.3, 0.15, 0.2, div=wasserstein_sq()),
+        5, "384e5589f44ad33327ddc14eea15517c9a534b66c460525ebe37c1d294a8b511",
+    ),
+    "cc-coupling": (
+        binary_problem(0.3, 0.1, 0.1, div=_CC),
+        5, "1de31efabd0773336e3d7eeaf44e4566ffd3e2c82affa51fcf27e8dc574c7502",
+    ),
+    "w2-three-outputs": (
+        RdpProblem(
+            source=Pmf.bernoulli(0.3),
+            distortion=np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+            divergence=wasserstein_sq(),
+            dist_budget=0.15,
+            perc_budget=0.2,
+            output_alphabet=(0, 1, 2),
+        ),
+        5, "78ec38a7df18bc16cffd24085878650925fa1e4fe042426ad7fb8f1d75c049bd",
+    ),
+    "kl-dual-inactive": (
+        binary_problem(0.3, 0.15, 0.05, div=kullback_leibler()),
+        4, "a1d9de1471ed29f8c45629b91b33e0159c5186d7bf8711bd486912caad04e8d4",
+    ),
+    "kl-dual-bisection": (
+        binary_problem(0.3, 0.2, 0.01, div=kullback_leibler()),
+        26, "eeda9f021917ed65b20b53929d683d70b7c5f4fa9590b26f351f1a2396fbb238",
+    ),
+    "zero-rate-equality": (
+        binary_problem(0.25, 0.375, 0.0),
+        1, "0a5957f499abffde44760f1aac47abdd4f1fca9a668df859b186318714c6ba1c",
+    ),
+    "zero-rate-tv": (
+        binary_problem(0.25, 0.35, 0.1),
+        1, "0c01ba44d913d4c4c3f037f1d15401002d646d6fa3fce38d46b71927401fc4f4",
+    ),
+    "zero-rate-w2": (
+        binary_problem(0.25, 0.35, 0.1, div=wasserstein_sq()),
+        1, "0c01ba44d913d4c4c3f037f1d15401002d646d6fa3fce38d46b71927401fc4f4",
+    ),
+    "zero-rate-cc": (
+        binary_problem(0.25, 0.35, 0.1, div=_CC),
+        1, "0c01ba44d913d4c4c3f037f1d15401002d646d6fa3fce38d46b71927401fc4f4",
+    ),
+    "w2-infeasible": (
+        RdpProblem(
+            source=Pmf.bernoulli(0.25),
+            distortion=np.array([[4.0, 9.0], [1.0, 4.0]]),
+            divergence=wasserstein_sq(),
+            dist_budget=0.5,
+            perc_budget=0.5,
+            output_alphabet=(2, 3),
+        ),
+        2, "59c6a813eed55fd78e353bf5b13518b680cb9738b9ece577f685003d988599a5",
+    ),
+}
+
+
+def test_solve_outputs_are_pinned(monkeypatch):
+    real = rdplab.solver.linprog
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rdplab.solver, "linprog", counting_linprog)
+    got, want = {}, {}
+    for name, (prob, n_calls, digest) in PINNED_SOLVES.items():
+        calls.clear()
+        text = serialize.dumps(serialize.solution_to_dict(solve_rdp(prob)))
+        got[name] = (len(calls), hashlib.sha256(text.encode()).hexdigest())
+        want[name] = (n_calls, digest)
+    assert got == want
