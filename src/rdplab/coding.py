@@ -10,6 +10,8 @@ comes from Philox counter streams, block trials each own the stream
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,12 +20,13 @@ from scipy.integrate import quad
 
 from .closed_forms import circle_analytic
 from .divergences import KL, TV, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
-from .pmf import Channel, Pmf, _distortion_matrix, empirical_pmf
+from .pmf import Channel, Pmf, _distortion_matrix, _typical_counts, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream
 
 MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
+_ENCODE_CHUNK_ELEMS = 50_000_000  # trials x codewords per block of _batch_encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,32 +162,15 @@ def simulate_circle(
 # ---------------------------------------------------------------------------
 
 
-def _typical_compositions(n: int, probs: np.ndarray, delta: float) -> list[tuple[int, ...]]:
-    k = len(probs)
-    lo = [max(0, math.ceil(n * p * (1.0 - delta) - 1e-9)) for p in probs]
-    hi = [min(n, math.floor(n * p * (1.0 + delta) + 1e-9)) for p in probs]
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: int, acc: list[int]) -> None:
-        if idx == k - 1:
-            c = remaining
-            if lo[idx] <= c <= hi[idx]:
-                out.append(tuple(acc + [c]))
-            return
-        lo_rest = sum(lo[idx + 1 :])
-        hi_rest = sum(hi[idx + 1 :])
-        for c in range(lo[idx], hi[idx] + 1):
-            if lo_rest <= remaining - c <= hi_rest:
-                rec(idx + 1, remaining - c, acc + [c])
-
-    rec(0, n, [])
-    # keep exactly the compositions whose empirical law passes the float check
-    valid = []
-    for comp in out:
-        gamma = np.array(comp, dtype=float) / n
-        if np.all(np.abs(gamma - probs) <= delta * probs):
-            valid.append(comp)
-    return valid
+def _typical_compositions(n, probs, delta, los, his) -> list[tuple[int, ...]]:
+    """Typical count vectors in lexicographic order: the first k - 1 counts
+    range over their intervals and the last one is what remains of n."""
+    heads = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1]))))
+    comps = np.array(heads, dtype=np.int64).reshape(len(heads), len(probs) - 1)
+    comps = np.column_stack([comps, n - comps.sum(axis=1)])
+    in_range = (comps[:, -1] >= los[-1]) & (comps[:, -1] <= his[-1])
+    typical = in_range & _typical_counts(comps, n, probs, delta)
+    return [tuple(c) for c in comps[typical].tolist()]
 
 
 def _multinomial_size(n: int, comp: tuple[int, ...]) -> int:
@@ -197,11 +183,14 @@ def _multinomial_size(n: int, comp: tuple[int, ...]) -> int:
 def random_typical_codebook(
     target: Pmf, n: int, rate_bits: float, delta: float, seed: int = 0
 ) -> Codebook:
-    """Draw floor(2^{n R}) words independently and uniformly from the
-    delta-typical set of `target`.
+    """Draw floor(2^{n R}) words independently from the delta-typical set
+    of `target`.
 
-    Small instances enumerate type classes and sample them exactly (uniform
-    over the typical set); otherwise i.i.d. rejection sampling is used.
+    Small instances (at most 500 000 count vectors in the per-symbol
+    intervals) enumerate type classes and sample uniformly over the typical
+    set.  Larger ones draw i.i.d. words from `target` and keep the typical
+    ones, so a word's probability is proportional to prod_x p(x)^{c_x}: this
+    is uniform over the typical set only when `target` is uniform.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -216,14 +205,16 @@ def random_typical_codebook(
     n_words = max(1, int(n_words_exact))
     gen = stream(seed, CODEBOOK_STREAM)
     k = len(probs)
-    his = [math.floor(n * p * (1.0 + delta) + 1e-9) for p in probs]
+    # per-symbol count intervals of the typicality test; the upper bounds
+    # are not capped at n, and `span` over them picks exact or rejection
     los = [max(0, math.ceil(n * p * (1.0 - delta) - 1e-9)) for p in probs]
+    his = [math.floor(n * p * (1.0 + delta) + 1e-9) for p in probs]
     span = math.prod(max(0, hi - lo + 1) for hi, lo in zip(his, los))
     # the per-symbol count intervals admit no composition summing to n
     if span == 0 or sum(los) > n or sum(his) < n:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
     if span <= 500_000:
-        comps = _typical_compositions(n, probs, delta)
+        comps = _typical_compositions(n, probs, delta, los, his)
         if not comps:
             raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
         sizes = [_multinomial_size(n, c) for c in comps]
@@ -257,9 +248,7 @@ def _rejection_sample_words(gen, target, n, delta, n_words):
         batch = max(64, 2 * (n_words - got))
         draw = np.searchsorted(cum, gen.random((batch, n)), side="right")
         counts = np.stack([(draw == a).sum(axis=1) for a in range(len(probs))], axis=1)
-        gamma = counts / n
-        ok = np.all(np.abs(gamma - probs[None, :]) <= delta * probs[None, :], axis=1)
-        accepted = draw[ok]
+        accepted = draw[_typical_counts(counts, n, probs, delta)]
         take = min(len(accepted), n_words - got)
         words[got : got + take] = accepted[:take]
         got += take
@@ -319,11 +308,7 @@ class SeedMap:
     def assign(self, idx: np.ndarray) -> np.ndarray:
         """Bin of each row of an (T, n0) array of symbol indices."""
         idx = np.asarray(idx, dtype=np.int64)
-        k = len(self.alphabet)
-        rank = np.zeros(len(idx), dtype=np.int64)
-        for j in range(self.n0):
-            rank = rank * k + idx[:, j]
-        return self.bins[rank]
+        return self.bins[np.ravel_multi_index(tuple(idx.T), (len(self.alphabet),) * self.n0)]
 
 
 def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
@@ -344,9 +329,7 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     if k**n0 > MAX_SEED_ATOMS:
         raise ValueError(f"{k}^{n0} product atoms exceed the enumeration cap")
     probs = p_x.probs
-    masses = probs.copy()
-    for _ in range(n0 - 1):
-        masses = np.multiply.outer(masses, probs).ravel()
+    masses = functools.reduce(np.multiply.outer, [probs] * n0).ravel()
     order = np.argsort(-masses, kind="stable")
     sorted_masses = masses[order]
     starts = np.flatnonzero(np.r_[True, sorted_masses[1:] != sorted_masses[:-1]])
@@ -539,14 +522,14 @@ def shift_ensemble_sim(
     )
 
 
-def _batch_encode(xs, words, mat, k_src, chunk_elems=50_000_000):
+def _batch_encode(xs, words, mat, k_src):
     """Min-distortion encoding of many blocks at once via one-hot products."""
     trials, n = xs.shape
     n_words = words.shape[0]
     word_costs = [mat[a][words] for a in range(k_src)]  # (M, n) each
     m_star = np.empty(trials, dtype=np.int64)
     best = np.empty(trials)
-    step = max(1, chunk_elems // max(1, n_words))
+    step = max(1, _ENCODE_CHUNK_ELEMS // max(1, n_words))
     for start in range(0, trials, step):
         sl = slice(start, min(trials, start + step))
         totals = np.zeros((sl.stop - sl.start, n_words))
@@ -594,15 +577,10 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
         raise ValueError("output space too large for exact enumeration")
     rows = channel_out.matrix
     p_out = np.zeros(n_x**cb.n)
-    for m in range(len(cb)):
-        v = np.ones(1)
-        for t in range(cb.n):
-            v = (v[:, None] * rows[cb.words[m, t]][None, :]).ravel()
-        p_out += v
+    for word in cb.words:
+        p_out += functools.reduce(np.multiply.outer, rows[word]).ravel()
     p_out /= len(cb)
-    prod = np.ones(1)
-    for _ in range(cb.n):
-        prod = (prod[:, None] * p_x.probs[None, :]).ravel()
+    prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
     return float(0.5 * np.abs(p_out - prod).sum())
 
 

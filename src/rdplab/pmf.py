@@ -96,12 +96,7 @@ class Pmf:
 
     def real_values(self) -> np.ndarray:
         """Atom labels as floats; raises if any label is not a real number."""
-        vals = []
-        for a, _ in self.atoms:
-            if isinstance(a, bool) or not isinstance(a, (int, float)):
-                raise ValueError(f"atom label {a!r} is not a real value")
-            vals.append(float(a))
-        return np.array(vals, dtype=float)
+        return _real_values(self.labels)
 
     def tensor(self, other: "Pmf") -> "Pmf":
         """Product distribution; labels become (a, b) tuples."""
@@ -136,16 +131,6 @@ class Channel:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
     @classmethod
-    def from_rows(cls, inputs: Sequence[Label], rows: Sequence[Pmf]) -> "Channel":
-        if len(inputs) != len(rows):
-            raise ValueError("inputs/rows length mismatch")
-        out = rows[0].labels
-        for r in rows[1:]:
-            if r.labels != out:
-                raise AlphabetMismatchError("rows do not share one output alphabet")
-        return cls(tuple(inputs), out, np.array([r.probs for r in rows]))
-
-    @classmethod
     def identity(cls, labels: Sequence[Label]) -> "Channel":
         return cls(tuple(labels), tuple(labels), np.eye(len(labels)))
 
@@ -154,13 +139,6 @@ class Channel:
         """Binary symmetric channel over {0, 1}."""
         e = float(crossover)
         return cls((0, 1), (0, 1), np.array([[1 - e, e], [e, 1 - e]]))
-
-    @property
-    def rows(self) -> tuple[Pmf, ...]:
-        return tuple(
-            Pmf.from_probs(self.outputs, self.matrix[i])
-            for i in range(len(self.inputs))
-        )
 
     def row(self, label: Label) -> Pmf:
         i = self.inputs.index(label)
@@ -200,9 +178,6 @@ class Coupling:
         if self.left.labels != self.right.labels:
             raise AlphabetMismatchError("off-diagonal mass needs a shared alphabet")
         return float(self.joint.sum() - np.trace(self.joint))
-
-    def expected_cost(self, cost: np.ndarray) -> float:
-        return float(np.sum(self.joint * np.asarray(cost, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +231,16 @@ def mutual_information_matrix(p: np.ndarray, w: np.ndarray) -> float:
     return max(float(np.sum(joint * logs, where=mask)), 0.0)
 
 
+def _real_values(labels: Iterable[Label]) -> np.ndarray:
+    """Labels as floats; raises if any label is not a real number."""
+    vals = []
+    for a in labels:
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
+            raise ValueError(f"label {a!r} is not a real value")
+        vals.append(float(a))
+    return np.array(vals, dtype=float)
+
+
 def _distortion_matrix(dist, source_labels, target_labels) -> np.ndarray:
     """The matrix d(x, y) from a callable or an array, finite and nonnegative."""
     if callable(dist):
@@ -292,6 +277,16 @@ def empirical_pmf(seq: Sequence[Label], alphabet: Sequence[Label]) -> Pmf:
     return Pmf.from_probs(tuple(alphabet), counts / len(seq))
 
 
+def _typical_counts(counts: np.ndarray, n: int, probs: np.ndarray, delta: float) -> np.ndarray:
+    """The delta-typicality test |c/n - p| <= delta * p on integer symbol
+    counts, one verdict per row of `counts`.
+
+    This is the single float form of the test: the codebook samplers and
+    `is_delta_typical` all call it, so they agree on every boundary case.
+    """
+    return np.all(np.abs(np.asarray(counts) / n - probs) <= delta * probs, axis=-1)
+
+
 def is_delta_typical(seq: Sequence[Label], p: Pmf, delta: float) -> bool:
     """Relative-deviation typicality: |gamma(x) - p(x)| <= delta * p(x) for all x.
 
@@ -300,13 +295,13 @@ def is_delta_typical(seq: Sequence[Label], p: Pmf, delta: float) -> bool:
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    support = set(p.support())
-    if any(s not in support for s in seq):
+    if len(seq) == 0:
+        raise ValueError("empty sequence")
+    index = {a: i for i, (a, q) in enumerate(p.atoms) if q > 0.0}
+    if any(s not in index for s in seq):
         return False
-    gamma = empirical_pmf(seq, p.labels)
-    g = gamma.probs
-    q = p.probs
-    return bool(np.all(np.abs(g - q) <= delta * q))
+    counts = np.bincount([index[s] for s in seq], minlength=len(p.atoms))
+    return bool(_typical_counts(counts, len(seq), p.probs, delta))
 
 
 def circular_shift(seq: Sequence, q: int):

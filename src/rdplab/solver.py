@@ -13,8 +13,10 @@ Algorithms:
   perception multiplier with an inner Frank-Wolfe solve of
   I + mu * KL(p_X || p_Xhat) over the distortion polytope.
 
-A channel with independent output (rate zero) is tried first; when some
-product channel satisfies both budgets the optimum is exactly zero.  One LP
+A channel with independent output (rate zero) is tried first, for every
+divergence kind; when some product channel satisfies both budgets the
+optimum is exactly zero.  For KL with P > 0 the check is the closed form:
+q = p_X has zero divergence, so it is feasible iff p' Delta p <= D.  One LP
 builder, `_Polytope`, writes the distortion and perception rows for both
 the Frank-Wolfe channel polytope and this zero-rate check: the two differ
 only in the linear map from their variables to the output law.
@@ -36,7 +38,7 @@ from .divergences import (
     DivergenceSpec,
     divergence,
 )
-from .pmf import Channel, Pmf, _distortion_matrix, mutual_information_matrix
+from .pmf import Channel, Pmf, _distortion_matrix, _real_values, mutual_information_matrix
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -106,15 +108,6 @@ class RdpProblem:
             y = _real_values(self.output_alphabet)
             return (x[:, None] - y[None, :]) ** 2
         return None
-
-
-def _real_values(labels) -> np.ndarray:
-    vals = []
-    for a in labels:
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise ValueError(f"label {a!r} is not a real value")
-        vals.append(float(a))
-    return np.array(vals, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +341,10 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
     opts = opts or SolverOptions()
     perception = _perception(prob)
     if perception is None:
+        p = prob.source.probs
+        if p @ prob.distortion @ p <= prob.dist_budget:
+            # the product channel q = p_X meets D and has KL(p_X || q) = 0
+            return _finish(prob, np.tile(p, (len(p), 1)), 0.0, 0, OPTIMAL)
         return _solve_kl_dual(prob, opts)
     zr = _zero_rate_channel(prob, perception)
     if zr is not None:

@@ -409,3 +409,126 @@ def test_private_randomness_mirror():
     for info in rep.diagnostics.values():
         mc_err = 3 / math.sqrt(info["pairs"])
         assert abs(info["mismatch_rate"] - info["tv"]) <= mc_err + 1e-12
+
+
+def _words_digest(cb):
+    return hashlib.sha256(cb.words.tobytes()).hexdigest()
+
+
+def _ternary_block_target():
+    # the ternary target of the n = 64 block-coding benchmark
+    p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    ch3 = Channel((0, 1, 2), (0, 1, 2), 0.3 * np.eye(3) + 0.7 * np.tile(p3.probs, (3, 1)))
+    return ch3.push(p3)
+
+
+CODEBOOK_CASES = {
+    # exact path: acceptance criterion 10's binary codebooks
+    "binary-n12": lambda: random_typical_codebook(Pmf.bernoulli(0.5), 12, 1.0, 0.6, seed=3),
+    "ternary-n64": lambda: random_typical_codebook(_ternary_block_target(), 64, 0.2, 0.05, seed=8),
+    "quaternary-n24": lambda: random_typical_codebook(
+        Pmf.from_probs((0, 1, 2, 3), (0.375, 0.25, 0.125, 0.25)), 24, 0.5, 1 / 3, seed=0
+    ),
+    # rejection path: 1401 * 601 count vectors exceed the enumeration limit
+    "bernoulli-n2000": lambda: random_typical_codebook(Pmf.bernoulli(0.3), 2000, 0.005, 0.5, seed=4),
+}
+
+
+def _soft_covering_digest():
+    p = Pmf.bernoulli(0.5)
+    bsc = Channel.bsc(0.11)
+    tvs = [
+        soft_covering_tv(bsc, random_typical_codebook(p, n, rate, 0.6, seed=s), p)
+        for n in (4, 8, 12)
+        for rate in (1.0, 0.1)
+        for s in range(2)
+    ]
+    return hashlib.sha256(repr(tvs).encode()).hexdigest()
+
+
+def _seed_map_digest():
+    h = hashlib.sha256()
+    for p, n0, n in [
+        (Pmf.from_probs((0, 1, 2), (0.6, 0.3, 0.1)), 1, 4),
+        (Pmf.from_probs((0, 1, 2), (0.6, 0.3, 0.1)), 3, 5),
+        (Pmf.bernoulli(0.3), 6, 10),
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 6, 64),
+    ]:
+        sm = simulate_seed_map(p, n0, n)
+        h.update(sm.bins.tobytes())
+        h.update(repr(sm.tv_to_uniform).encode())
+        h.update(sm.assign(np.indices((3,) * n0).reshape(n0, -1).T % len(p.atoms)).tobytes())
+    return h.hexdigest()
+
+
+PINNED_CODING = {
+    **{case: (lambda f=f: _words_digest(f())) for case, f in CODEBOOK_CASES.items()},
+    "soft-covering-tv": _soft_covering_digest,
+    "seed-map": _seed_map_digest,
+}
+
+# sha256 of codebook words, soft-covering TVs and seed maps, recorded before
+# the typicality test and the product laws were shared; any change to these
+# outputs or to the random streams behind them shows here
+CODING_DIGESTS = {
+    "bernoulli-n2000": "9f4b1f21c5f1b327cf44c5e61a4755854db6a76f862db4fc06fa96a8d903a009",
+    "binary-n12": "399c1350379064ebd52b93f476cc7c0e8079682311d5697ca14569cb8adb6232",
+    "quaternary-n24": "7059f32d064f3a61a39a29093d1f64de4b197a96994d8eb02aadb390048f270c",
+    "seed-map": "7084c07dfcc3ffe7f35893ac9edc3153cde0c3da28f169955ba2c84a137ac7ec",
+    "soft-covering-tv": "43dc0b6aac939e299be68904ab1fb59b99fe2d4e2efaf969343468527d5a418b",
+    "ternary-n64": "7e00eddf601b2231311d7a2dcfe2a2f9cbda1a01f072bcd82d9394594002f75d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CODING))
+def test_coding_outputs_are_pinned(case):
+    assert PINNED_CODING[case]() == CODING_DIGESTS[case]
+
+
+def test_codebook_words_pass_is_delta_typical():
+    cb = CODEBOOK_CASES["quaternary-n24"]()
+    assert all(is_delta_typical(cb.word_labels(m), cb.target, cb.delta) for m in range(len(cb)))
+
+
+def _compositions(n, k):
+    """All count vectors of length k summing to n, in lexicographic order."""
+    if k == 1:
+        return [(n,)]
+    return [(c,) + rest for c in range(n + 1) for rest in _compositions(n - c, k - 1)]
+
+
+def test_typical_compositions_match_is_delta_typical(monkeypatch):
+    # the enumerator behind exact codebook sampling accepts exactly the
+    # compositions that is_delta_typical accepts, boundary cases included
+    found = []
+    enumerate_compositions = coding._typical_compositions
+
+    def spy(*args):
+        found.append(enumerate_compositions(*args))
+        return found[-1]
+
+    monkeypatch.setattr(coding, "_typical_compositions", spy)
+    targets = [
+        (0.5, 0.5),
+        (0.75, 0.25),
+        (0.7, 0.3),
+        (0.5, 0.3, 0.2),
+        (0.6, 0.3, 0.1),
+        (1 / 3, 1 / 3, 1 / 3),
+        (0.375, 0.25, 0.125, 0.25),
+    ]
+    for probs in targets:
+        target = Pmf.from_probs(tuple(range(len(probs))), probs)
+        for n in (1, 2, 3, 5, 8, 12, 24):
+            comps = _compositions(n, len(probs))
+            for delta in (0.1, 0.25, 1 / 3, 0.5, 0.6, 1.0, 2.0):
+                found.clear()
+                try:
+                    random_typical_codebook(target, n, 0.0, delta)
+                except ValueError:
+                    pass  # the typical set is empty
+                expected = [
+                    c for c in comps
+                    if is_delta_typical(np.repeat(np.arange(len(c)), c).tolist(), target, delta)
+                ]
+                assert (found[0] if found else []) == expected, (probs, n, delta)

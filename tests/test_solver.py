@@ -113,6 +113,19 @@ def test_zero_rate_constant_output():
     assert sol.rate == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kl_zero_rate_needs_no_lp(monkeypatch):
+    # D >= p' Delta p = 0.375: the product channel q = p_X has KL = 0
+    calls = []
+    monkeypatch.setattr(rdplab.solver, "linprog", lambda *a, **kw: calls.append(None))
+    sol = solve_rdp(binary_problem(0.25, 0.4, 0.05, div=kullback_leibler()))
+    assert sol.status == OPTIMAL
+    assert sol.rate <= 1e-12
+    assert sol.iterations == 0
+    assert calls == []
+    assert sol.achieved_perc == 0.0
+    assert sol.achieved_dist <= 0.4
+
+
 def test_brute_force_matches_known_values():
     prob = binary_problem(0.25, 0.2, 1.0)
     expect = binary_entropy(0.25) - binary_entropy(0.2)
