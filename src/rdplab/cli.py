@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .coding import (
     simulate_circle,
     soft_covering_tv,
 )
-from .solver import INFEASIBLE, SolverOptions, solve_rdp, sweep_curve
+from .solver import INFEASIBLE, RdpProblem, SolverOptions, solve_rdp, sweep_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,6 +149,24 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+@contextmanager
+def _malformed(path: str):
+    """Report a file whose JSON lacks a key or has the wrong shape as a
+    CliError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CliError(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise CliError(f"{path}: malformed ({exc})") from exc
+
+
+def _load_problem(path: str) -> RdpProblem:
+    payload = _load_json(path)
+    with _malformed(path):
+        return serialize.problem_from_dict(payload)
+
+
 def _curve_rows(kind: str, args) -> list[dict]:
     if args.grid < 1:
         raise CliError("--grid must be positive")
@@ -185,7 +204,7 @@ def _run_curve(args) -> int:
             raise CliError(str(exc)) from exc
         cols = ["D", "phi", "varphi", "rd_half"]
     else:
-        prob = serialize.problem_from_dict(_load_json(args.problem))
+        prob = _load_problem(args.problem)
         d_grid = _parse_grid(args.d_grid)
         p_grid = _parse_grid(args.p_grid) if args.p_grid else None
         opts = SolverOptions(tol=args.tol)
@@ -209,8 +228,7 @@ def _run_curve(args) -> int:
 
 
 def _run_solve(args) -> int:
-    prob = serialize.problem_from_dict(_load_json(args.problem))
-    prob = replace(prob, dist_budget=args.D, perc_budget=args.P)
+    prob = replace(_load_problem(args.problem), dist_budget=args.D, perc_budget=args.P)
     sol = solve_rdp(prob, SolverOptions(tol=args.tol))
     _emit(serialize.dumps(serialize.solution_to_dict(sol)), args.output)
     return EXIT_INFEASIBLE if sol.status == INFEASIBLE else EXIT_OK
@@ -224,12 +242,14 @@ def _run_simulate(args) -> int:
         return EXIT_OK
     if args.sim_kind == "block":
         spec = _load_json(args.spec)
-        source = serialize.pmf_from_dict(spec["source"])
-        channel = serialize.channel_from_dict(spec["channel"])
+        with _malformed(args.spec):
+            source = serialize.pmf_from_dict(spec["source"])
+            channel = serialize.channel_from_dict(spec["channel"])
+            distortion = np.array(spec["distortion"], dtype=float)
         rep = shift_ensemble_sim(
             channel,
             source,
-            np.array(spec["distortion"], dtype=float),
+            distortion,
             n=args.n,
             rate_bits=args.rate,
             delta=args.delta,
@@ -243,10 +263,13 @@ def _run_simulate(args) -> int:
             with open(args.marginals_csv, "w") as fh:
                 fh.write(serialize.marginals_csv(rep.per_letter_marginals))
         return EXIT_OK
+    if args.codebooks < 1:
+        raise CliError("--codebooks must be positive")
     spec = _load_json(args.spec)
-    target = serialize.pmf_from_dict(spec["target"])
-    channel = serialize.channel_from_dict(spec["channel"])
-    reference = serialize.pmf_from_dict(spec["reference"])
+    with _malformed(args.spec):
+        target = serialize.pmf_from_dict(spec["target"])
+        channel = serialize.channel_from_dict(spec["channel"])
+        reference = serialize.pmf_from_dict(spec["reference"])
     scan = []
     for n in args.n:
         tvs = []

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .closed_forms import circle_analytic
 from .divergences import KL, TV, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
@@ -118,6 +117,8 @@ def simulate_circle(
         "unconstrained": consts.unconstrained,
     }[scheme]
     if exact:
+        from scipy.integrate import quad
+
         if scheme == "antipodal":
             val = quad(lambda t: 2.0 - 2.0 * math.cos(t - math.pi / 2), 0.0, math.pi)[0]
             val += quad(
@@ -192,6 +193,8 @@ def random_typical_codebook(
     ones, so a word's probability is proportional to prod_x p(x)^{c_x}: this
     is uniform over the typical set only when `target` is uniform.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if rate_bits < 0.0:

@@ -20,6 +20,10 @@ q = p_X has zero divergence, so it is feasible iff p' Delta p <= D.  One LP
 builder, `_Polytope`, writes the distortion and perception rows for both
 the Frank-Wolfe channel polytope and this zero-rate check: the two differ
 only in the linear map from their variables to the output law.
+
+scipy is imported lazily: `linprog` loads scipy.optimize on its first
+call, so importing rdplab, and everything that runs no LP, stays free of
+scipy's import cost.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .divergences import (
     COUPLING_COST,
@@ -139,6 +142,13 @@ def _perception(prob: RdpProblem) -> str | None:
     if prob.divergence.kind == KL:
         return None
     return _TV_SLACK if prob.divergence.kind == TV else _COUPLING
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 class _Polytope:

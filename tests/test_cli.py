@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -310,3 +314,88 @@ def test_verify_kkt_failure_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod.closed_forms, "binary_optimal_construction", perturbed)
     assert main(["verify", "kkt", "--rho", "0.25", "--D", "0.2"]) == 2
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+SOFT_SPEC = {
+    "target": {"atoms": [{"label": 0, "prob": 0.5}, {"label": 1, "prob": 0.5}]},
+    "channel": {"inputs": [0, 1], "rows": [[0.89, 0.11], [0.11, 0.89]]},
+    "reference": {"atoms": [{"label": 0, "prob": 0.5}, {"label": 1, "prob": 0.5}]},
+}
+SPEC_FLAGS = ["--n", "4", "--rate", "1.0", "--delta", "0.6"]
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        ({"distortion": HAMMING, "D": 0.2, "P": 0.0},
+         ["solve", "--problem", "{path}", "--D", "0.2", "--P", "0.0"], "missing key 'source'"),
+        ([1, 2], ["solve", "--problem", "{path}", "--D", "0.2", "--P", "0.0"], "malformed"),
+        ({"channel": SOFT_SPEC["channel"], "distortion": HAMMING},
+         ["simulate", "block", "--spec", "{path}", *SPEC_FLAGS], "missing key 'source'"),
+        ({"channel": SOFT_SPEC["channel"], "reference": SOFT_SPEC["reference"]},
+         ["simulate", "softcover", "--spec", "{path}", *SPEC_FLAGS], "missing key 'target'"),
+    ],
+    ids=["solve-no-source", "solve-list", "block-no-source", "softcover-no-target"],
+)
+def test_malformed_input_file_exit(tmp_path, capsys, payload, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main([str(path) if a == "{path}" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rdplab: {path}: ")
+    assert message in captured.err
+
+
+def test_softcover_rejects_zero_codebooks(tmp_path, capsys, recwarn):
+    spec_path = tmp_path / "soft.json"
+    spec_path.write_text(json.dumps(SOFT_SPEC))
+    code = main(["simulate", "softcover", "--spec", str(spec_path), *SPEC_FLAGS,
+                 "--codebooks", "0"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "rdplab: --codebooks must be positive\n")
+    assert not recwarn.list
+
+
+def _run_fresh(script):
+    """Run `script` in a new interpreter that imports rdplab from this checkout."""
+    import rdplab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rdplab.__file__)))
+    res = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+def test_closed_form_commands_never_import_scipy_solvers():
+    _run_fresh("""
+        import contextlib, io, sys
+        import rdplab, rdplab.cli
+        for argv in (
+            ["curve", "binary", "--grid", "20"],
+            ["curve", "gaussian", "--grid", "20"],
+            ["verify", "kkt", "--rho", "0.25", "--D", "0.2", "--grid", "101"],
+            ["simulate", "circle", "--scheme", "common", "--samples", "1000"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert rdplab.cli.main(argv) == 0, argv
+        loaded = {"scipy.optimize", "scipy.integrate"} & sys.modules.keys()
+        assert not loaded, loaded
+    """)
+
+
+def test_lazy_scipy_paths_work_from_cold():
+    _run_fresh("""
+        import math
+        import sys
+        import numpy as np
+        from rdplab import Pmf, RdpProblem, solve_rdp, total_variation
+        from rdplab.coding import simulate_circle
+        prob = RdpProblem(source=Pmf.bernoulli(0.25), distortion=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          divergence=total_variation(), dist_budget=0.2, perc_budget=0.1)
+        sol = solve_rdp(prob)
+        assert sol.status == "optimal" and sol.iterations > 0, sol
+        assert "scipy.optimize" in sys.modules
+        est = simulate_circle("antipodal", 1, exact=True)
+        assert abs(est.mean - (2 - 4 / math.pi)) <= 1e-9, est
+    """)

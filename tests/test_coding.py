@@ -97,6 +97,12 @@ def test_codebook_errors():
         random_typical_codebook(Pmf.from_probs((0, 1), (1.0, 0.0)), 4, 0.5, 0.1)
 
 
+def test_codebook_rejects_empty_length(recwarn):
+    with pytest.raises(ValueError, match="n must be positive"):
+        random_typical_codebook(Pmf.bernoulli(0.5), n=0, rate_bits=1.0, delta=0.6, seed=0)
+    assert not recwarn.list
+
+
 def test_codebook_determinism():
     a = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
     b = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
