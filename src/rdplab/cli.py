@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -161,10 +160,12 @@ def _malformed(path: str):
         raise CliError(f"{path}: malformed ({exc})") from exc
 
 
-def _load_problem(path: str) -> RdpProblem:
+def _load_problem(path: str, **budgets) -> RdpProblem:
+    """The problem in `path`, with the `budgets` ("D", "P") given on the
+    command line in place of the file's, which may then be absent."""
     payload = _load_json(path)
     with _malformed(path):
-        return serialize.problem_from_dict(payload)
+        return serialize.problem_from_dict({**payload, **budgets})
 
 
 def _curve_rows(kind: str, args) -> list[dict]:
@@ -204,9 +205,12 @@ def _run_curve(args) -> int:
             raise CliError(str(exc)) from exc
         cols = ["D", "phi", "varphi", "rd_half"]
     else:
-        prob = _load_problem(args.problem)
         d_grid = _parse_grid(args.d_grid)
         p_grid = _parse_grid(args.p_grid) if args.p_grid else None
+        # the sweep sets D at every grid point, and P too under --P-grid, so
+        # the file needs neither; 0.0 only stands in until the first point
+        budgets = {"D": 0.0} if p_grid is None else {"D": 0.0, "P": 0.0}
+        prob = _load_problem(args.problem, **budgets)
         opts = SolverOptions(tol=args.tol)
         rows = [
             {
@@ -228,7 +232,7 @@ def _run_curve(args) -> int:
 
 
 def _run_solve(args) -> int:
-    prob = replace(_load_problem(args.problem), dist_budget=args.D, perc_budget=args.P)
+    prob = _load_problem(args.problem, D=args.D, P=args.P)
     sol = solve_rdp(prob, SolverOptions(tol=args.tol))
     _emit(serialize.dumps(serialize.solution_to_dict(sol)), args.output)
     return EXIT_INFEASIBLE if sol.status == INFEASIBLE else EXIT_OK

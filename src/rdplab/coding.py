@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closed_forms import circle_analytic
-from .divergences import KL, TV, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
+from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
 from .pmf import Channel, Pmf, _distortion_matrix, _typical_counts, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream
 
@@ -163,35 +162,18 @@ def simulate_circle(
 # ---------------------------------------------------------------------------
 
 
-def _typical_compositions(n, probs, delta, los, his) -> list[tuple[int, ...]]:
-    """Typical count vectors in lexicographic order: the first k - 1 counts
-    range over their intervals and the last one is what remains of n."""
-    heads = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los[:-1], his[:-1]))))
-    comps = np.array(heads, dtype=np.int64).reshape(len(heads), len(probs) - 1)
-    comps = np.column_stack([comps, n - comps.sum(axis=1)])
-    in_range = (comps[:, -1] >= los[-1]) & (comps[:, -1] <= his[-1])
-    typical = in_range & _typical_counts(comps, n, probs, delta)
-    return [tuple(c) for c in comps[typical].tolist()]
-
-
-def _multinomial_size(n: int, comp: tuple[int, ...]) -> int:
-    size = math.factorial(n)
-    for c in comp:
-        size //= math.factorial(c)
-    return size
-
-
 def random_typical_codebook(
     target: Pmf, n: int, rate_bits: float, delta: float, seed: int = 0
 ) -> Codebook:
-    """Draw floor(2^{n R}) words independently from the delta-typical set
-    of `target`.
+    """Draw floor(2^{n R}) words independently and uniformly from the
+    delta-typical set of `target`, at every n.
 
-    Small instances (at most 500 000 count vectors in the per-symbol
-    intervals) enumerate type classes and sample uniformly over the typical
-    set.  Larger ones draw i.i.d. words from `target` and keep the typical
-    ones, so a word's probability is proportional to prod_x p(x)^{c_x}: this
-    is uniform over the typical set only when `target` is uniform.
+    A word is drawn by unranking (Cover's enumerative code inverted): a
+    uniform rank r below the size of the set picks the composition, in
+    lexicographic order of count vectors with blocks as large as the type
+    classes, and a uniform permutation of that composition is the word.
+    The count of symbol j is the block of r among C(m, c) * (completions
+    of the other m - c letters), and r // C(m, c) ranks those completions.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -206,33 +188,59 @@ def random_typical_codebook(
     if n_words_exact > MAX_CODEBOOK_WORDS:
         raise ValueError("codebook larger than 2^20 words")
     n_words = max(1, int(n_words_exact))
-    gen = stream(seed, CODEBOOK_STREAM)
     k = len(probs)
-    # per-symbol count intervals of the typicality test; the upper bounds
-    # are not capped at n, and `span` over them picks exact or rejection
-    los = [max(0, math.ceil(n * p * (1.0 - delta) - 1e-9)) for p in probs]
-    his = [math.floor(n * p * (1.0 + delta) + 1e-9) for p in probs]
-    span = math.prod(max(0, hi - lo + 1) for hi, lo in zip(his, los))
-    # the per-symbol count intervals admit no composition summing to n
-    if span == 0 or sum(los) > n or sum(his) < n:
+    # the typicality test is per symbol, so it is the allowed counts of each
+    allowed = [
+        np.flatnonzero(_typical_counts(np.arange(n + 1)[:, None], n, probs[j : j + 1], delta))
+        for j in range(k)
+    ]
+    last_allowed = set(allowed[-1].tolist())
+    # (j, m) -> with m letters left for symbols j, ..., k - 1: the counts c
+    # of symbol j that have completions, cumulative block sizes (python
+    # ints: they overflow int64), C(m, c), and the state each c leads to
+    # (None after symbol k - 2); only states a walk reaches are built.
+    states: dict[tuple[int, int], tuple] = {}
+
+    def walk_state(j: int, m: int) -> tuple:
+        if (j, m) not in states:
+            counts, cum, combs, nexts = [], [0], [], []
+            for c in allowed[j][allowed[j] <= m].tolist():
+                if j == k - 2:
+                    nxt, completions = None, int(m - c in last_allowed)
+                else:
+                    nxt = walk_state(j + 1, m - c)
+                    completions = nxt[1][-1]
+                if completions:
+                    counts.append(c)
+                    combs.append(math.comb(m, c))
+                    cum.append(cum[-1] + combs[-1] * completions)
+                    nexts.append(nxt)
+            states[j, m] = (counts, cum, combs, nexts if j < k - 2 else None)
+        return states[j, m]
+
+    root = walk_state(0, n) if k > 1 else None
+    total = root[1][-1] if k > 1 else int(n in last_allowed)
+    if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
-    if span <= 500_000:
-        comps = _typical_compositions(n, probs, delta, los, his)
-        if not comps:
-            raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
-        sizes = [_multinomial_size(n, c) for c in comps]
-        cum = [0]  # python ints: multinomial sizes overflow int64 easily
-        for s in sizes:
-            cum.append(cum[-1] + s)
-        total = cum[-1]
-        multisets = [np.repeat(np.arange(k), c) for c in comps]
-        words = np.empty((n_words, n), dtype=np.int64)
-        for m in range(n_words):
-            r = randint_below(gen, total)
+    gen = stream(seed, CODEBOOK_STREAM)
+    # composition, without its implied last count -> its sorted multiset
+    multisets: dict[tuple[int, ...], np.ndarray] = {}
+    words = np.empty((n_words, n), dtype=np.int64)
+    for w in range(n_words):
+        r = randint_below(gen, total)
+        node, comp = root, ()
+        while node is not None:
+            counts, cum, combs, nexts = node
             t = bisect.bisect_right(cum, r) - 1
-            words[m] = gen.permutation(multisets[t])
-    else:
-        words = _rejection_sample_words(gen, target, n, delta, n_words)
+            comp += (counts[t],)
+            if nexts is None:
+                break
+            r = (r - cum[t]) // combs[t]
+            node = nexts[t]
+        multiset = multisets.get(comp)
+        if multiset is None:
+            multiset = multisets[comp] = np.repeat(np.arange(k), comp + (n - sum(comp),))
+        words[w] = gen.permutation(multiset)
     return Codebook(
         n=n,
         words=words,
@@ -240,24 +248,6 @@ def random_typical_codebook(
         delta=delta,
         rate_bits=math.log2(n_words) / n,
     )
-
-
-def _rejection_sample_words(gen, target, n, delta, n_words):
-    probs = target.probs
-    cum = np.cumsum(probs)
-    words = np.empty((n_words, n), dtype=np.int64)
-    got = 0
-    for _ in range(200_000):
-        batch = max(64, 2 * (n_words - got))
-        draw = np.searchsorted(cum, gen.random((batch, n)), side="right")
-        counts = np.stack([(draw == a).sum(axis=1) for a in range(len(probs))], axis=1)
-        accepted = draw[_typical_counts(counts, n, probs, delta)]
-        take = min(len(accepted), n_words - got)
-        words[got : got + take] = accepted[:take]
-        got += take
-        if got == n_words:
-            return words
-    raise ValueError("rejection sampling failed; delta-typical set too small")
 
 
 def encode_min_distortion(
@@ -590,11 +580,13 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
 def empirical_perception_check(
     xhat_seq, p_x: Pmf, d: DivergenceSpec, budget: float
 ) -> bool:
-    """True iff d(p_X, empirical law of the sequence) is within the budget."""
-    if d.kind in (TV, KL):
-        gamma = empirical_pmf(xhat_seq, p_x.labels)
-    else:
+    """True iff d(p_X, empirical law of the sequence) is within the budget.
+
+    The law is over the labels of `p_x` (W2: over the values seen)."""
+    if d.kind == WASSERSTEIN_SQ:
         gamma = empirical_pmf(xhat_seq, sorted(set(xhat_seq)))
+    else:
+        gamma = empirical_pmf(xhat_seq, p_x.labels)
     return divergence(d, p_x, gamma) <= budget
 
 

@@ -204,6 +204,36 @@ def test_curve_solve_sweep(problem_file, tmp_path):
     assert rates == sorted(rates, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--D", "0.2", "--P", "0.05"],
+        ["curve", "solve", "--D-grid", "0.1:0.3:3", "--P-grid", "0:0.1:2"],
+    ],
+    ids=["solve", "curve-solve"],
+)
+def test_budget_flags_stand_in_for_absent_file_budgets(problem_file, tmp_path, capsys, argv):
+    # --D and --P (or the grids) replace the file's budgets, so a file
+    # with only the source and the distortion does as well
+    bare = tmp_path / "bare.json"
+    full = json.loads((tmp_path / "problem.json").read_text())
+    bare.write_text(json.dumps({"source": full["source"], "distortion": full["distortion"]}))
+    outputs = []
+    for path in (problem_file, str(bare)):
+        assert main([*argv, "--problem", path, "--format", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and outputs[1] == outputs[0]
+
+
+def test_curve_solve_needs_file_P_without_grid(problem_file, tmp_path, capsys):
+    path = tmp_path / "no_p.json"
+    payload = json.loads((tmp_path / "problem.json").read_text())
+    del payload["P"]
+    path.write_text(json.dumps(payload))
+    assert main(["curve", "solve", "--problem", str(path), "--D-grid", "0.1:0.3:3"]) == 1
+    assert capsys.readouterr() == ("", f"rdplab: {path}: missing key 'P'\n")
+
+
 def test_curve_solve_stops_on_solver_error(problem_file, monkeypatch, capsys):
     import rdplab.solver as solver_mod
 

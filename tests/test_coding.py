@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdplab.pmf import Channel, Pmf, is_delta_typical
-from rdplab.divergences import divergence, total_variation, wasserstein_sq
+from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
 from rdplab.serialize import dumps, sim_report_to_dict
 from rdplab.closed_forms import binary_optimal_construction, mirror_construction
 from rdplab import coding
@@ -389,6 +389,14 @@ def test_empirical_perception_check():
     assert empirical_perception_check((0,) * 8, p, total_variation(), 0.5)
     assert not empirical_perception_check((1,) * 8, p, total_variation(), 0.5)
     assert empirical_perception_check((0.0, 1.0), Pmf.bernoulli(0.5), wasserstein_sq(), 1e-12)
+    # a coupling cost is indexed by the source labels, in their order, seen
+    # in the sequence or not
+    hamming = coupling_cost(1.0 - np.eye(2))
+    assert empirical_perception_check((0, 0, 0, 0), p, hamming, 0.25)
+    assert not empirical_perception_check((0, 0, 0, 0), p, hamming, 0.2)
+    ba = Pmf.from_probs(("b", "a"), (0.75, 0.25))
+    asymmetric = coupling_cost(np.array([[0.0, 1.0], [5.0, 0.0]]))
+    assert empirical_perception_check(("a", "b", "b", "b"), ba, asymmetric, 0.0)
 
 
 def test_private_randomness_identity():
@@ -435,7 +443,7 @@ CODEBOOK_CASES = {
     "quaternary-n24": lambda: random_typical_codebook(
         Pmf.from_probs((0, 1, 2, 3), (0.375, 0.25, 0.125, 0.25)), 24, 0.5, 1 / 3, seed=0
     ),
-    # rejection path: 1401 * 601 count vectors exceed the enumeration limit
+    # a typical set of about 2^1760 words, beyond any list of its members
     "bernoulli-n2000": lambda: random_typical_codebook(Pmf.bernoulli(0.3), 2000, 0.005, 0.5, seed=4),
 }
 
@@ -475,9 +483,10 @@ PINNED_CODING = {
 
 # sha256 of codebook words, soft-covering TVs and seed maps, recorded before
 # the typicality test and the product laws were shared; any change to these
-# outputs or to the random streams behind them shows here
+# outputs or to the random streams behind them shows here.  bernoulli-n2000
+# was recorded again when its words became uniform on the typical set.
 CODING_DIGESTS = {
-    "bernoulli-n2000": "9f4b1f21c5f1b327cf44c5e61a4755854db6a76f862db4fc06fa96a8d903a009",
+    "bernoulli-n2000": "a3e9050784a6a2e4af1875527be4b85053a4bcc6a3b9c6216d117540edc32e2e",
     "binary-n12": "399c1350379064ebd52b93f476cc7c0e8079682311d5697ca14569cb8adb6232",
     "quaternary-n24": "7059f32d064f3a61a39a29093d1f64de4b197a96994d8eb02aadb390048f270c",
     "seed-map": "7084c07dfcc3ffe7f35893ac9edc3153cde0c3da28f169955ba2c84a137ac7ec",
@@ -503,17 +512,17 @@ def _compositions(n, k):
     return [(c,) + rest for c in range(n + 1) for rest in _compositions(n - c, k - 1)]
 
 
-def test_typical_compositions_match_is_delta_typical(monkeypatch):
-    # the enumerator behind exact codebook sampling accepts exactly the
-    # compositions that is_delta_typical accepts, boundary cases included
-    found = []
-    enumerate_compositions = coding._typical_compositions
+def test_codebook_ranks_cover_the_typical_compositions(monkeypatch):
+    # the rank bound is the size of the typical set that is_delta_typical
+    # defines, boundary cases included, and the first rank of each
+    # composition's block (lexicographic order) draws a word of it
+    bounds, ranks = [], []
 
-    def spy(*args):
-        found.append(enumerate_compositions(*args))
-        return found[-1]
+    def scripted(gen, bound):
+        bounds.append(bound)
+        return ranks.pop(0)
 
-    monkeypatch.setattr(coding, "_typical_compositions", spy)
+    monkeypatch.setattr(coding, "randint_below", scripted)
     targets = [
         (0.5, 0.5),
         (0.75, 0.25),
@@ -523,18 +532,73 @@ def test_typical_compositions_match_is_delta_typical(monkeypatch):
         (1 / 3, 1 / 3, 1 / 3),
         (0.375, 0.25, 0.125, 0.25),
     ]
-    for probs in targets:
-        target = Pmf.from_probs(tuple(range(len(probs))), probs)
-        for n in (1, 2, 3, 5, 8, 12, 24):
-            comps = _compositions(n, len(probs))
-            for delta in (0.1, 0.25, 1 / 3, 0.5, 0.6, 1.0, 2.0):
-                found.clear()
-                try:
+    grid = [
+        (probs, n, (0.1, 0.25, 1 / 3, 0.5, 0.6, 1.0, 2.0))
+        for probs in targets
+        for n in (1, 2, 3, 5, 8, 12, 24)
+    ]
+    # every word is typical, and the per-symbol count ranges span 27^4
+    # count vectors
+    grid.append(((0.25,) * 4, 21, (4.0,)))
+    for probs, n, deltas in grid:
+        k = len(probs)
+        target = Pmf.from_probs(tuple(range(k)), probs)
+        comps = _compositions(n, k)
+        seqs = [np.repeat(np.arange(k), c).tolist() for c in comps]
+        for delta in deltas:
+            typical = [c for c, seq in zip(comps, seqs) if is_delta_typical(seq, target, delta)]
+            sizes = [math.factorial(n) // math.prod(map(math.factorial, c)) for c in typical]
+            bounds.clear()
+            if not typical:
+                with pytest.raises(ValueError, match="typical set empty"):
                     random_typical_codebook(target, n, 0.0, delta)
-                except ValueError:
-                    pass  # the typical set is empty
-                expected = [
-                    c for c in comps
-                    if is_delta_typical(np.repeat(np.arange(len(c)), c).tolist(), target, delta)
-                ]
-                assert (found[0] if found else []) == expected, (probs, n, delta)
+                assert bounds == []
+            elif n > 12:
+                ranks[:] = [0]
+                random_typical_codebook(target, n, 0.0, delta)
+                assert bounds == [sum(sizes)], (probs, n, delta)
+            else:
+                ranks[:] = [sum(sizes[:i]) for i in range(len(sizes))]
+                # floor(2^{nR}) = len(typical): one word per composition
+                cb = random_typical_codebook(target, n, math.log2(len(typical) + 0.5) / n, delta)
+                assert bounds == [sum(sizes)] * len(typical), (probs, n, delta)
+                drawn = [tuple(np.bincount(w, minlength=k)) for w in cb.words]
+                assert drawn == typical, (probs, n, delta)
+
+
+def test_codebook_is_uniform_on_the_typical_set():
+    # Bernoulli(0.3), n = 2000, delta = 0.5: the float test admits 300-899
+    # ones; under the uniform law the count of ones has this mean and spread
+    n = 2000
+    s0, s1, s2 = (sum(c**i * math.comb(n, c) for c in range(300, 900)) for i in range(3))
+    mean, var = s1 / s0, (s2 * s0 - s1 * s1) / (s0 * s0)
+    cb = random_typical_codebook(Pmf.bernoulli(0.3), n, 0.005, 0.5, seed=4)
+    assert mean == pytest.approx(894.92, abs=0.005)
+    assert abs(cb.words.sum(axis=1).mean() - mean) <= 5 * math.sqrt(var / len(cb))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    n=st.integers(1, 16),
+    delta=st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.6, 1.0, 2.0]),
+    rate_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_codebook_words_typical_sized_and_reproducible(weights, n, delta, rate_share, seed):
+    k = len(weights)
+    target = Pmf.from_probs(tuple(range(k)), tuple(w / sum(weights) for w in weights))
+    rate = rate_share * 6 / n  # at most 64 words
+    try:
+        cb = random_typical_codebook(target, n, rate, delta, seed=seed)
+    except ValueError as exc:
+        assert "typical set empty" in str(exc)
+        assert not any(
+            is_delta_typical(np.repeat(np.arange(k), c).tolist(), target, delta)
+            for c in _compositions(n, k)
+        )
+        return
+    assert len(cb) == max(1, int(2 ** (n * rate)))
+    assert all(is_delta_typical(cb.word_labels(m), target, delta) for m in range(len(cb)))
+    again = random_typical_codebook(target, n, rate, delta, seed=seed)
+    assert again.words.tobytes() == cb.words.tobytes()
