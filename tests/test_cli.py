@@ -234,6 +234,18 @@ def test_curve_solve_needs_file_P_without_grid(problem_file, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"rdplab: {path}: missing key 'P'\n")
 
 
+def test_nonfinite_budgets_fail_fast(problem_file, tmp_path, capsys):
+    # a NaN or infinite budget is a usage error, reported before any LP runs
+    assert main(["solve", "--problem", problem_file, "--D", "nan", "--P", "0.0"]) == 1
+    assert capsys.readouterr() == ("", "rdplab: budgets must be finite and nonnegative\n")
+    path = tmp_path / "p_inf.json"
+    payload = json.loads((tmp_path / "problem.json").read_text())
+    payload["P"] = "inf"
+    path.write_text(json.dumps(payload))
+    assert main(["curve", "solve", "--problem", str(path), "--D-grid", "0.1:0.3:3"]) == 1
+    assert capsys.readouterr() == ("", "rdplab: budgets must be finite and nonnegative\n")
+
+
 def test_curve_solve_stops_on_solver_error(problem_file, monkeypatch, capsys):
     import rdplab.solver as solver_mod
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdplab.solver
 from rdplab import serialize
@@ -260,6 +261,95 @@ def test_rd_function_grid_rejects_bad_costs():
         with pytest.raises(ValueError, match="finite and nonnegative") as info:
             rd_function_grid(p, (0, 1), cost, 0.1)
         assert not isinstance(info.value, GridInfeasibleError)
+
+
+def hamming(x, v):
+    return float(x != v)
+
+
+def test_rd_function_grid_edge_budgets():
+    p = Pmf.bernoulli(0.25)
+    # at the floor only least-cost outputs remain: the identity channel, H(X)
+    assert rd_function_grid(p, (0, 1), hamming, 0.0) == pytest.approx(0.8112781244591328, abs=1e-12)
+    for dist in (0.25, 0.3, math.inf):  # min(p @ Delta) = 0.25
+        assert rd_function_grid(p, (0, 1), hamming, dist) == 0.0
+    assert rd_function_grid(p, (0.5,), lambda x, v: (x - v) ** 2, 0.25) == 0.0
+    # an atom without mass drops out before its log is taken
+    fair = Pmf.from_probs((0, 1, 2), (0.5, 0.5, 0.0))
+    assert rd_function_grid(fair, (0, 1, 2), hamming, 0.1) == pytest.approx(
+        1.0 - binary_entropy(0.1), abs=1e-7
+    )
+    with pytest.raises(GridInfeasibleError):
+        rd_function_grid(Pmf.bernoulli(0.25), [0.4, 0.6], lambda x, v: (x - v) ** 2, 1e-6)
+
+
+def test_rd_function_grid_rejects_nan_budget():
+    with pytest.raises(ValueError, match="must be a number") as info:
+        rd_function_grid(Pmf.bernoulli(0.25), (0, 1), hamming, math.nan)
+    assert not isinstance(info.value, GridInfeasibleError)
+
+
+def test_rdp_problem_rejects_nonfinite_budgets():
+    for dist, perc in ((math.nan, 0.1), (0.1, math.inf), (math.inf, 0.0), (0.1, -1.0)):
+        with pytest.raises(ValueError, match="budgets must be finite and nonnegative"):
+            binary_problem(0.25, dist, perc)
+
+
+def test_rd_function_grid_is_certified():
+    # acceptance criterion 07's points: the grid optimum lies above varphi by
+    # its grid error only, and the solver must land within 1e-7 bits of it
+    grid = np.linspace(0.0, 1.0, 513)
+    for dist in (0.10, 0.15, 0.20, 0.25, 0.30):
+        rate = rd_function_grid(Pmf.bernoulli(0.25), grid, lambda x, v: (x - v) ** 2, dist / 2.0)
+        assert -1e-7 <= rate - varphi_binary(0.25, dist) <= 2e-6, dist
+
+
+_COST = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 10.0))
+
+
+@st.composite
+def grid_instances(draw):
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any))
+    cost = draw(st.lists(_COST, min_size=m * k, max_size=m * k))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    w = np.array(weights, dtype=float)
+    return Pmf.from_probs(tuple(range(m)), w / w.sum()), np.reshape(cost, (m, k)), sorted(fracs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grid_instances())
+def test_rd_function_grid_invariants(case):
+    source, cost, fracs = case
+    p = source.probs
+    k = cost.shape[1]
+    floor, zero_rate = float(p @ cost.min(axis=1)), float(np.min(p @ cost))
+    entropy = -sum(x * math.log2(x) for x in p if x > 0.0)
+    rates = [
+        rd_function_grid(source, range(k), cost, floor + f * (zero_rate - floor)) for f in fracs
+    ]
+    for rate in rates:
+        assert 0.0 <= rate <= min(entropy, math.log2(k)) + 1e-9
+    # each rate is certified within 1e-7 bits of a non-increasing curve
+    for hi, lo in zip(rates, rates[1:]):
+        assert lo <= hi + 1e-7
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(0.05, 0.95),
+    off=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+    frac=st.floats(0.0, 1.2),
+)
+def test_rd_function_grid_matches_solver_without_perception(rho, off, frac):
+    delta = np.array([[0.0, off[0]], [off[1], 0.0]])
+    source = Pmf.bernoulli(rho)
+    dist = frac * float(np.min(source.probs @ delta))
+    prob = RdpProblem(source, delta, total_variation(), dist, 1.0)  # TV <= 1 always holds
+    assert rd_function_grid(source, (0, 1), delta, dist) == pytest.approx(
+        solve_rdp(prob).rate, abs=1e-5
+    )
 
 
 def test_brute_force_ternary_output():
