@@ -552,18 +552,20 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
     Centring minimizes t (s D - p.u) - sum_y w_y log(-g_y) - log s by damped
     Newton steps.  At a centre, nu_y = w_y / (t (-g_y)) is the output law and
     J = pi diag(nu) the joint law of the primal channel, with pi_.y the
-    softmax inside g_y.  The weights w start so that the first point is
-    centred in u (they are the output law of one alternating-minimization
-    step from the uniform law) and then follow nu, so that grid points
-    without mass stop costing 1/t each in the duality gap; each round
-    multiplies t by `_T_GROWTH`.
+    softmax inside g_y.  The weights start at w_y = -g_y q_y, with q the
+    output law of one alternating-minimization step from the uniform law,
+    which centres the first point in u at t = 1; they then follow nu, so
+    that grid points without mass stop costing 1/t each in the duality
+    gap.  Each round multiplies t by `_T_GROWTH`.
     """
     keep = reach.any(axis=0)
     cmat, reach = cmat[:, keep], reach[:, keep]
     m = len(p)
     free_s = dist is not None
     log_base = np.where(reach, np.log(p)[:, None], -np.inf)
-    kernel = np.where(reach, 1.0, 0.0)
+
+    def kernel(s):
+        return np.where(reach, np.exp(-s * cmat), 0.0)
 
     def constraints(u, s):
         """g_y and the softmax pi over x inside each g_y."""
@@ -575,7 +577,7 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
 
     def feasible_u(s):
         """Dual value and u of the uniform output law at slope s, feasible."""
-        u = -np.log(np.mean(kernel * np.exp(-s * cmat), axis=1))
+        u = -np.log(np.mean(kernel(s), axis=1))
         u -= constraints(u, s)[0].max()
         return p @ u - s * (dist if free_s else 0.0), u
 
@@ -606,7 +608,7 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
         s = float(slopes[int(np.argmax([feasible_u(x)[0] for x in slopes]))])
     u = feasible_u(s)[1] - 1.0
     g, pi = constraints(u, s)
-    chan = kernel * np.exp(-s * cmat)
+    chan = kernel(s)
     weights = np.maximum(-g * (p @ (chan / chan.sum(axis=1, keepdims=True))), _WEIGHT_FLOOR)
     t = 1.0
     gap = math.inf

@@ -263,20 +263,16 @@ def test_rd_function_grid_rejects_bad_costs():
         assert not isinstance(info.value, GridInfeasibleError)
 
 
-def hamming(x, v):
-    return float(x != v)
-
-
 def test_rd_function_grid_edge_budgets():
     p = Pmf.bernoulli(0.25)
     # at the floor only least-cost outputs remain: the identity channel, H(X)
-    assert rd_function_grid(p, (0, 1), hamming, 0.0) == pytest.approx(0.8112781244591328, abs=1e-12)
+    assert rd_function_grid(p, (0, 1), HAMMING, 0.0) == pytest.approx(0.8112781244591328, abs=1e-12)
     for dist in (0.25, 0.3, math.inf):  # min(p @ Delta) = 0.25
-        assert rd_function_grid(p, (0, 1), hamming, dist) == 0.0
+        assert rd_function_grid(p, (0, 1), HAMMING, dist) == 0.0
     assert rd_function_grid(p, (0.5,), lambda x, v: (x - v) ** 2, 0.25) == 0.0
     # an atom without mass drops out before its log is taken
     fair = Pmf.from_probs((0, 1, 2), (0.5, 0.5, 0.0))
-    assert rd_function_grid(fair, (0, 1, 2), hamming, 0.1) == pytest.approx(
+    assert rd_function_grid(fair, (0, 1, 2), lambda x, v: float(x != v), 0.1) == pytest.approx(
         1.0 - binary_entropy(0.1), abs=1e-7
     )
     with pytest.raises(GridInfeasibleError):
@@ -285,7 +281,7 @@ def test_rd_function_grid_edge_budgets():
 
 def test_rd_function_grid_rejects_nan_budget():
     with pytest.raises(ValueError, match="must be a number") as info:
-        rd_function_grid(Pmf.bernoulli(0.25), (0, 1), hamming, math.nan)
+        rd_function_grid(Pmf.bernoulli(0.25), (0, 1), HAMMING, math.nan)
     assert not isinstance(info.value, GridInfeasibleError)
 
 
