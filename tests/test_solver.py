@@ -275,8 +275,6 @@ def test_rd_function_grid_edge_budgets():
     assert rd_function_grid(fair, (0, 1, 2), lambda x, v: float(x != v), 0.1) == pytest.approx(
         1.0 - binary_entropy(0.1), abs=1e-7
     )
-    with pytest.raises(GridInfeasibleError):
-        rd_function_grid(Pmf.bernoulli(0.25), [0.4, 0.6], lambda x, v: (x - v) ** 2, 1e-6)
 
 
 def test_rd_function_grid_rejects_nan_budget():
