@@ -535,19 +535,18 @@ def rd_function_grid(p_x: Pmf, output_atoms, cost, dist: float) -> float:
     excess = cmat[keep] - cmat[keep].min(axis=1, keepdims=True)
     if dist <= d_floor + 1e-12:
         # the floor is the limit s -> inf: each x may use its least-cost points only
-        return _csiszar_dual(p, np.zeros_like(excess), excess == 0.0, None)
+        return _csiszar_dual(p, np.where(excess == 0.0, 0.0, np.inf), None)
     # costs above each row's least, in units of the zero-rate distortion
     scale = float(np.min(p @ excess))
-    reach = np.ones(excess.shape, dtype=bool)
-    return _csiszar_dual(p, excess / scale, reach, (dist - d_floor) / scale)
+    return _csiszar_dual(p, excess / scale, (dist - d_floor) / scale)
 
 
-def _csiszar_dual(p, cmat, reach, dist) -> float:
+def _csiszar_dual(p, cmat, dist) -> float:
     """Certified rate, in bits, by a weighted barrier method on Csiszar's dual.
 
-    `cmat` has a zero in every row and `reach` marks the pairs (x, y) the
-    channel may use.  `dist=None` fixes s (the floor, where `cmat` is zero
-    on `reach`) and drops it from the variables.
+    `cmat` has a zero in every row.  `dist=None` is the floor: `cmat` is
+    zero on the pairs the channel may use and infinite elsewhere, and s is
+    fixed at one and dropped from the variables.
 
     Centring minimizes t (s D - p.u) - sum_y w_y log(-g_y) - log s by damped
     Newton steps.  At a centre, nu_y = w_y / (t (-g_y)) is the output law and
@@ -558,18 +557,14 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
     that grid points without mass stop costing 1/t each in the duality
     gap.  Each round multiplies t by `_T_GROWTH`.
     """
-    keep = reach.any(axis=0)
-    cmat, reach = cmat[:, keep], reach[:, keep]
+    cmat = cmat[:, np.isfinite(cmat).any(axis=0)]
     m = len(p)
     free_s = dist is not None
-    log_base = np.where(reach, np.log(p)[:, None], -np.inf)
-
-    def kernel(s):
-        return np.where(reach, np.exp(-s * cmat), 0.0)
+    log_p = np.log(p)[:, None]
 
     def constraints(u, s):
         """g_y and the softmax pi over x inside each g_y."""
-        logw = log_base + u[:, None] - s * cmat
+        logw = log_p + u[:, None] - s * cmat
         top = logw.max(axis=0)
         e = np.exp(logw - top)
         tot = e.sum(axis=0)
@@ -577,15 +572,15 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
 
     def feasible_u(s):
         """Dual value and u of the uniform output law at slope s, feasible."""
-        u = -np.log(np.mean(kernel(s), axis=1))
+        u = -np.log(np.mean(np.exp(-s * cmat), axis=1))
         u -= constraints(u, s)[0].max()
         return p @ u - s * (dist if free_s else 0.0), u
 
     def newton_step(u, s, g, pi, weights, t):
         """Newton direction and decrement of the centring objective."""
         w = weights / (-g)
-        e = np.sum(pi * cmat, axis=0)
-        grads = np.vstack([pi, -e]) if free_s else pi  # columns: grad g_y
+        # columns: grad g_y; cmat is finite whenever s is free
+        grads = np.vstack([pi, -np.sum(pi * cmat, axis=0)]) if free_s else pi
         grad = grads @ w
         grad[:m] -= t * p
         hess = (grads * (w * w / weights - w)) @ grads.T
@@ -602,13 +597,13 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
             dz = -np.linalg.lstsq(hess, grad, rcond=None)[0]
         return dz, float(-grad @ dz)
 
-    s = 0.0
+    s = 1.0
     if free_s:
         slopes = 2.0 ** np.arange(-4, 40)
         s = float(slopes[int(np.argmax([feasible_u(x)[0] for x in slopes]))])
     u = feasible_u(s)[1] - 1.0
     g, pi = constraints(u, s)
-    chan = kernel(s)
+    chan = np.exp(-s * cmat)
     weights = np.maximum(-g * (p @ (chan / chan.sum(axis=1, keepdims=True))), _WEIGHT_FLOOR)
     t = 1.0
     gap = math.inf
@@ -626,8 +621,8 @@ def _csiszar_dual(p, cmat, reach, dist) -> float:
             a = 1.0 / max(1.0, float(np.abs(dz[:m]).max()) / _STEP_CAP, abs(dz[m]) / s if free_s else 0.0)
             while a > 1e-12:
                 u_new = u + a * dz[:m]
-                s_new = s + a * dz[m] if free_s else 0.0
-                if s_new > 0.0 or not free_s:
+                s_new = s + a * dz[m] if free_s else s
+                if s_new > 0.0:
                     g_new, pi_new = constraints(u_new, s_new)
                     if np.all(g_new < 0.0):
                         # barrier change over t, from ratios so that it stays exact at large t
