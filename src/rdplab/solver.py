@@ -1,41 +1,40 @@
 """Numerical computation of the rate-distortion-perception function.
 
 Minimizes I(X; Xhat) over channels subject to a distortion budget
-E[Delta] <= D and a perception budget d(p_X, p_Xhat) <= P.
+E[Delta] <= D and a perception budget d(p_X, p_Xhat) <= P.  One engine,
+numpy only, serves every divergence kind and the classical R(D) on a
+gridded output alphabet: weighted barrier Newton on Csiszar's dual (IEEE
+Trans. IT 1974), in nats,
 
-Algorithms:
+    maximize p.u - s D - sigma(v)
+    subject to log sum_x p_x exp(u_x - s Delta(x, y)) <= v_y for every y,
 
-* polyhedral perception constraints (total variation, coupling cost,
-  squared Wasserstein) and the P = 0 marginal-equality case: away-step
-  Frank-Wolfe with exact line search; every linear subproblem is an LP over
-  the channel polytope intersected with the constraints (scipy HiGHS);
-* Kullback-Leibler perception with P > 0: outer dual bisection on the
-  perception multiplier with an inner Frank-Wolfe solve of
-  I + mu * KL(p_X || p_Xhat) over the distortion polytope;
-* the classical R(D) on a gridded output alphabet (`rd_function_grid`):
-  Csiszar's dual, a geometric program in |X| + 1 variables with one
-  log-sum-exp constraint per grid point, solved by damped barrier Newton.
-  The value is the rate of an explicit channel that meets D, certified by
-  a dual-feasible point of the same solve to within 1e-7 bits of the grid
-  optimum; numpy only.
+with sigma(v) = max{v.q : d(p_X, q) <= P} the support function of the
+perception ball.  The grid R(D) has no ball (v = 0).  At P = 0 the ball is
+the one law q = p_X, sigma(v) = q.v and v is eliminated: the dual is smooth.
+Total variation (the least P(X != Xhat) over couplings), squared
+Wasserstein and coupling costs give sigma(v) = min over lam >= 0 of
+lam P + sum_x p_x max_y (v_y - lam C(x, y)), carried by lam and one epigraph
+variable per x.  Kullback-Leibler gives sigma(v) <= -exp(-P) prod_x
+(-v_x)^p_x for v < 0, the budget's multiplier eliminated.
 
-A channel with independent output (rate zero) is tried first, for every
-divergence kind; when some product channel satisfies both budgets the
-optimum is exactly zero.  For KL with P > 0 the check is the closed form:
-q = p_X has zero divergence, so it is feasible iff p' Delta p <= D.  One LP
-builder, `_Polytope`, writes the distortion and perception rows for both
-the Frank-Wolfe channel polytope and this zero-rate check: the two differ
-only in the linear map from their variables to the output law.
-
-scipy is imported lazily: `linprog` loads scipy.optimize on its first
-call, so importing rdplab, and everything that runs no LP, stays free of
-scipy's import cost.
+A solve returns the rate of an explicit channel, built from the centre's
+joint law and repaired with a reference channel until both budgets hold,
+and a dual lower bound from the same point: their difference is the
+certified gap.  The reference is the identity when the output alphabet is
+the source's (distortion and perception zero).  A product channel (rate
+zero) is tried first, in closed form: the output law of least expected
+distortion in the ball (for KL, q = p_X only).  scipy is imported lazily and
+for one job: when the output alphabet differs from the source labels, one
+HiGHS LP finds the least-distortion channel within the perception budget,
+which decides feasibility and is the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -54,14 +53,16 @@ INFEASIBLE = "infeasible"
 ITER_LIMIT = "iter_limit"
 
 _LOG2 = math.log(2.0)
-_CLIP = 1e-300
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-6  # Frank-Wolfe duality-gap target, in bits
-    max_iter: int = 20000
+    tol: float = 1e-6  # certified duality-gap target, in bits
     feas_tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +111,9 @@ class RdpProblem:
             _real_values(out)
 
     def perception_cost_matrix(self) -> np.ndarray | None:
-        """Cost matrix of the embedded-coupling perception constraint, if any."""
+        """Cost matrix whose least coupling cost is the perception (None for KL)."""
+        if self.divergence.kind == TV:
+            return 1.0 - np.eye(len(self.source.atoms))
         if self.divergence.kind == COUPLING_COST:
             return self.divergence.cost
         if self.divergence.kind == WASSERSTEIN_SQ:
@@ -132,337 +135,91 @@ class RdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# LP subproblems
-# ---------------------------------------------------------------------------
-
-
-# perception constraints an LP can carry (None: distortion only)
-_EQUAL = "equal"  # the output law equals the source law (P = 0)
-_TV_SLACK = "tv_slack"  # TV <= P through one slack per output atom
-_COUPLING = "coupling"  # an embedded coupling of p_X and the output law
-
-
-def _perception(prob: RdpProblem) -> str | None:
-    """The perception constraint of the LPs; None sends KL to the dual path."""
-    if prob.perc_budget == 0.0:
-        return _EQUAL
-    if prob.divergence.kind == KL:
-        return None
-    return _TV_SLACK if prob.divergence.kind == TV else _COUPLING
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
-
-
-class _Polytope:
-    """LP data for min <c, v> over row-stochastic v >= 0 and the budgets.
-
-    `marg` maps v to the output law, `stoch` gives the normalization rows
-    (each sums to one) and `dist_row` the expected distortion.  Auxiliary
-    variables follow v: a TV slack per output atom, or an embedded coupling.
-    """
-
-    def __init__(self, prob: RdpProblem, marg, stoch, dist_row, perception):
-        p = prob.source.probs
-        m, k = prob.distortion.shape
-        n = marg.shape[1]
-        n_aux = {_TV_SLACK: k, _COUPLING: m * k}.get(perception, 0)
-        self.n = n
-        self.shape = (len(stoch), n // len(stoch))
-        eq = [np.hstack([stoch, np.zeros((len(stoch), n_aux))])]
-        b_eq = [np.ones(len(stoch))]
-        ub = [np.concatenate([dist_row, np.zeros(n_aux)])[None, :]]
-        b_ub = [[prob.dist_budget]]
-        if perception == _EQUAL:
-            target = dict(prob.source.atoms)
-            eq.append(marg)
-            b_eq.append([target.get(lab, 0.0) for lab in prob.output_alphabet])
-        elif perception == _TV_SLACK:
-            # q_j - t_j <= p_j and -q_j - t_j <= -p_j, then sum(t) / 2 <= P
-            tv = np.empty((2 * k, n + k))
-            tv[0::2] = np.hstack([marg, -np.eye(k)])
-            tv[1::2] = np.hstack([-marg, -np.eye(k)])
-            ub += [tv, np.concatenate([np.zeros(n), np.full(k, 0.5)])[None, :]]
-            b_ub += [np.column_stack([p, -p]).ravel(), [prob.perc_budget]]
-        elif perception == _COUPLING:
-            # coupling rows sum to p_X, its columns to the output law
-            eq.append(np.hstack([np.zeros((m, n)), np.kron(np.eye(m), np.ones(k))]))
-            eq.append(np.hstack([-marg, np.kron(np.ones(m), np.eye(k))]))
-            b_eq += [p, np.zeros(k)]
-            cost = prob.perception_cost_matrix().ravel()
-            ub.append(np.concatenate([np.zeros(n), cost])[None, :])
-            b_ub.append([prob.perc_budget])
-        self.a_eq = np.vstack(eq)
-        self.b_eq = np.concatenate(b_eq)
-        self.a_ub = np.vstack(ub)
-        self.b_ub = np.concatenate(b_ub)
-
-    def minimize(self, grad: np.ndarray | None) -> np.ndarray | None:
-        """Vertex minimizing <grad, v>; None when the polytope is empty."""
-        c = np.zeros(self.a_eq.shape[1])
-        if grad is not None:
-            c[: self.n] = grad.ravel()
-        res = linprog(
-            c,
-            A_ub=self.a_ub,
-            b_ub=self.b_ub,
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=(0.0, None),
-            method="highs",
-        )
-        if not res.success:
-            return None
-        return res.x[: self.n].reshape(self.shape)
-
-
-def _channel_polytope(prob: RdpProblem, perception: str | None) -> _Polytope:
-    """The feasible channels p(xhat|x), as m*k row-major variables."""
-    p = prob.source.probs
-    m, k = prob.distortion.shape
-    marg = np.kron(p, np.eye(k))
-    dist_row = (p[:, None] * prob.distortion).ravel()
-    return _Polytope(prob, marg, np.kron(np.eye(m), np.ones(k)), dist_row, perception)
-
-
-def _zero_rate_channel(prob: RdpProblem, perception: str) -> np.ndarray | None:
-    """Feasible product channel p(xhat|x) = q(xhat), which has rate zero."""
-    k = len(prob.output_alphabet)
-    dist_row = prob.source.probs @ prob.distortion
-    q = _Polytope(prob, np.eye(k), np.ones((1, k)), dist_row, perception).minimize(None)
-    if q is None:
-        return None
-    q = np.clip(q, 0.0, None)
-    return np.tile(q / q.sum(), (len(prob.source.atoms), 1))
-
-
-# ---------------------------------------------------------------------------
-# Objective and away-step Frank-Wolfe
-# ---------------------------------------------------------------------------
-
-
-def _mi_grad(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    q = np.clip(p @ w, _CLIP, None)
-    wc = np.clip(w, _CLIP, None)
-    return p[:, None] * np.log2(wc / q[None, :])
-
-
-def _kl_to_marginal(px: np.ndarray, q: np.ndarray) -> float:
-    qc = np.clip(q, _CLIP, None)
-    mask = px > 0.0
-    return float(np.sum(px[mask] * np.log2(px[mask] / qc[mask])))
-
-
-class _Objective:
-    """Gradient of I(X; Xhat) plus an optional mu * KL(p_X || p_Xhat) penalty."""
-
-    def __init__(self, p: np.ndarray, mu: float = 0.0):
-        self.p = p
-        self.mu = mu
-
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        g = _mi_grad(self.p, w)
-        if self.mu > 0.0:
-            q = np.clip(self.p @ w, _CLIP, None)
-            g = g - self.mu * np.outer(self.p, self.p / (q * _LOG2))
-        return g
-
-
-def _line_search(obj: _Objective, w: np.ndarray, d: np.ndarray, t_max: float) -> float:
-    """Exact minimization of the convex 1-D restriction via derivative bisection."""
-
-    def dphi(t: float) -> float:
-        return float(np.sum(obj.grad(w + t * d) * d))
-
-    if dphi(t_max) <= 0.0:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _frank_wolfe(
-    obj: _Objective,
-    polytope: _Polytope,
-    w0: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, int]:
-    """Away-step Frank-Wolfe; returns (iterate, duality gap, iterations)."""
-    atoms: list[np.ndarray] = [w0.copy()]
-    weights: list[float] = [1.0]
-    w = w0.copy()
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = obj.grad(w)
-        s = polytope.minimize(g)
-        if s is None:
-            raise RuntimeError("LP subproblem became infeasible")
-        gap = float(np.sum(g * (w - s)))
-        if gap < tol:
-            break
-        scores = [float(np.sum(g * a)) for a in atoms]
-        vi = int(np.argmax(scores))
-        away_gap = scores[vi] - float(np.sum(g * w))
-        if gap >= away_gap or weights[vi] >= 1.0 - 1e-12:
-            d = s - w
-            t = _line_search(obj, w, d, 1.0)
-            if t <= 0.0:
-                break
-            weights = [x * (1.0 - t) for x in weights]
-            key = np.round(s, 12).tobytes()
-            for i, a in enumerate(atoms):
-                if np.round(a, 12).tobytes() == key:
-                    weights[i] += t
-                    break
-            else:
-                atoms.append(s)
-                weights.append(t)
-        else:
-            d = w - atoms[vi]
-            t_max = weights[vi] / (1.0 - weights[vi])
-            t = _line_search(obj, w, d, t_max)
-            if t <= 0.0:
-                break
-            weights = [x * (1.0 + t) for x in weights]
-            weights[vi] -= t
-        w = w + t * d
-        # prune dead atoms and merge duplicates to keep the active set small
-        keep = [i for i, x in enumerate(weights) if x > 1e-14]
-        atoms = [atoms[i] for i in keep]
-        weights = [weights[i] for i in keep]
-        if it % 32 == 0:
-            total = sum(weights)
-            weights = [x / total for x in weights]
-            w = sum(x * a for x, a in zip(weights, atoms))
-    return np.clip(w, 0.0, None), gap, it
-
-
-# ---------------------------------------------------------------------------
 # Public solver entry points
 # ---------------------------------------------------------------------------
 
 
 def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolution:
-    """Minimize I(X; Xhat) subject to the distortion and perception budgets."""
+    """Minimize I(X; Xhat) subject to the distortion and perception budgets.
+
+    `status` is `optimal` when the certified gap, `primal_gap_estimate`, is
+    at most `opts.tol` bits, `iter_limit` (with a channel that meets both
+    budgets) when the barrier rounds ran out first, and `infeasible` when
+    no channel meets both budgets; the channel is then the witness: the
+    least-cost channel below the distortion floor, or the least-distortion
+    channel within the perception budget.  `iterations` counts Newton steps.
+    """
     opts = opts or SolverOptions()
-    perception = _perception(prob)
-    if perception is None:
-        p = prob.source.probs
-        if p @ prob.distortion @ p <= prob.dist_budget:
-            # the product channel q = p_X meets D and has KL(p_X || q) = 0
-            return _finish(prob, np.tile(p, (len(p), 1)), 0.0, 0, OPTIMAL)
-        return _solve_kl_dual(prob, opts)
-    zr = _zero_rate_channel(prob, perception)
-    if zr is not None:
-        return _finish(prob, zr, 0.0, 0, OPTIMAL)
-    polytope = _channel_polytope(prob, perception)
-    w0 = polytope.minimize(None)
-    if w0 is None:
-        return _infeasible(prob)
-    obj = _Objective(prob.source.probs)
-    w, gap, it = _frank_wolfe(obj, polytope, w0, opts.tol, opts.max_iter)
-    status = OPTIMAL if gap < opts.tol else ITER_LIMIT
-    return _finish(prob, w, gap, it, status)
-
-
-def _solve_kl_dual(prob: RdpProblem, opts: SolverOptions) -> RdpSolution:
-    """Dual bisection on the KL-perception multiplier, Frank-Wolfe inner solves."""
-    p = prob.source.probs
-    min_dist = float(np.sum(p * prob.distortion.min(axis=1)))
-    if min_dist > prob.dist_budget + opts.feas_tol:
-        return _infeasible(prob)
-    polytope = _channel_polytope(prob, None)
-    w0 = polytope.minimize(None)
-    if w0 is None:
-        return _infeasible(prob)
-    inner_tol = opts.tol / 4.0
-    cache: dict[float, tuple[np.ndarray, float, int]] = {}
-    total_iters = 0
-
-    def inner(mu: float, start: np.ndarray):
-        nonlocal total_iters
-        if mu not in cache:
-            w, gap, it = _frank_wolfe(
-                _Objective(p, mu), polytope, start, inner_tol, opts.max_iter
-            )
-            total_iters += it
-            cache[mu] = (w, _kl_to_marginal(p, p @ w), gap)
-        return cache[mu]
-
-    w, kl, gap = inner(0.0, w0)
-    if kl <= prob.perc_budget:
-        status = OPTIMAL if gap < opts.tol else ITER_LIMIT
-        return _finish(prob, w, gap, total_iters, status)
-    mu_lo, mu_hi = 0.0, 1.0
-    for _ in range(64):
-        _, kl_hi, _ = inner(mu_hi, w)
-        if kl_hi <= prob.perc_budget:
-            break
-        mu_lo, mu_hi = mu_hi, mu_hi * 2.0
+    p, delta = prob.source.probs, prob.distortion
+    dist, perc = prob.dist_budget, prob.perc_budget
+    if p @ delta.min(axis=1) > dist + opts.feas_tol:
+        return _finish(prob, _least_cost(delta), math.inf, 0, INFEASIBLE)
+    matching = prob.output_alphabet == prob.source.labels
+    if matching:
+        ref = np.eye(len(p))
     else:
-        # not even a huge multiplier drives the divergence below budget
-        return _infeasible(prob)
-    for _ in range(200):
-        slack = mu_hi * max(0.0, prob.perc_budget - cache[mu_hi][1])
-        if slack + cache[mu_hi][2] < opts.tol or mu_hi - mu_lo < 1e-12 * mu_hi:
-            break
-        mid = 0.5 * (mu_lo + mu_hi)
-        _, kl_mid, _ = inner(mid, cache[mu_hi][0])
-        if kl_mid <= prob.perc_budget:
-            mu_hi = mid
-        else:
-            mu_lo = mid
-    w, kl, inner_gap = cache[mu_hi]
-    gap_est = inner_gap + mu_hi * max(0.0, prob.perc_budget - kl)
-    status = OPTIMAL if gap_est < 10.0 * opts.tol else ITER_LIMIT
-    return _finish(prob, w, gap_est, total_iters, status)
+        ref = _least_distortion_channel(prob)
+        if ref is None or p @ np.sum(ref * delta, axis=1) > dist + opts.feas_tol:
+            return _finish(prob, _least_cost(delta) if ref is None else ref, math.inf, 0, INFEASIBLE)
+    keep = p > 0.0  # atoms without mass have no dual variable (log 0)
+    pk = p[keep]
+    cost = prob.perception_cost_matrix()
+    law = _target_law(prob) if perc == 0.0 else None
+    # the product channel of least distortion within the ball has rate zero
+    a = p @ delta
+    if law is not None:
+        q = law
+    elif cost is None:
+        q = p  # KL: the centre of the ball only
+    else:
+        q = _coupling_support(pk, cost[keep], perc, -a)[1]
+    if q is not None and a @ q <= dist:
+        return _finish(prob, np.tile(q, (len(p), 1)), 0.0, 0, OPTIMAL)
+    if matching and dist <= 1e-12:
+        # at the floor (to 1e-12, as for the grid) only the identity is left
+        return _finish(prob, ref, 0.0, 0, OPTIMAL)
+    # outputs the fixed law leaves without mass have free v_y: drop them;
+    # costs above each row's least, in units of the zero-rate distortion
+    cols = law > 0.0 if law is not None else np.ones(len(a), dtype=bool)
+    sub = delta[keep][:, cols]
+    floor = sub.min(axis=1, keepdims=True)
+    excess = sub - floor
+    scale = float(np.min(pk @ excess)) or 1.0
+    ref_k = ref[keep][:, cols]
+
+    def perception(q):
+        return divergence(prob.divergence, prob.source, Pmf.from_probs(prob.output_alphabet, q))
+
+    if law is not None:
+        ball = _Ball(law=law[cols])
+    elif cost is None:
+        ball = _kl_ball(pk, np.flatnonzero(keep), len(a), perc, perception)
+    else:
+        ball = _coupling_ball(pk, cost[keep], perc, perception)
+    chan, rate, lower, steps = _csiszar_dual(
+        pk, excess / scale, (dist - float(pk @ floor[:, 0])) / scale,
+        ref_k / ref_k.sum(axis=1, keepdims=True), opts.tol, ball)
+    w = ref.copy()
+    w[keep] = 0.0
+    w[np.ix_(keep, cols)] = chan
+    gap = rate - lower
+    return _finish(prob, w, gap, steps, OPTIMAL if gap <= opts.tol else ITER_LIMIT)
 
 
 def _finish(prob, w, gap, iterations, status) -> RdpSolution:
     w = np.clip(w, 0.0, None)
-    w = w / w.sum(axis=1, keepdims=True)
-    channel = Channel(prob.source.labels, prob.output_alphabet, w)
+    channel = Channel(prob.source.labels, prob.output_alphabet, w / w.sum(axis=1, keepdims=True))
     p = prob.source.probs
-    rate = mutual_information_matrix(p, channel.matrix)
-    achieved_d = float(np.sum(p[:, None] * channel.matrix * prob.distortion))
     q = Pmf.from_probs(prob.output_alphabet, p @ channel.matrix)
-    achieved_p = divergence(prob.divergence, prob.source, q)
+    infeasible = status == INFEASIBLE
     return RdpSolution(
-        rate=rate,
+        rate=math.inf if infeasible else mutual_information_matrix(p, channel.matrix),
         channel=channel,
-        achieved_dist=achieved_d,
-        achieved_perc=achieved_p,
-        status=status,
-        primal_gap_estimate=float(gap),
-        iterations=iterations,
-    )
-
-
-def _infeasible(prob: RdpProblem) -> RdpSolution:
-    k = len(prob.output_alphabet)
-    uniform = np.full((len(prob.source.atoms), k), 1.0 / k)
-    channel = Channel(prob.source.labels, prob.output_alphabet, uniform)
-    p = prob.source.probs
-    q = Pmf.from_probs(prob.output_alphabet, p @ uniform)
-    return RdpSolution(
-        rate=math.inf,
-        channel=channel,
-        achieved_dist=float(np.sum(p[:, None] * uniform * prob.distortion)),
+        achieved_dist=float(np.sum(p[:, None] * channel.matrix * prob.distortion)),
         achieved_perc=divergence(prob.divergence, prob.source, q),
-        status=INFEASIBLE,
-        primal_gap_estimate=math.inf,
-        iterations=0,
+        status=status,
+        primal_gap_estimate=math.inf if infeasible else float(gap),
+        iterations=iterations,
     )
 
 
@@ -491,24 +248,6 @@ def sweep_curve(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Classic rate-distortion on a gridded output alphabet (Csiszar's dual)
-# ---------------------------------------------------------------------------
-
-# the returned grid R(D) is within this many bits of the grid optimum
-_CERT_BITS = 1e-7
-_WEIGHT_FLOOR = 1e-6  # least barrier weight of a grid point
-_WEIGHT_DECAY = 0.1  # a weight falls at most this factor per barrier round
-_T_GROWTH = 10.0  # barrier parameter growth per round
-_STEP_CAP = 4.0  # largest move of one u_x in one Newton step
-_MAX_ROUNDS = 14
-_MAX_STEPS = 100  # Newton steps per barrier round
-
-
-class GridInfeasibleError(ValueError):
-    """The distortion target is below the best achievable on the output grid."""
-
-
 def rd_function_grid(p_x: Pmf, output_atoms, cost, dist: float) -> float:
     """Classical R(D) on a finite output grid, in bits, certified to 1e-7.
 
@@ -525,9 +264,7 @@ def rd_function_grid(p_x: Pmf, output_atoms, cost, dist: float) -> float:
     cmat = _distortion_matrix(cost, p_x.labels, list(output_atoms))
     d_floor = float(np.sum(p * cmat.min(axis=1)))
     if dist < d_floor - 1e-12:
-        raise GridInfeasibleError(
-            f"target {dist} below grid floor {d_floor}"
-        )
+        raise GridInfeasibleError(f"target {dist} below grid floor {d_floor}")
     if dist >= float(np.min(p @ cmat)):
         return 0.0
     keep = p > 0.0  # atoms without mass have no dual variable (log 0)
@@ -535,100 +272,368 @@ def rd_function_grid(p_x: Pmf, output_atoms, cost, dist: float) -> float:
     excess = cmat[keep] - cmat[keep].min(axis=1, keepdims=True)
     if dist <= d_floor + 1e-12:
         # the floor is the limit s -> inf: each x may use its least-cost points only
-        return _csiszar_dual(p, np.where(excess == 0.0, 0.0, np.inf), None)
-    # costs above each row's least, in units of the zero-rate distortion
-    scale = float(np.min(p @ excess))
-    return _csiszar_dual(p, excess / scale, (dist - d_floor) / scale)
+        cmat = np.where(excess == 0.0, 0.0, np.inf)
+        dist = None
+    else:
+        # costs above each row's least, in units of the zero-rate distortion
+        scale = float(np.min(p @ excess))
+        cmat, dist = excess / scale, (dist - d_floor) / scale
+    _, rate, lower, _ = _csiszar_dual(p, cmat, dist, _least_cost(cmat), _CERT_BITS)
+    if rate - lower > _CERT_BITS:
+        raise RuntimeError(f"grid R(D) not certified: duality gap {rate - lower:.3g} bits")
+    return rate
 
 
-def _csiszar_dual(p, cmat, dist) -> float:
-    """Certified rate, in bits, by a weighted barrier method on Csiszar's dual.
+class GridInfeasibleError(ValueError):
+    """The distortion target is below the best achievable on the output grid."""
 
-    `cmat` has a zero in every row.  `dist=None` is the floor: `cmat` is
-    zero on the pairs the channel may use and infinite elsewhere, and s is
-    fixed at one and dropped from the variables.
 
-    Centring minimizes t (s D - p.u) - sum_y w_y log(-g_y) - log s by damped
-    Newton steps.  At a centre, nu_y = w_y / (t (-g_y)) is the output law and
-    J = pi diag(nu) the joint law of the primal channel, with pi_.y the
-    softmax inside g_y.  The weights start at w_y = -g_y q_y, with q the
-    output law of one alternating-minimization step from the uniform law,
-    which centres the first point in u at t = 1; they then follow nu, so
-    that grid points without mass stop costing 1/t each in the duality
-    gap.  Each round multiplies t by `_T_GROWTH`.
+# ---------------------------------------------------------------------------
+# The perception ball: its LP, its support function, its dual variables
+# ---------------------------------------------------------------------------
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
+def _target_law(prob: RdpProblem) -> np.ndarray:
+    """The output law that P = 0 pins: the source law, read by label."""
+    target = dict(prob.source.atoms)
+    return np.array([target.get(lab, 0.0) for lab in prob.output_alphabet])
+
+
+def _least_cost(cmat: np.ndarray) -> np.ndarray:
+    """The channel sending each input to its least-cost output."""
+    least = np.zeros(cmat.shape)
+    least[np.arange(len(cmat)), np.argmin(cmat, axis=1)] = 1.0
+    return least
+
+
+def _least_distortion_channel(prob: RdpProblem) -> np.ndarray | None:
+    """The least-distortion channel within the perception budget, by one LP;
+    None when no channel meets it.  Only other output alphabets need it."""
+    p = prob.source.probs
+    m, k = prob.distortion.shape
+    n = m * k
+    marg = np.kron(p, np.eye(k))  # the output law of the m*k channel entries
+    rows = np.kron(np.eye(m), np.ones(k))
+    c = (p[:, None] * prob.distortion).ravel()
+    a_ub = b_ub = None
+    if prob.perc_budget == 0.0:
+        a_eq = np.vstack([rows, marg])
+        b_eq = np.concatenate([np.ones(m), _target_law(prob)])
+    else:
+        # an embedded coupling of p_X (its rows) and the output law (its columns)
+        zero = np.zeros((m, n))
+        a_eq = np.block([[rows, zero], [zero, rows], [-marg, np.kron(np.ones(m), np.eye(k))]])
+        b_eq = np.concatenate([np.ones(m), p, np.zeros(k)])
+        a_ub = np.concatenate([np.zeros(n), prob.perception_cost_matrix().ravel()])[None, :]
+        b_ub = [prob.perc_budget]
+        c = np.concatenate([c, np.zeros(n)])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    if not res.success:
+        return None
+    w = np.clip(res.x[:n].reshape(m, k), 0.0, None)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _coupling_support(p, cost, budget, v):
+    """max v.q over the laws q within coupling cost `budget` of p, and a maximizer.
+
+    The value is the least over lam >= 0 of lam budget + sum_x p_x max_y
+    (v_y - lam cost(x, y)), piecewise linear in lam: walk its breakpoints up
+    from lam = 0, each x moving to the cheaper output whose line overtakes
+    its choice, and mix the choices either side of the least so that the
+    coupling costs `budget`.  The value returned is that dual function, an
+    upper bound whatever the round-off; (inf, None) when no coupling fits.
     """
-    cmat = cmat[:, np.isfinite(cmat).any(axis=0)]
-    m = len(p)
-    free_s = dist is not None
-    log_p = np.log(p)[:, None]
+    x = np.arange(len(p))
+    y = np.where(v == v.max(), cost, np.inf).argmin(axis=1)  # ties go to the cheaper output
+    lam, prev = 0.0, None
+    while p @ cost[x, y] > budget:
+        spend = cost[x, y][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.maximum((v[y][:, None] - v[None, :]) / (spend - cost), lam)
+        cross = np.where(cost < spend, cross, np.inf)
+        lam = float(cross.min())
+        if lam == math.inf:
+            return math.inf, None
+        prev = y.copy()
+        hit = cross == lam
+        rows = hit.any(axis=1)
+        y[rows] = np.where(hit, cost, np.inf)[rows].argmin(axis=1)
+    q = np.bincount(y, weights=p, minlength=len(v))
+    if prev is not None:
+        over, under = p @ cost[x, prev], p @ cost[x, y]
+        theta = (over - budget) / (over - under)
+        q = theta * q + (1.0 - theta) * np.bincount(prev, weights=p, minlength=len(v))
+    return lam * budget + p @ np.max(v - lam * cost, axis=1), q
 
-    def constraints(u, s):
+
+@dataclass
+class _Ball:
+    """The perception ball as the dual engine sees it.
+
+    Variables e start at `e0`, v = e[:k] (v = 0 without variables); the
+    objective gains -cost @ e, and rows @ e > 0, with multipliers guessed at
+    `mult0`, keeps e inside sigma's epigraph.  `pin` is held at its start
+    (the gauge), `kl` gives the output of each source atom in the smooth KL
+    term -support(v), and `law` a fixed output law that eliminates v.
+    `support` bounds sigma(v) from above, and `perception` is the exact
+    divergence of an output law, against `budget`.
+    """
+
+    e0: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    mult0: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    cost: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    support: Callable = lambda v: 0.0
+    perception: Callable | None = None
+    budget: float = 0.0
+    pin: int | None = None
+    kl: np.ndarray | None = None
+    law: np.ndarray | None = None
+
+
+def _coupling_ball(p, cost, budget, perception) -> _Ball:
+    """Variables (v, lam, t): t_x >= v_y - lam C(x, y) and lam >= 0."""
+    m, k = cost.shape
+    rows = np.zeros((m * k + 1, k + 1 + m))
+    rows[:-1, :k] = -np.tile(np.eye(k), (m, 1))
+    rows[:-1, k] = cost.ravel()
+    rows[:-1, k + 1:] = np.repeat(np.eye(m), k, axis=0)
+    rows[-1, k] = 1.0
+    return _Ball(
+        e0=np.concatenate([np.full(k, -0.5), [1.0], np.zeros(m)]),
+        rows=rows,
+        mult0=np.concatenate([np.repeat(p / k, k), [1.0]]),
+        cost=np.concatenate([np.zeros(k), [budget], p]),
+        support=lambda v: _coupling_support(p, cost, budget, v)[0],
+        perception=perception,
+        budget=budget,
+        pin=0,
+    )
+
+
+def _kl_ball(p, idx, k, budget, perception) -> _Ball:
+    """Variables v < 0, the gauge c = 0 of sigma's minimization over c > max v."""
+    nats = budget * _LOG2
+    return _Ball(
+        e0=np.full(k, -0.5),
+        rows=-np.eye(k),
+        mult0=np.full(k, _WEIGHT_FLOOR),
+        cost=np.zeros(k),
+        support=lambda v: -math.exp(p @ np.log(-v[idx]) - nats),
+        perception=perception,
+        budget=budget,
+        kl=idx,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The engine: weighted barrier Newton on Csiszar's dual
+# ---------------------------------------------------------------------------
+
+# the returned grid R(D) is within this many bits of the grid optimum
+_CERT_BITS = 1e-7
+_WEIGHT_FLOOR = 1e-6  # least barrier weight of a row
+_WEIGHT_DECAY = 0.1  # a weight falls at most this factor per barrier round
+_T_GROWTH = 10.0  # barrier parameter growth per round
+_STEP_CAP = 4.0  # first cap on one variable's move in a Newton step; doubles when a capped step holds
+_MAX_ROUNDS = 14
+_MAX_STEPS = 100  # Newton steps per barrier round
+_MARGIN = 1e-12  # the repair aims this far inside each budget, relatively
+
+
+def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
+    """(channel, rate, lower bound, Newton steps), in bits, on Csiszar's dual.
+
+    `cmat` has a zero in every row; `ref` is a channel within both budgets.
+    `dist=None` is the floor: `cmat` is zero on the pairs the channel may
+    use, infinite elsewhere, and s is fixed at one.  Centring minimizes
+    t (s D - p.u + cost.e) - sum_y w_y log(v_y - g_y) - sum_i w_i log(row_i.e)
+    - log s over z = (u, s, e) by damped Newton steps, with g_y the log-sum-exp
+    constraint.  At a centre nu_y = w_y / (t (v_y - g_y)) is the output law
+    and J = pi diag(nu), pi_.y the softmax inside g_y, the primal joint law.
+    The weights start at (v_y - g_y) q_y, q one alternating-minimization step
+    from the uniform law, which centres u at t = 1, then follow nu (and the
+    rows' their multipliers) so that massless outputs stop costing 1/t each
+    in the gap.  t grows by `_T_GROWTH` a round until the certified gap is
+    at most `tol` bits; a fixed law has no barrier and one round.
+    """
+    ball = ball or _Ball()
+    cmat = cmat[:, np.isfinite(cmat).any(axis=0)]
+    m, k = cmat.shape
+    free_s = dist is not None
+    elim = ball.law is not None
+    barrier_s = free_s and not elim  # the weight-one barrier -log s
+    rows = ball.rows
+    o = m + free_s  # where e starts in z
+    nz = o + len(ball.e0)
+    log_p = np.log(p)[:, None]
+    free = np.ones(nz, dtype=bool)
+    if ball.pin is not None:
+        free[o + ball.pin] = False
+    if elim:
+        free[0] = False  # the gauge: a fixed law sums to one, so u + c changes nothing
+    pot = free.copy()  # everything but s, which a step at most doubles
+    pot[m:o] = False
+    diag_u, diag_v = np.arange(m), np.arange(o, o + k)
+
+    def constraints(z):
         """g_y and the softmax pi over x inside each g_y."""
-        logw = log_p + u[:, None] - s * cmat
+        s = z[m] if free_s else 1.0
+        logw = log_p + z[:m, None] - s * cmat
         top = logw.max(axis=0)
         e = np.exp(logw - top)
         tot = e.sum(axis=0)
         return top + np.log(tot), e / tot
 
-    def feasible_u(s):
-        """Dual value and u of the uniform output law at slope s, feasible."""
-        u = -np.log(np.mean(np.exp(-s * cmat), axis=1))
-        u -= constraints(u, s)[0].max()
-        return p @ u - s * (dist if free_s else 0.0), u
+    def out_mult(z):
+        return z[o:o + k] if nz > o else np.zeros(k)
 
-    def newton_step(u, s, g, pi, weights, t):
+    def newton_step(z, g, pi, r, rl, w, wl, t):
         """Newton direction and decrement of the centring objective."""
-        w = weights / (-g)
+        c1 = t * ball.law if elim else w / r
+        c2 = 0.0 if elim else c1 * c1 / w
         # columns: grad g_y; cmat is finite whenever s is free
-        grads = np.vstack([pi, -np.sum(pi * cmat, axis=0)]) if free_s else pi
-        grad = grads @ w
+        gh = np.vstack([pi, -np.sum(pi * cmat, axis=0)]) if free_s else pi
+        grad = np.zeros(nz)
+        hess = np.zeros((nz, nz))
+        grad[:o] = gh @ c1
         grad[:m] -= t * p
-        hess = (grads * (w * w / weights - w)) @ grads.T
-        hess[np.arange(m), np.arange(m)] += pi @ w
+        hess[:o, :o] = (gh * (c2 - c1)) @ gh.T
+        hess[diag_u, diag_u] += pi @ c1
         if free_s:
-            grad[m] += t * dist - 1.0 / s
-            cross = (pi * cmat) @ w
+            grad[m] += t * dist - (1.0 / z[m] if barrier_s else 0.0)
+            cross = (pi * cmat) @ c1
             hess[:m, m] -= cross
             hess[m, :m] -= cross
-            hess[m, m] += (pi * cmat * cmat).sum(axis=0) @ w + 1.0 / (s * s)
+            hess[m, m] += (pi * cmat * cmat).sum(axis=0) @ c1 + (1.0 / (z[m] * z[m]) if barrier_s else 0.0)
+        if nz > o:
+            # v_y enters g_y - v_y with slope -1
+            grad[o:] = t * ball.cost - rows.T @ (wl / rl)
+            grad[diag_v] -= c1
+            hess[diag_v, :o] = -(gh * c2).T
+            hess[:o, diag_v] = hess[diag_v, :o].T
+            hess[o:, o:] = (rows.T * (wl / (rl * rl))) @ rows
+            hess[diag_v, diag_v] += c2
+        if ball.kl is not None:
+            # the smooth KL term exp(-budget) prod_x (-v_x)^p_x is -support(v)
+            idx = o + ball.kl
+            val = -ball.support(out_mult(z))
+            ratio = p / z[idx]
+            grad[idx] -= t * val * ratio
+            hess[idx[:, None], idx] -= t * val * (np.outer(ratio, ratio) - np.diag(ratio / z[idx]))
+        if not free.all():
+            grad, hess = grad[free], hess[free][:, free]
+        # the ball's rows span many scales: solve the diagonally scaled system
+        scale = np.sqrt(np.diag(hess)) if nz > o else 1.0
         try:
-            dz = -np.linalg.solve(hess, grad)
+            step = -np.linalg.solve(hess / scale / scale[:, None] if nz > o else hess, grad / scale) / scale
         except np.linalg.LinAlgError:
-            dz = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-        return dz, float(-grad @ dz)
+            step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        dz = np.zeros(nz)
+        dz[free] = step
+        return dz, float(-grad @ step)
+
+    def certificate(z, g, pi, nu):
+        """(channel within both budgets, its rate, dual lower bound), in bits.
+
+        Lowering every u_x by max(g - v) makes the point dual-feasible.  J =
+        pi diag(nu) is rounded (Altschuler, Weed and Rigollet 2017) onto the
+        couplings of p and the fixed law, or of p and J's output law moved
+        toward the reference's until within the perception budget, which
+        with a small budget costs far less rate than moving the channel.  A
+        distortion overshoot is then mixed away with `ref`; both budgets
+        being convex, the perception budget still holds.
+        """
+        law = ball.law
+        lower = p @ z[:m] - (z[m] * dist if free_s else 0.0)
+        if elim:
+            lower -= law @ g
+        else:
+            v = out_mult(z)
+            lower -= max(0.0, float((g - v).max())) + ball.support(v)
+        joint = pi * nu
+        if ball.perception is not None:
+            q = p @ (joint / joint.sum(axis=1, keepdims=True))
+            theta = _mix_weight(ball.perception(q), perc_ref, ball.budget)
+            if theta > 0.0:
+                law = (1.0 - theta) * q + theta * (p @ ref)
+        if law is not None:
+            joint *= np.minimum(1.0, p / joint.sum(axis=1))[:, None]
+            joint *= np.minimum(1.0, law / joint.sum(axis=0))
+            short_p, short_q = p - joint.sum(axis=1), law - joint.sum(axis=0)
+            if short_p.sum() > 0.0:
+                joint += np.outer(short_p, short_q) / short_p.sum()
+        chan = joint / joint.sum(axis=1, keepdims=True)
+        if free_s:
+            theta = _mix_weight(float(p @ np.sum(chan * cmat, axis=1)), d_ref, dist)
+            if theta > 0.0:
+                chan = (1.0 - theta) * chan + theta * ref
+        return chan, mutual_information_matrix(p, chan), lower / _LOG2
 
     s = 1.0
     if free_s:
-        slopes = 2.0 ** np.arange(-4, 40)
-        s = float(slopes[int(np.argmax([feasible_u(x)[0] for x in slopes]))])
-    u = feasible_u(s)[1] - 1.0
-    g, pi = constraints(u, s)
+        # the slope whose uniform-output u has the best dual value, all slopes at once
+        slopes = 2.0 ** np.arange(-12, 40)[:, None, None]
+        u = -np.log(np.mean(np.exp(-slopes * cmat), axis=2))
+        logw = log_p + u[:, :, None] - slopes * cmat
+        top = logw.max(axis=1)
+        g = top + np.log(np.sum(np.exp(logw - top[:, None]), axis=1))
+        s = float(slopes[int(np.argmax(u @ p - g.max(axis=1) - slopes[:, 0, 0] * dist)), 0, 0])
+    # u of the uniform output law at slope s, made feasible
+    u = -np.log(np.mean(np.exp(-s * cmat), axis=1))
+    u = u - constraints(np.concatenate([u, [s] if free_s else []]))[0].max()
+    z = np.concatenate([u - 1.0, [s] if free_s else [], ball.e0])
+    g, pi = constraints(z)
+    r = out_mult(z) - g
+    rl = rows @ z[o:]
     chan = np.exp(-s * cmat)
-    weights = np.maximum(-g * (p @ (chan / chan.sum(axis=1, keepdims=True))), _WEIGHT_FLOOR)
+    w = np.maximum(r * (p @ (chan / chan.sum(axis=1, keepdims=True))), _WEIGHT_FLOOR)
+    wl = np.maximum(ball.mult0 * rl, _WEIGHT_FLOOR)
+    d_ref = float(p @ np.sum(ref * cmat, axis=1)) if free_s else 0.0
+    perc_ref = ball.perception(p @ ref) if ball.perception else 0.0
     t = 1.0
-    gap = math.inf
-    for _ in range(_MAX_ROUNDS):
+    steps = 0
+    cap = _STEP_CAP
+    for rnd in range(_MAX_ROUNDS):
         centred = False
         prev_dec = math.inf
         for _ in range(_MAX_STEPS):
-            dz, dec = newton_step(u, s, g, pi, weights, t)
+            dz, dec = newton_step(z, g, pi, r, rl, w, wl, t)
             # the decrement is at round-off once it stops falling
             if dec < 1e-20 or (dec >= prev_dec and dec < 1e-8):
                 centred = True
                 break
             prev_dec = dec
-            # exp(u) is far from its quadratic model: cap the moves of u and s
-            a = 1.0 / max(1.0, float(np.abs(dz[:m]).max()) / _STEP_CAP, abs(dz[m]) / s if free_s else 0.0)
+            steps += 1
+            # exp(u) can be far from its quadratic model: cap the moves
+            a = a0 = 1.0 / max(1.0, float(np.abs(dz[pot]).max()) / cap, abs(dz[m]) / z[m] if free_s else 0.0)
             while a > 1e-12:
-                u_new = u + a * dz[:m]
-                s_new = s + a * dz[m] if free_s else s
-                if s_new > 0.0:
-                    g_new, pi_new = constraints(u_new, s_new)
-                    if np.all(g_new < 0.0):
+                z_new = z + a * dz
+                if not free_s or z_new[m] > 0.0:
+                    g_new, pi_new = constraints(z_new)
+                    r_new = out_mult(z_new) - g_new
+                    rl_new = rows @ z_new[o:]
+                    if (elim or np.all(r_new > 0.0)) and np.all(rl_new > 0.0):
                         # barrier change over t, from ratios so that it stays exact at large t
-                        df = -a * (p @ dz[:m]) - (weights @ np.log(g_new / g)) / t
+                        df = -a * (p @ dz[:m])
+                        if elim:
+                            df += ball.law @ (g_new - g)
+                        else:
+                            df -= (w @ np.log(r_new / r)) / t
                         if free_s:
-                            df += a * dz[m] * dist - math.log(s_new / s) / t
+                            df += a * dz[m] * dist - (math.log(z_new[m] / z[m]) / t if barrier_s else 0.0)
+                        if nz > o:
+                            df += a * (ball.cost @ dz[o:]) - (wl @ np.log(rl_new / rl)) / t
+                        if ball.kl is not None:
+                            df += ball.support(out_mult(z_new)) - ball.support(out_mult(z))
                         # a round-off-sized decrement takes the full step
                         if dec < 1e-6 or df <= -0.25 * a * dec / t:
                             break
@@ -636,36 +641,29 @@ def _csiszar_dual(p, cmat, dist) -> float:
             else:
                 centred = dec < 1e-8  # backtracking makes no progress
                 break
-            u, s, g, pi = u_new, s_new, g_new, pi_new
-        nu = weights / (t * (-g))
-        rate, lower = _grid_certificate(p, cmat, u, s, g, pi, nu, dist)
-        gap = rate - lower
-        if gap <= _CERT_BITS:
-            return rate
+            z, g, pi, r, rl = z_new, g_new, pi_new, r_new, rl_new
+            # a capped step taken whole: the model held, so widen the cap
+            if a == a0 < 1.0:
+                cap *= 2.0
+        nu = ball.law if elim else w / (t * r)
+        # the barrier's own gap, its weights over t, says when a certificate can succeed
+        if elim or (w.sum() + wl.sum() + barrier_s) / (t * _LOG2) <= 10.0 * tol or rnd == _MAX_ROUNDS - 1:
+            chan, rate, lower = certificate(z, g, pi, nu)
+            if rate - lower <= tol or elim:
+                break
         if centred:
-            weights = np.maximum(np.maximum(nu, _WEIGHT_DECAY * weights), _WEIGHT_FLOOR)
+            w = np.maximum(np.maximum(nu, _WEIGHT_DECAY * w), _WEIGHT_FLOOR)
+            wl = np.maximum(np.maximum(wl / (t * rl), _WEIGHT_DECAY * wl), _WEIGHT_FLOOR)
             t *= _T_GROWTH
-    raise RuntimeError(f"grid R(D) not certified: duality gap {gap:.3g} bits at t = {t:.3g}")
+    return chan, rate, lower, steps
 
 
-def _grid_certificate(p, cmat, u, s, g, pi, nu, dist) -> tuple[float, float]:
-    """(rate of an explicit channel, dual lower bound), both in bits.
-
-    Lowering every u_x by max(g) makes (u, s) dual-feasible.  The channel
-    is J = pi diag(nu) with its rows normalized; when that overshoots the
-    budget it is mixed with the least-cost channel, whose cost is zero.
-    """
-    lower = (p @ u - s * (dist if dist is not None else 0.0) - max(0.0, float(g.max()))) / _LOG2
-    joint = pi * nu
-    chan = joint / joint.sum(axis=1, keepdims=True)
-    if dist is not None:
-        d_chan = float(p @ np.sum(chan * cmat, axis=1))
-        if d_chan > dist:
-            least = np.zeros_like(chan)
-            least[np.arange(len(p)), np.argmin(cmat, axis=1)] = 1.0
-            theta = (d_chan - dist) / d_chan
-            chan = (1.0 - theta) * chan + theta * least
-    return mutual_information_matrix(p, chan), lower
+def _mix_weight(value, ref_value, budget):
+    """Least weight on the reference that brings a convex cost from `value` within budget."""
+    aim = budget * (1.0 - _MARGIN)
+    if value <= aim:
+        return 0.0
+    return (value - aim) / (value - ref_value) if ref_value < aim else 1.0
 
 
 # ---------------------------------------------------------------------------

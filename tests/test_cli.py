@@ -246,6 +246,15 @@ def test_nonfinite_budgets_fail_fast(problem_file, tmp_path, capsys):
     assert capsys.readouterr() == ("", "rdplab: budgets must be finite and nonnegative\n")
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_bad_tol_fails_fast(problem_file, capsys, tol):
+    for argv in (["solve", "--problem", problem_file, "--D", "0.1", "--P", "0.05"],
+                 ["curve", "solve", "--problem", problem_file, "--D-grid", "0.1:0.3:3"]):
+        assert main([*argv, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("rdplab: tol must be finite and positive"), err
+
+
 def test_curve_solve_stops_on_solver_error(problem_file, monkeypatch, capsys):
     import rdplab.solver as solver_mod
 
@@ -409,19 +418,28 @@ def _run_fresh(script):
     assert res.returncode == 0, res.stderr
 
 
-def test_closed_form_commands_never_import_scipy_solvers():
-    _run_fresh("""
+def test_closed_form_commands_never_import_scipy_solvers(problem_file, tmp_path):
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(json.dumps({
+        "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
+        "distortion": [[4, 9], [1, 4]], "divergence": {"kind": "wasserstein_sq"},
+        "D": 0.5, "P": 0.5, "output_alphabet": [2, 3],
+    }))
+    _run_fresh(f"""
         import contextlib, io, sys
         import rdplab, rdplab.cli
-        for argv in (
-            ["curve", "binary", "--grid", "20"],
-            ["curve", "gaussian", "--grid", "20"],
-            ["verify", "kkt", "--rho", "0.25", "--D", "0.2", "--grid", "101"],
-            ["simulate", "circle", "--scheme", "common", "--samples", "1000"],
+        for argv, code in (
+            (["curve", "binary", "--grid", "20"], 0),
+            (["curve", "gaussian", "--grid", "20"], 0),
+            (["verify", "kkt", "--rho", "0.25", "--D", "0.2", "--grid", "101"], 0),
+            (["simulate", "circle", "--scheme", "common", "--samples", "1000"], 0),
+            (["solve", "--problem", {problem_file!r}, "--D", "0.1", "--P", "0.0"], 0),
+            (["curve", "solve", "--problem", {problem_file!r}, "--D-grid", "0.1:0.3:3"], 0),
+            (["solve", "--problem", {str(infeasible)!r}, "--D", "0.5", "--P", "0.5"], 3),
         ):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert rdplab.cli.main(argv) == 0, argv
-        loaded = {"scipy.optimize", "scipy.integrate"} & sys.modules.keys()
+                assert rdplab.cli.main(argv) == code, argv
+        loaded = {{"scipy.optimize", "scipy.integrate"}} & sys.modules.keys()
         assert not loaded, loaded
     """)
 
@@ -431,10 +449,12 @@ def test_lazy_scipy_paths_work_from_cold():
         import math
         import sys
         import numpy as np
-        from rdplab import Pmf, RdpProblem, solve_rdp, total_variation
+        from rdplab import Pmf, RdpProblem, solve_rdp, wasserstein_sq
         from rdplab.coding import simulate_circle
-        prob = RdpProblem(source=Pmf.bernoulli(0.25), distortion=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                          divergence=total_variation(), dist_budget=0.2, perc_budget=0.1)
+        # outputs other than the source labels: one LP finds the reference channel
+        prob = RdpProblem(source=Pmf.bernoulli(0.3), distortion=np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+                          divergence=wasserstein_sq(), dist_budget=0.15, perc_budget=0.2,
+                          output_alphabet=(0, 1, 2))
         sol = solve_rdp(prob)
         assert sol.status == "optimal" and sol.iterations > 0, sol
         assert "scipy.optimize" in sys.modules

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from rdplab.solver import (
     INFEASIBLE,
     OPTIMAL,
     RdpProblem,
+    SolverOptions,
     brute_force_rdp,
     rd_function_grid,
     solve_rdp,
     sweep_curve,
 )
+from rdplab.divergences import divergence
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -289,6 +292,45 @@ def test_rdp_problem_rejects_nonfinite_budgets():
             binary_problem(0.25, dist, perc)
 
 
+def test_bad_tol_fails_fast():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            SolverOptions(tol=tol)
+
+
+@pytest.mark.parametrize("div", [total_variation(), wasserstein_sq(), coupling_cost([[0.0, 2.0], [1.0, 0.0]])])
+def test_budgets_hold_just_below_the_zero_rate_threshold(div):
+    # within 0.1 of Bernoulli(0.3), in TV, W2 or this coupling cost, the product
+    # channel of least Hamming distortion reaches 0.38: 4e-8 below it, no product
+    # channel meets both budgets and the certified rate is positive
+    dist = 0.379999962
+    sol = solve_rdp(binary_problem(0.3, dist, 0.1, div=div))
+    assert sol.status == OPTIMAL and sol.primal_gap_estimate <= 1e-6
+    assert sol.rate > 0.0
+    assert sol.achieved_dist <= dist
+    assert sol.achieved_perc <= 0.1
+    assert solve_rdp(binary_problem(0.3, 0.38, 0.1, div=div)).rate <= 1e-12
+
+
+def test_infeasible_solutions_carry_a_witness(monkeypatch):
+    real = rdplab.solver.linprog
+    calls = []
+    monkeypatch.setattr(rdplab.solver, "linprog", lambda *a, **kw: calls.append(None) or real(*a, **kw))
+    # below the distortion floor, 0.75 * 4 + 0.25 * 1: the least-cost channel, with no LP
+    floor = RdpProblem(Pmf.bernoulli(0.25), np.array([[4.0, 9.0], [1.0, 4.0]]), wasserstein_sq(),
+                       0.5, 0.5, output_alphabet=(2, 3))
+    sol = solve_rdp(floor)
+    assert sol.status == INFEASIBLE and calls == []
+    assert sol.achieved_dist == 3.25
+    # the floor is 0, but within W2 0.3 of the source no channel gets below 0.475
+    forced = RdpProblem(Pmf.bernoulli(0.25), np.array([[1.0, 0.0], [0.0, 1.0]]), wasserstein_sq(),
+                        0.01, 0.3, output_alphabet=(0.5, 1.5))
+    sol = solve_rdp(forced)
+    assert sol.status == INFEASIBLE and len(calls) == 1
+    assert sol.achieved_dist == pytest.approx(0.475, abs=1e-9)
+    assert sol.achieved_perc <= 0.3 + 1e-9
+
+
 def test_rd_function_grid_is_certified():
     # acceptance criterion 07's points: the grid optimum lies above varphi by
     # its grid error only, and the solver must land within 1e-7 bits of it
@@ -346,6 +388,94 @@ def test_rd_function_grid_matches_solver_without_perception(rho, off, frac):
     )
 
 
+_KINDS = ("p0", "tv", "w2", "cc", "kl")
+
+
+def _divergence_of(kind, delta):
+    return {"p0": total_variation, "tv": total_variation, "w2": wasserstein_sq,
+            "cc": lambda: coupling_cost(delta), "kl": kullback_leibler}[kind]()
+
+
+@st.composite
+def rdp_instances(draw):
+    k = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+    kind = draw(st.sampled_from(_KINDS))
+    fracs = sorted(draw(st.lists(st.floats(0.05, 1.1), min_size=2, max_size=2)))
+    percs = sorted(draw(st.lists(st.floats(0.01, 0.5), min_size=2, max_size=2)))
+    w = np.array(weights, dtype=float)
+    return Pmf.from_probs(tuple(range(k)), w / w.sum()), kind, fracs, percs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rdp_instances())
+def test_solve_rdp_invariants(case):
+    source, kind, fracs, percs = case
+    p = source.probs
+    k = len(p)
+    delta = np.abs(np.subtract.outer(np.arange(k), np.arange(k))).astype(float)
+    dists = [f * float(p @ delta @ p) for f in fracs]
+    if kind == "p0":
+        percs = [0.0, 0.0]
+    entropy = -sum(x * math.log2(x) for x in p if x > 0.0)
+    opts = SolverOptions()
+
+    def solve(dist, perc, kind=kind):
+        div = _divergence_of(kind, delta)
+        sol = solve_rdp(RdpProblem(source, delta, div, dist, perc), opts)
+        assert 0.0 <= sol.rate <= entropy + 1e-9
+        if sol.status == OPTIMAL:
+            assert sol.primal_gap_estimate <= opts.tol
+        # the budgets, recomputed from the channel
+        w = sol.channel.matrix
+        assert float(np.sum(p[:, None] * w * delta)) <= dist + opts.feas_tol
+        q = Pmf.from_probs(source.labels, p @ w)
+        assert divergence(div, source, q) <= perc + opts.feas_tol
+        return sol
+
+    base = solve(dists[0], percs[0])
+    assert solve(dists[1], percs[0]).rate <= base.rate + 2.0 * opts.tol
+    assert solve(dists[0], percs[1]).rate <= base.rate + 2.0 * opts.tol
+    # P = 0 pins the output law whatever the divergence
+    rates = {solve(dists[0], 0.0, kind=other).rate for other in _KINDS[1:]}
+    assert max(rates) - min(rates) <= 1e-12
+    again = solve_rdp(RdpProblem(source, delta, _divergence_of(kind, delta), dists[0], percs[0]), opts)
+    assert serialize.dumps(serialize.solution_to_dict(again)) == serialize.dumps(
+        serialize.solution_to_dict(base)
+    )
+
+
+# solve_mix pool instances (perfbench/data/solve_pool.json) on the benchmark's
+# known-timeout list: (kind, probabilities, D, P, rate) with the pool's
+# certified rates, and the rate of ROADMAP item 3 for kl-k4-item3
+FORMER_TIMEOUTS = {
+    "kl-k4-item3": ("kl", (0.4531644982308245, 0.26108379155997097, 0.11422219162654146,
+                           0.17152951858266308), 0.5, 0.05, 0.3989099),
+    "tv-k4-interior": ("tv", (0.1669345271155776, 0.23817604796288872, 0.31039904281629294,
+                              0.2844903821052407), 0.5836189924051916, 0.18018547874316132,
+                       0.30994805652398594),
+    "cc-k4-interior": ("cc", (0.3542131503073654, 0.16893136551677437, 0.3066776384435556,
+                              0.17017784573230468), 0.6194278723981798, 0.18254040375765468,
+                       0.28254559298014015),
+    "kl-k3-interior": ("kl", (0.189215844754097, 0.49402384279133377, 0.3167603124545692),
+                       0.36983642575634323, 0.08904200091133085, 0.2356879274023195),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_TIMEOUTS))
+def test_former_timeouts_are_certified(name):
+    kind, probs, dist, perc, rate = FORMER_TIMEOUTS[name]
+    k = len(probs)
+    delta = np.abs(np.subtract.outer(np.arange(k), np.arange(k))).astype(float)
+    prob = RdpProblem(Pmf.from_probs(tuple(range(k)), probs), delta, _divergence_of(kind, delta), dist, perc)
+    start = time.perf_counter()
+    sol = solve_rdp(prob)
+    elapsed = time.perf_counter() - start
+    assert sol.status == OPTIMAL and sol.primal_gap_estimate <= 1e-6
+    assert sol.rate == pytest.approx(rate, abs=1e-6)
+    assert elapsed < 1.0
+
+
 def test_brute_force_ternary_output():
     # adding a third reconstruction letter cannot hurt, and helps at most
     prob2 = binary_problem(0.3, 0.15, 0.2, div=wasserstein_sq())
@@ -373,29 +503,29 @@ def test_convex_curve_fixed_p():
         assert rates[i] <= 0.5 * (rates[i - 1] + rates[i + 1]) + 1e-5
 
 
-# One instance per branch of the LP builder (P = 0 equality, TV slack, the
-# embedded coupling for W2 and for a coupling cost, the distortion-only
-# polytope of the KL dual path, a zero-rate hit per perception encoding, and
-# an infeasible problem), with the HiGHS call count and the sha256 of the
-# serialized solution.  Recorded before the channel polytope and the
-# zero-rate check shared one builder: the LPs, and so the bytes, must not move.
+# One instance per kind of solve (P = 0, TV, W2 and a coupling cost, W2 onto
+# outputs other than the source labels, KL with the budget slack and binding,
+# a zero-rate hit per divergence kind, and an infeasible problem), with the
+# HiGHS call count and the sha256 of the serialized solution.  Only the
+# three-output W2 instance runs an LP, once: its outputs are not the source
+# labels, so no channel is known in advance to meet the perception budget.
 _CC = coupling_cost(np.array([[0.0, 2.0], [1.0, 0.0]]))
 PINNED_SOLVES = {
     "p0-equality": (
         binary_problem(0.25, 0.2, 0.0),
-        4, "7d0629c92e9e3a79e4e8cebc4eb9b399c7d5e37f117b12276c627e96c6d2a7dd",
+        0, "af7c0b3fcf8dbdd761fea628d6b869c88b2bba6400b1d86699e25594d7c28af2",
     ),
     "tv-slack": (
         binary_problem(0.25, 0.1, 0.05),
-        4, "be19948b25daef8bca67f5830b8d33a87f546c46dee11d58e31048b60fe3c04b",
+        0, "d2ca630fdcc81ce7059556dcc534fe833eacd2ead3bccee4996e9ba8b1087ed7",
     ),
     "w2-coupling": (
         binary_problem(0.3, 0.15, 0.2, div=wasserstein_sq()),
-        5, "384e5589f44ad33327ddc14eea15517c9a534b66c460525ebe37c1d294a8b511",
+        0, "221c45db3a7b9c3598eaac678ffcee3603e4273024f1b345a9c3d3dfda7d54b3",
     ),
     "cc-coupling": (
         binary_problem(0.3, 0.1, 0.1, div=_CC),
-        5, "1de31efabd0773336e3d7eeaf44e4566ffd3e2c82affa51fcf27e8dc574c7502",
+        0, "df291e66bb62da55ca6fc9bfcb8ca1aa5703c9e4a01a5e94817fd3ec292720c5",
     ),
     "w2-three-outputs": (
         RdpProblem(
@@ -406,31 +536,31 @@ PINNED_SOLVES = {
             perc_budget=0.2,
             output_alphabet=(0, 1, 2),
         ),
-        5, "78ec38a7df18bc16cffd24085878650925fa1e4fe042426ad7fb8f1d75c049bd",
+        1, "552cf313691ae1aaebced86bb784a90a33c1e47d95007ce08bd2f7ff9bc58aa3",
     ),
     "kl-dual-inactive": (
         binary_problem(0.3, 0.15, 0.05, div=kullback_leibler()),
-        4, "a1d9de1471ed29f8c45629b91b33e0159c5186d7bf8711bd486912caad04e8d4",
+        0, "495fa4df0acb194da9f116f7ad51e522a9daa7a771affe98375cb79aa231ed5d",
     ),
     "kl-dual-bisection": (
         binary_problem(0.3, 0.2, 0.01, div=kullback_leibler()),
-        26, "eeda9f021917ed65b20b53929d683d70b7c5f4fa9590b26f351f1a2396fbb238",
+        0, "4ef5e1c08af5eb026ed910a7d007eed8c981563e1856748fad080881d3b7a7f3",
     ),
     "zero-rate-equality": (
         binary_problem(0.25, 0.375, 0.0),
-        1, "0a5957f499abffde44760f1aac47abdd4f1fca9a668df859b186318714c6ba1c",
+        0, "0a5957f499abffde44760f1aac47abdd4f1fca9a668df859b186318714c6ba1c",
     ),
     "zero-rate-tv": (
         binary_problem(0.25, 0.35, 0.1),
-        1, "0c01ba44d913d4c4c3f037f1d15401002d646d6fa3fce38d46b71927401fc4f4",
+        0, "1b750bc11fb890045f6560be856d1a17a4f846feed378a208fbf144a3632f000",
     ),
     "zero-rate-w2": (
         binary_problem(0.25, 0.35, 0.1, div=wasserstein_sq()),
-        1, "0c01ba44d913d4c4c3f037f1d15401002d646d6fa3fce38d46b71927401fc4f4",
+        0, "1089b598f4ffb55313b2565eb492641ed9e086799ba85f983bb4c0d2f2f2a6b6",
     ),
     "zero-rate-cc": (
         binary_problem(0.25, 0.35, 0.1, div=_CC),
-        1, "0c01ba44d913d4c4c3f037f1d15401002d646d6fa3fce38d46b71927401fc4f4",
+        0, "1089b598f4ffb55313b2565eb492641ed9e086799ba85f983bb4c0d2f2f2a6b6",
     ),
     "w2-infeasible": (
         RdpProblem(
@@ -441,7 +571,7 @@ PINNED_SOLVES = {
             perc_budget=0.5,
             output_alphabet=(2, 3),
         ),
-        2, "59c6a813eed55fd78e353bf5b13518b680cb9738b9ece577f685003d988599a5",
+        0, "710d32e08cc3110c4f1128acce2dc28c8552023c4505e8698ed5879be0e2bbf0",
     ),
 }
 
