@@ -18,16 +18,15 @@ lam P + sum_x p_x max_y (v_y - lam C(x, y)), carried by lam and one epigraph
 variable per x.  Kullback-Leibler gives sigma(v) <= -exp(-P) prod_x
 (-v_x)^p_x for v < 0, the budget's multiplier eliminated.
 
-A solve returns the rate of an explicit channel, built from the centre's
-joint law and repaired with a reference channel until both budgets hold,
-and a dual lower bound from the same point: their difference is the
-certified gap.  The reference is the identity when the output alphabet is
-the source's (distortion and perception zero).  A product channel (rate
-zero) is tried first, in closed form: the output law of least expected
-distortion in the ball (for KL, q = p_X only).  scipy is imported lazily and
-for one job: when the output alphabet differs from the source labels, one
-HiGHS LP finds the least-distortion channel within the perception budget,
-which decides feasibility and is the reference.
+A solve returns the rate of an explicit channel, the centre's joint law
+repaired with a reference channel until both budgets hold, and a dual lower
+bound from the same point: their difference is the certified gap.  The
+reference is the identity when the output alphabet is the source's.  A
+product channel (rate zero) is tried first, in closed form: the output law
+of least expected distortion in the ball (for KL, q = p_X only).  scipy is
+imported lazily and for one job: when the output alphabet differs from the
+source labels, one HiGHS LP finds the least-distortion channel within the
+perception budget, which decides feasibility and is the reference.
 """
 
 from __future__ import annotations
@@ -144,10 +143,9 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
 
     `status` is `optimal` when the certified gap, `primal_gap_estimate`, is
     at most `opts.tol` bits, `iter_limit` (with a channel that meets both
-    budgets) when the barrier rounds ran out first, and `infeasible` when
-    no channel meets both budgets; the channel is then the witness: the
-    least-cost channel below the distortion floor, or the least-distortion
-    channel within the perception budget.  `iterations` counts Newton steps.
+    budgets) when the barrier rounds ran out first, and `infeasible` when no
+    channel meets both budgets, with a witness channel: the least-cost one,
+    or the least-distortion one within P.  `iterations` counts Newton steps.
     """
     opts = opts or SolverOptions()
     p, delta = prob.source.probs, prob.distortion
@@ -211,14 +209,13 @@ def _finish(prob, w, gap, iterations, status) -> RdpSolution:
     channel = Channel(prob.source.labels, prob.output_alphabet, w / w.sum(axis=1, keepdims=True))
     p = prob.source.probs
     q = Pmf.from_probs(prob.output_alphabet, p @ channel.matrix)
-    infeasible = status == INFEASIBLE
     return RdpSolution(
-        rate=math.inf if infeasible else mutual_information_matrix(p, channel.matrix),
+        rate=math.inf if status == INFEASIBLE else mutual_information_matrix(p, channel.matrix),
         channel=channel,
         achieved_dist=float(np.sum(p[:, None] * channel.matrix * prob.distortion)),
         achieved_perc=divergence(prob.divergence, prob.source, q),
         status=status,
-        primal_gap_estimate=math.inf if infeasible else float(gap),
+        primal_gap_estimate=math.inf if status == INFEASIBLE else float(gap),
         iterations=iterations,
     )
 
@@ -278,7 +275,8 @@ def rd_function_grid(p_x: Pmf, output_atoms, cost, dist: float) -> float:
         # costs above each row's least, in units of the zero-rate distortion
         scale = float(np.min(p @ excess))
         cmat, dist = excess / scale, (dist - d_floor) / scale
-    _, rate, lower, _ = _csiszar_dual(p, cmat, dist, _least_cost(cmat), _CERT_BITS)
+    least = _least_cost(cmat[:, np.isfinite(cmat).any(axis=0)])
+    _, rate, lower, _ = _csiszar_dual(p, cmat, dist, least, _CERT_BITS)
     if rate - lower > _CERT_BITS:
         raise RuntimeError(f"grid R(D) not certified: duality gap {rate - lower:.3g} bits")
     return rate
@@ -421,13 +419,12 @@ def _coupling_ball(p, cost, budget, perception) -> _Ball:
 
 def _kl_ball(p, idx, k, budget, perception) -> _Ball:
     """Variables v < 0, the gauge c = 0 of sigma's minimization over c > max v."""
-    nats = budget * _LOG2
     return _Ball(
         e0=np.full(k, -0.5),
         rows=-np.eye(k),
         mult0=np.full(k, _WEIGHT_FLOOR),
         cost=np.zeros(k),
-        support=lambda v: -math.exp(p @ np.log(-v[idx]) - nats),
+        support=lambda v: -math.exp(p @ np.log(-v[idx]) - budget * _LOG2),
         perception=perception,
         budget=budget,
         kl=idx,
@@ -446,7 +443,6 @@ _T_GROWTH = 10.0  # barrier parameter growth per round
 _STEP_CAP = 4.0  # first cap on one variable's move in a Newton step; doubles when a capped step holds
 _MAX_ROUNDS = 14
 _MAX_STEPS = 100  # Newton steps per barrier round
-_MARGIN = 1e-12  # the repair aims this far inside each budget, relatively
 
 
 def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
@@ -532,7 +528,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         if not free.all():
             grad, hess = grad[free], hess[free][:, free]
         # the ball's rows span many scales: solve the diagonally scaled system
-        scale = np.sqrt(np.diag(hess)) if nz > o else 1.0
+        scale = np.sqrt(np.maximum(np.diag(hess), 1e-300)) if nz > o else 1.0
         try:
             step = -np.linalg.solve(hess / scale / scale[:, None] if nz > o else hess, grad / scale) / scale
         except np.linalg.LinAlgError:
@@ -552,6 +548,10 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         distortion overshoot is then mixed away with `ref`; both budgets
         being convex, the perception budget still holds.
         """
+        def normalized(joint):  # a row that underflows to no mass takes the reference's
+            tot = joint.sum(axis=1, keepdims=True)
+            return np.divide(joint, tot, out=ref.copy(), where=tot > 0.0)
+
         law = ball.law
         lower = p @ z[:m] - (z[m] * dist if free_s else 0.0)
         if elim:
@@ -561,7 +561,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
             lower -= max(0.0, float((g - v).max())) + ball.support(v)
         joint = pi * nu
         if ball.perception is not None:
-            q = p @ (joint / joint.sum(axis=1, keepdims=True))
+            q = p @ normalized(joint)
             theta = _mix_weight(ball.perception(q), perc_ref, ball.budget)
             if theta > 0.0:
                 law = (1.0 - theta) * q + theta * (p @ ref)
@@ -571,7 +571,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
             short_p, short_q = p - joint.sum(axis=1), law - joint.sum(axis=0)
             if short_p.sum() > 0.0:
                 joint += np.outer(short_p, short_q) / short_p.sum()
-        chan = joint / joint.sum(axis=1, keepdims=True)
+        chan = normalized(joint)
         if free_s:
             theta = _mix_weight(float(p @ np.sum(chan * cmat, axis=1)), d_ref, dist)
             if theta > 0.0:
@@ -660,7 +660,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
 
 def _mix_weight(value, ref_value, budget):
     """Least weight on the reference that brings a convex cost from `value` within budget."""
-    aim = budget * (1.0 - _MARGIN)
+    aim = budget * (1.0 - 1e-12)  # just inside, so that round-off stays within it
     if value <= aim:
         return 0.0
     return (value - aim) / (value - ref_value) if ref_value < aim else 1.0

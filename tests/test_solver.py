@@ -536,7 +536,7 @@ PINNED_SOLVES = {
             perc_budget=0.2,
             output_alphabet=(0, 1, 2),
         ),
-        1, "552cf313691ae1aaebced86bb784a90a33c1e47d95007ce08bd2f7ff9bc58aa3",
+        1, "b9ac2d975df61e33983b494b5b8db1a510eac8b6dc409367aae638f32f29a89f",
     ),
     "kl-dual-inactive": (
         binary_problem(0.3, 0.15, 0.05, div=kullback_leibler()),
@@ -544,7 +544,7 @@ PINNED_SOLVES = {
     ),
     "kl-dual-bisection": (
         binary_problem(0.3, 0.2, 0.01, div=kullback_leibler()),
-        0, "4ef5e1c08af5eb026ed910a7d007eed8c981563e1856748fad080881d3b7a7f3",
+        0, "e837fecb866234462ef80642f668185009a52e64a956d94a43f309047ae38071",
     ),
     "zero-rate-equality": (
         binary_problem(0.25, 0.375, 0.0),
