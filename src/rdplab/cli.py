@@ -19,6 +19,7 @@ from . import closed_forms, serialize
 from .coding import (
     DERANDOMIZED,
     SHARED_SEED,
+    check_soft_covering,
     random_typical_codebook,
     shift_ensemble_sim,
     simulate_circle,
@@ -274,6 +275,8 @@ def _run_simulate(args) -> int:
         target = serialize.pmf_from_dict(spec["target"])
         channel = serialize.channel_from_dict(spec["channel"])
         reference = serialize.pmf_from_dict(spec["reference"])
+    for n in args.n:
+        check_soft_covering(channel, target.labels, reference, n)
     scan = []
     for n in args.n:
         tvs = []

@@ -555,24 +555,52 @@ def _perception_setup(dv, budget, p_x, p_tilde, delta):
 # ---------------------------------------------------------------------------
 
 
+def check_soft_covering(channel_out: Channel, alphabet: tuple, p_x: Pmf, n: int) -> None:
+    """Raise ValueError unless `soft_covering_tv` can score a length-n
+    codebook over `alphabet`; cheap, so callers can check before drawing."""
+    if channel_out.inputs != alphabet:
+        raise ValueError("channel inputs must match the codebook alphabet")
+    if channel_out.outputs != p_x.labels:
+        raise ValueError("channel outputs must match the reference alphabet")
+    if len(p_x.atoms) ** n > MAX_ENUMERATION:
+        raise ValueError("output space too large for exact enumeration")
+
+
 def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     """Exact TV between the codebook-mixture output law and the i.i.d. law.
 
     Enumerates all |X|^n output sequences; the mixture is the uniform average
-    over codewords of the product channel law.
+    over codewords of the product channel law.  It is folded over the
+    codebook's prefix trie, last letter first: each distinct j-prefix carries
+    the summed law of its words on letters j+1..n, which is the sum over its
+    children (one per next letter a) of W[a] x (the child's law).
+
+    With k_in channel inputs, k_in <= |X|, work is O(n * k_in * |X|^n),
+    against M * |X|^n for M separate product laws; the level-j laws hold at
+    most min(M, k_in^j) * |X|^(n - j) floats, never more than the |X|^n
+    output law, and the products that form them at most k_in times that.
+    Equal to the per-word sum in exact arithmetic; the float sums run in
+    another order.
     """
-    if channel_out.inputs != cb.alphabet:
-        raise ValueError("channel inputs must match the codebook alphabet")
-    if channel_out.outputs != p_x.labels:
-        raise ValueError("channel outputs must match the reference alphabet")
-    n_x = len(p_x.atoms)
-    if n_x**cb.n > MAX_ENUMERATION:
-        raise ValueError("output space too large for exact enumeration")
+    check_soft_covering(channel_out, cb.alphabet, p_x, cb.n)
+    if len(cb) == 0:
+        raise ValueError("codebook has no words")
+    words = cb.words[np.lexsort(cb.words.T[::-1])]
+    # first letter at which each sorted word differs from the next, n if equal
+    differs = words[1:] != words[:-1]
+    split = np.where(differs.any(axis=1), differs.argmax(axis=1), cb.n)
+    # starts[g]: first word of the g-th distinct prefix at the current level
+    starts = np.flatnonzero(np.r_[True, split < cb.n])
+    law = np.add.reduceat(np.ones(len(cb)), starts)[:, None]
     rows = channel_out.matrix
-    p_out = np.zeros(n_x**cb.n)
-    for word in cb.words:
-        p_out += functools.reduce(np.multiply.outer, rows[word]).ravel()
-    p_out /= len(cb)
+    for j in range(cb.n - 1, -1, -1):
+        law = (rows[words[starts, j]][:, :, None] * law[:, None, :]).reshape(len(starts), -1)
+        # a group opens a new j-prefix iff its first word's split from the
+        # word before it comes before letter j
+        new_prefix = np.r_[True, split[starts[1:] - 1] < j]
+        law = np.add.reduceat(law, np.flatnonzero(new_prefix))
+        starts = starts[new_prefix]
+    p_out = law[0] / len(cb)
     prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
     return float(0.5 * np.abs(p_out - prod).sum())
 

@@ -408,6 +408,22 @@ def test_softcover_rejects_zero_codebooks(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+def test_softcover_checks_every_n_before_drawing(tmp_path, capsys, monkeypatch):
+    import rdplab.cli as cli_mod
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a codebook before checking every --n")
+
+    monkeypatch.setattr(cli_mod, "random_typical_codebook", no_draw)
+    spec_path = tmp_path / "soft.json"
+    spec_path.write_text(json.dumps(SOFT_SPEC))
+    # n = 25 would draw 2^20 words before the enumeration cap stopped it
+    code = main(["simulate", "softcover", "--spec", str(spec_path), "--n", "4", "25",
+                 "--rate", "0.8", "--delta", "0.6", "--codebooks", "1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "rdplab: output space too large for exact enumeration\n")
+
+
 def _run_fresh(script):
     """Run `script` in a new interpreter that imports rdplab from this checkout."""
     import rdplab
