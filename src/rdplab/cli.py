@@ -20,6 +20,7 @@ from .coding import (
     DERANDOMIZED,
     SHARED_SEED,
     check_soft_covering,
+    check_typical_codebook,
     random_typical_codebook,
     shift_ensemble_sim,
     simulate_circle,
@@ -277,6 +278,7 @@ def _run_simulate(args) -> int:
         reference = serialize.pmf_from_dict(spec["reference"])
     for n in args.n:
         check_soft_covering(channel, target.labels, reference, n)
+        check_typical_codebook(target, n, args.rate, args.delta)
     scan = []
     for n in args.n:
         tvs = []

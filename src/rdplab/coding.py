@@ -42,6 +42,8 @@ class Codebook:
     rate_bits: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be positive")
         w = np.asarray(self.words, dtype=np.int64)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise ValueError("words must be an (M, n) index array")
@@ -162,6 +164,21 @@ def simulate_circle(
 # ---------------------------------------------------------------------------
 
 
+def check_typical_codebook(target: Pmf, n: int, rate_bits: float, delta: float) -> None:
+    """Raise ValueError unless `random_typical_codebook` accepts these
+    arguments; cheap, so callers can check before drawing."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    if rate_bits < 0.0:
+        raise ValueError("rate must be nonnegative")
+    if np.any(target.probs <= 0.0):
+        raise ValueError("target must have full support; restrict the alphabet first")
+    if 2.0 ** (n * rate_bits) > MAX_CODEBOOK_WORDS:
+        raise ValueError("codebook larger than 2^20 words")
+
+
 def random_typical_codebook(
     target: Pmf, n: int, rate_bits: float, delta: float, seed: int = 0
 ) -> Codebook:
@@ -175,19 +192,9 @@ def random_typical_codebook(
     The count of symbol j is the block of r among C(m, c) * (completions
     of the other m - c letters), and r // C(m, c) ranks those completions.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if rate_bits < 0.0:
-        raise ValueError("rate must be nonnegative")
+    check_typical_codebook(target, n, rate_bits, delta)
     probs = target.probs
-    if np.any(probs <= 0.0):
-        raise ValueError("target must have full support; restrict the alphabet first")
-    n_words_exact = 2.0 ** (n * rate_bits)
-    if n_words_exact > MAX_CODEBOOK_WORDS:
-        raise ValueError("codebook larger than 2^20 words")
-    n_words = max(1, int(n_words_exact))
+    n_words = max(1, int(2.0 ** (n * rate_bits)))
     k = len(probs)
     # the typicality test is per symbol, so it is the allowed counts of each
     allowed = [

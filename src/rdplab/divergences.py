@@ -8,9 +8,10 @@ Supported divergence kinds, all convex in their second argument:
 * coupling cost, inf over couplings of E[c(X, Y)] for a given cost matrix
 * squared quadratic Wasserstein on real-valued atoms (exact 1-D quantile form)
 
-The transportation problem behind the coupling-cost divergence is solved by a
-self-contained successive-shortest-path solver; instances here are tiny, so no
-external LP machinery is involved.
+The transportation problem behind the coupling-cost divergence is solved by
+successive shortest paths, each found by a dense Dijkstra in O((m+n)^2), until
+both masses are shipped; instances here are tiny, so no external LP machinery
+is involved.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class DivergenceSpec:
 
     kind: str
     cost: np.ndarray | None = field(default=None, repr=False)
-    convex_in_second: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -133,9 +133,11 @@ def _sorted_real(p: Pmf) -> tuple[np.ndarray, np.ndarray]:
 def min_cost_coupling(p: Pmf, q: Pmf, cost: np.ndarray) -> tuple[Coupling, float]:
     """Optimal-transport coupling of p and q under a finite nonnegative cost.
 
-    Successive shortest augmenting paths with Johnson potentials (Dijkstra on
-    the residual bipartite graph, relaxations vectorized per node).  Exact for
-    the desk-scale instances used here.
+    Successive shortest augmenting paths with Johnson potentials, until no
+    supply or demand above roundoff dust is left to ship.  Each path comes
+    from a dense Dijkstra over the residual bipartite graph (a row reaches
+    every column, a column the rows that ship to it), O((m+n)^2) per path.
+    Nodes settle by least distance, then lower index, then column before row.
     """
     c = np.asarray(cost, dtype=float)
     if c.shape != (len(p.atoms), len(q.atoms)):
@@ -149,13 +151,35 @@ def min_cost_coupling(p: Pmf, q: Pmf, cost: np.ndarray) -> tuple[Coupling, float
     pi_r = np.zeros(m)
     pi_c = np.zeros(n)
     eps = 1e-15
-    for _ in range(4 * (m + n)):
-        src_mask = supply > eps
-        dst_mask = demand > eps
-        if not src_mask.any() or not dst_mask.any():
-            break
-        dist_r, dist_c, par_r, par_c = _dijkstra(c, flow, src_mask, pi_r, pi_c, eps)
-        cand = np.where(dst_mask, dist_c, np.inf)
+    while (supply > eps).any() and (demand > eps).any():
+        # node (idx, 0) is column idx and (idx, 1) row idx, so the first
+        # minimum of the flattened distances is the next node to settle
+        shape = (max(m, n), 2)
+        dist = np.full(shape, np.inf)
+        parent = np.full(shape, -1)  # a column's row, a row's column (-1: source)
+        done = np.zeros(shape, dtype=bool)
+        dist_c, dist_r = dist[:n, 0], dist[:m, 1]
+        par_c, par_r = parent[:n, 0], parent[:m, 1]
+        done_c, done_r = done[:n, 0], done[:m, 1]
+        dist_r[supply > eps] = 0.0
+        while True:
+            open_ = np.where(done, np.inf, dist)
+            idx, is_row = divmod(int(np.argmin(open_)), 2)
+            d = open_[idx, is_row]
+            if d == np.inf:
+                break
+            done[idx, is_row] = True
+            if is_row:
+                cand = d + c[idx] + pi_r[idx] - pi_c
+                upd = (cand < dist_c - 1e-18) & ~done_c
+                dist_c[upd] = cand[upd]
+                par_c[upd] = idx
+            else:
+                back = np.where(flow[:, idx] > eps, d - c[:, idx] + pi_c[idx] - pi_r, np.inf)
+                upd = (back < dist_r - 1e-18) & ~done_r
+                dist_r[upd] = back[upd]
+                par_r[upd] = idx
+        cand = np.where(demand > eps, dist_c, np.inf)
         j = int(np.argmin(cand))
         if not np.isfinite(cand[j]):
             break  # only roundoff dust remains
@@ -177,8 +201,6 @@ def min_cost_coupling(p: Pmf, q: Pmf, cost: np.ndarray) -> tuple[Coupling, float
         for i_, j_, fwd in arcs:
             if not fwd:
                 amount = min(amount, flow[i_, j_])
-        if amount <= eps:
-            break
         for i_, j_, fwd in arcs:
             flow[i_, j_] += amount if fwd else -amount
         supply[src] -= amount
@@ -190,44 +212,6 @@ def min_cost_coupling(p: Pmf, q: Pmf, cost: np.ndarray) -> tuple[Coupling, float
     flow = np.clip(flow, 0.0, None)
     value = float(np.sum(flow * c))
     return Coupling(left=p, right=q, joint=flow), value
-
-
-def _dijkstra(c, flow, src_mask, pi_r, pi_c, eps):
-    """Multi-source shortest paths in reduced costs over the residual graph."""
-    import heapq
-
-    m, n = c.shape
-    dist_r = np.where(src_mask, 0.0, np.inf)
-    dist_c = np.full(n, np.inf)
-    par_c = np.full(n, -1, dtype=int)  # predecessor row of each column
-    par_r = np.full(m, -1, dtype=int)  # predecessor column of a row (-1: source)
-    done_r = np.zeros(m, dtype=bool)
-    done_c = np.zeros(n, dtype=bool)
-    heap = [(0.0, int(i), True) for i in np.nonzero(src_mask)[0]]
-    heapq.heapify(heap)
-    while heap:
-        d, idx, is_row = heapq.heappop(heap)
-        if is_row:
-            if done_r[idx]:
-                continue
-            done_r[idx] = True
-            cand = d + c[idx] + pi_r[idx] - pi_c
-            upd = (cand < dist_c - 1e-18) & ~done_c
-            for jj in np.nonzero(upd)[0]:
-                dist_c[jj] = cand[jj]
-                par_c[jj] = idx
-                heapq.heappush(heap, (float(cand[jj]), int(jj), False))
-        else:
-            if done_c[idx]:
-                continue
-            done_c[idx] = True
-            back = np.where(flow[:, idx] > eps, d - c[:, idx] + pi_c[idx] - pi_r, np.inf)
-            upd = (back < dist_r - 1e-18) & ~done_r
-            for ii in np.nonzero(upd)[0]:
-                dist_r[ii] = back[ii]
-                par_r[ii] = idx
-                heapq.heappush(heap, (float(back[ii]), int(ii), True))
-    return dist_r, dist_c, par_r, par_c
 
 
 def maximal_coupling(p: Pmf, q: Pmf) -> Coupling:

@@ -99,8 +99,6 @@ class RdpProblem:
         budgets = (self.dist_budget, self.perc_budget)
         if not all(math.isfinite(b) and b >= 0.0 for b in budgets):
             raise ValueError("budgets must be finite and nonnegative")
-        if not self.divergence.convex_in_second:
-            raise ValueError("divergence must be convex in its second argument")
         if self.divergence.kind in (TV, KL) and out != self.source.labels:
             raise ValueError(f"{self.divergence.kind} needs matching alphabets")
         if self.divergence.kind == COUPLING_COST and self.divergence.cost.shape != (m, k):

@@ -422,6 +422,11 @@ def test_softcover_checks_every_n_before_drawing(tmp_path, capsys, monkeypatch):
                  "--rate", "0.8", "--delta", "0.6", "--codebooks", "1"])
     assert code == 1
     assert capsys.readouterr() == ("", "rdplab: output space too large for exact enumeration\n")
+    # n = 4 would draw before the codebook-size cap stopped n = 24
+    code = main(["simulate", "softcover", "--spec", str(spec_path), "--n", "4", "24",
+                 "--rate", "0.9", "--delta", "0.6", "--codebooks", "1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "rdplab: codebook larger than 2^20 words\n")
 
 
 def _run_fresh(script):

@@ -104,6 +104,11 @@ def test_codebook_rejects_empty_length(recwarn):
     assert not recwarn.list
 
 
+def test_codebook_rejects_words_of_length_zero():
+    with pytest.raises(ValueError, match="n must be positive"):
+        Codebook(n=0, words=np.empty((2, 0), dtype=int), target=Pmf.bernoulli(0.5))
+
+
 def test_codebook_determinism():
     a = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
     b = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)

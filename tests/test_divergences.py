@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -54,7 +55,7 @@ def test_coupling_cost_spec_validation():
     with pytest.raises(ValueError):
         coupling_cost(np.array([[0.5, 1.0], [1.0, 0.0]]))
     spec = coupling_cost(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert spec.convex_in_second
+    assert spec.kind == "coupling_cost"
 
 
 def test_min_cost_coupling_identity():
@@ -137,6 +138,28 @@ def test_wasserstein_quantile_matches_lp():
         assert divergence(wasserstein_sq(), p, q) == pytest.approx(lp_value, abs=1e-9)
 
 
+def _integer_w2_instance(m, weights):
+    # p uniform on {0..m-1}, q ∝ weights on {0..n-1}, squared-index cost
+    n = len(weights)
+    p = Pmf.from_probs(tuple(float(i) for i in range(m)), np.full(m, 1.0 / m))
+    q = Pmf.from_probs(tuple(float(j) for j in range(n)), weights / weights.sum())
+    return p, q, (np.arange(m)[:, None] - np.arange(n)[None, :]) ** 2.0
+
+
+def test_min_cost_coupling_ships_every_mass_under_squared_cost():
+    # squared-index costs can need more than 4(m+n) augmenting paths; every
+    # mass must still ship, at the exact quantile W2 of these supports
+    _, value = min_cost_coupling(*_integer_w2_instance(25, np.arange(12, 0, -1.0)))
+    assert value == 88.93641025641023
+    rng = np.random.default_rng(3)
+    for _ in range(16):
+        m, n = (int(v) for v in rng.integers(9, 33, size=2))
+        weights = np.arange(n, 0, -1.0) if rng.integers(2) else rng.dirichlet(np.ones(n))
+        p, q, cost = _integer_w2_instance(m, weights)
+        _, value = min_cost_coupling(p, q, cost)
+        assert value == pytest.approx(divergence(wasserstein_sq(), p, q), abs=1e-12)
+
+
 def test_min_cost_coupling_vs_scipy_lp():
     from scipy.optimize import linprog
 
@@ -167,6 +190,40 @@ def test_min_cost_coupling_vs_scipy_lp():
             method="highs",
         )
         assert val == pytest.approx(res.fun, abs=1e-9)
+
+
+def _transport_cost(rng, family, m, n):
+    i, j = np.indices((m, n))
+    if family == 0:
+        return rng.uniform(0.0, 3.0, size=(m, n))
+    if family == 1:
+        return rng.integers(0, 3, size=(m, n)).astype(float)
+    if family == 2:
+        return np.abs(i - j).astype(float)
+    return ((i - j) ** 2).astype(float)
+
+
+def _transport_digest():
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for trial in range(200):
+        m, n = (int(v) for v in rng.integers(1, 9, size=2))
+        p = random_pmf(rng, tuple(range(m)))
+        q = random_pmf(rng, tuple(range(n)))
+        coup, value = min_cost_coupling(p, q, _transport_cost(rng, trial % 4, m, n))
+        h.update(coup.joint.tobytes())
+        h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+# sha256 of the joints and values of 200 seeded transports (uniform, integer
+# 0-2, |i-j| and (i-j)^2 costs, m, n <= 8), recorded before the Dijkstra
+# became a dense scan; any change to a path, flow or value shows here.
+TRANSPORT_DIGEST = "557ada90ff4fb0432b44a11c246eae8b46c1b3dd5387733ec8d2cef8d2ad69c6"
+
+
+def test_min_cost_coupling_is_pinned():
+    assert _transport_digest() == TRANSPORT_DIGEST
 
 
 def test_maximal_coupling_properties():
