@@ -9,9 +9,9 @@ comes from Philox counter streams, block trials each own the stream
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +74,8 @@ class SimReport:
     perception_violations: int
     seed: int
     diagnostics: dict | None = None
+    # wall seconds per stage; machine-dependent, so never serialized
+    timings: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,14 @@ def random_typical_codebook(
     classes, and a uniform permutation of that composition is the word.
     The count of symbol j is the block of r among C(m, c) * (completions
     of the other m - c letters), and r // C(m, c) ranks those completions.
+
+    The codebook is drawn in bulk: all ranks come from one `randint_below`
+    call, the counts of symbol j from one search of each state's block
+    sizes for all the words that reached it, and the words from one
+    `gen.permuted` call over the stacked sorted multisets.  The stream
+    yields every rank first and then every permutation, so a seed gives
+    other words than the earlier word-by-word sampler did (it took each
+    word's rank and permutation in turn); the law of the words is the same.
     """
     check_typical_codebook(target, n, rate_bits, delta)
     probs = target.probs
@@ -203,51 +213,50 @@ def random_typical_codebook(
     ]
     last_allowed = set(allowed[-1].tolist())
     # (j, m) -> with m letters left for symbols j, ..., k - 1: the counts c
-    # of symbol j that have completions, cumulative block sizes (python
-    # ints: they overflow int64), C(m, c), and the state each c leads to
-    # (None after symbol k - 2); only states a walk reaches are built.
+    # of symbol j that have completions, cumulative block sizes and C(m, c)
+    # (object arrays of python ints: they overflow int64); only states a
+    # walk reaches are built.
     states: dict[tuple[int, int], tuple] = {}
 
     def walk_state(j: int, m: int) -> tuple:
         if (j, m) not in states:
-            counts, cum, combs, nexts = [], [0], [], []
+            counts, cum, combs = [], [0], []
             for c in allowed[j][allowed[j] <= m].tolist():
                 if j == k - 2:
-                    nxt, completions = None, int(m - c in last_allowed)
+                    completions = int(m - c in last_allowed)
                 else:
-                    nxt = walk_state(j + 1, m - c)
-                    completions = nxt[1][-1]
+                    completions = walk_state(j + 1, m - c)[1][-1]
                 if completions:
                     counts.append(c)
                     combs.append(math.comb(m, c))
                     cum.append(cum[-1] + combs[-1] * completions)
-                    nexts.append(nxt)
-            states[j, m] = (counts, cum, combs, nexts if j < k - 2 else None)
+            states[j, m] = (
+                np.array(counts, dtype=np.int64),
+                np.array(cum, dtype=object),
+                np.array(combs, dtype=object),
+            )
         return states[j, m]
 
-    root = walk_state(0, n) if k > 1 else None
-    total = root[1][-1] if k > 1 else int(n in last_allowed)
+    total = walk_state(0, n)[1][-1] if k > 1 else int(n in last_allowed)
     if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
     gen = stream(seed, CODEBOOK_STREAM)
-    # composition, without its implied last count -> its sorted multiset
-    multisets: dict[tuple[int, ...], np.ndarray] = {}
-    words = np.empty((n_words, n), dtype=np.int64)
-    for w in range(n_words):
-        r = randint_below(gen, total)
-        node, comp = root, ()
-        while node is not None:
-            counts, cum, combs, nexts = node
-            t = bisect.bisect_right(cum, r) - 1
-            comp += (counts[t],)
-            if nexts is None:
-                break
-            r = (r - cum[t]) // combs[t]
-            node = nexts[t]
-        multiset = multisets.get(comp)
-        if multiset is None:
-            multiset = multisets[comp] = np.repeat(np.arange(k), comp + (n - sum(comp),))
-        words[w] = gen.permutation(multiset)
+    ranks = np.array(randint_below(gen, total, n_words), dtype=object)
+    comps = np.empty((n_words, k), dtype=np.int64)
+    left = np.full(n_words, n, dtype=np.int64)
+    for j in range(k - 1):
+        # the words with m letters left are at state (j, m)
+        order = np.argsort(left, kind="stable")
+        ms, starts = np.unique(left[order], return_index=True)
+        for m, at in zip(ms.tolist(), np.split(order, starts[1:])):
+            counts, cum, combs = walk_state(j, m)
+            t = np.searchsorted(cum, ranks[at], side="right") - 1
+            comps[at, j] = counts[t]
+            ranks[at] = (ranks[at] - cum[t]) // combs[t]
+        left -= comps[:, j]
+    comps[:, -1] = left
+    words = np.repeat(np.tile(np.arange(k), n_words), comps.ravel()).reshape(n_words, n)
+    gen.permuted(words, axis=1, out=words)
     return Codebook(
         n=n,
         words=words,
@@ -430,7 +439,9 @@ def shift_ensemble_sim(
     in derandomized mode), and the number of trials whose reconstruction
     block violates the empirical perception budget (default: divergence of
     the target marginal from the source plus the typicality slack
-    2 * delta * |support|).
+    2 * delta * |support|).  `timings` holds the wall seconds of the
+    codebook draw, the seed map (near 0 in shared_seed mode), the encoding
+    (source blocks, shifts, encode and decode) and the audit.
     """
     if mode not in (SHARED_SEED, DERANDOMIZED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -439,7 +450,9 @@ def shift_ensemble_sim(
     p_tilde_full = target_channel.push(p_x)
     support = p_tilde_full.support()
     p_tilde = Pmf.from_pairs([(a, p_tilde_full.prob(a)) for a in support])
+    laps = [time.perf_counter()]
     cb = random_typical_codebook(p_tilde, n, rate_bits, delta, seed)
+    laps.append(time.perf_counter())
     src_labels = p_x.labels
     mat = _distortion_matrix(dist, src_labels, p_tilde_full.labels)
     col_idx = [p_tilde_full.labels.index(a) for a in support]
@@ -454,6 +467,7 @@ def shift_ensemble_sim(
         if n0 < 1:
             raise ValueError("alpha * n below one symbol; derandomized mode needs a tail")
         seed_map = simulate_seed_map(p_x, n0, n)
+    laps.append(time.perf_counter())
     # per-trial streams: source block and the shared shift
     cum_src = np.cumsum(p_x.probs)
     x_all = np.empty((trials, n + n0), dtype=np.int64)
@@ -480,6 +494,7 @@ def shift_ensemble_sim(
         avg_distortion = float(np.mean((dist_head + tail_d) / (n + n0)))
     else:
         avg_distortion = float(np.mean(dist_head / n))
+    laps.append(time.perf_counter())
     k_tgt = len(support)
     counts = np.zeros((n, k_tgt))
     for b in range(k_tgt):
@@ -500,6 +515,7 @@ def shift_ensemble_sim(
             [divergence(dv, p_x, Pmf.from_probs(support, c / n)) for c in comps]
         )
         violations = int(np.sum(comp_divs[comp_of_word.ravel()[m_star]] > budget))
+    laps.append(time.perf_counter())
     return SimReport(
         n=n,
         trials=trials,
@@ -519,6 +535,7 @@ def shift_ensemble_sim(
                 np.sum(p_x.probs[:, None] * target_channel.matrix[:, col_idx] * mat)
             ),
         },
+        timings=dict(zip(("draw_s", "seed_map_s", "encode_s", "audit_s"), np.diff(laps).tolist())),
     )
 
 

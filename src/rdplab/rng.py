@@ -24,14 +24,25 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
     )
 
 
-def randint_below(gen: np.random.Generator, bound: int) -> int:
-    """Exact uniform integer in [0, bound) for arbitrary-precision bounds."""
+def randint_below(gen: np.random.Generator, bound: int, size: int) -> list[int]:
+    """`size` independent exact uniform integers in [0, bound), as Python
+    ints, for arbitrary-precision bounds.
+
+    Masked rejection: each candidate is the low bit_length(bound) bits of
+    its own bytes, kept when below `bound` (at least half are).  Each round
+    draws the candidates for every rank still missing from one `gen.bytes`
+    buffer, and the kept ones are appended in buffer order.
+    """
     if bound <= 0:
         raise ValueError("bound must be positive")
     bits = bound.bit_length()
     nbytes = (bits + 7) // 8
     mask = (1 << bits) - 1
-    while True:
-        r = int.from_bytes(gen.bytes(nbytes), "little") & mask
-        if r < bound:
-            return r
+    ranks: list[int] = []
+    while len(ranks) < size:
+        buf = gen.bytes((size - len(ranks)) * nbytes)
+        for i in range(0, len(buf), nbytes):
+            r = int.from_bytes(buf[i : i + nbytes], "little") & mask
+            if r < bound:
+                ranks.append(r)
+    return ranks

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import heapq
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdplab.pmf import Channel, Pmf, is_delta_typical
 from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
-from rdplab.serialize import dumps, sim_report_to_dict
+from rdplab.serialize import dumps, sim_report_from_dict, sim_report_to_dict
 from rdplab.closed_forms import binary_optimal_construction, mirror_construction
 from rdplab import coding
 from rdplab.coding import (
@@ -243,12 +244,13 @@ SIM_CASES = {"binary": _binary_case, "ternary": _ternary_case}
 
 # sha256 of the serialized report, recorded before the seed map and the
 # perception audit were vectorized; any change to a report or to the random
-# streams behind it shows here
+# streams behind it shows here.  All four were recorded again when the
+# codebook came to be drawn in bulk (every rank, then every permutation).
 GOLDEN_REPORTS = {
-    ("binary", SHARED_SEED): "fd1623d08a6da88437adaefdd28314142d5d4000d7de4a4c386f816acd99c96d",
-    ("binary", DERANDOMIZED): "ac6dda18a9964afe2e986216fad4091a970e6928b0c568b817b868fc4d651b07",
-    ("ternary", SHARED_SEED): "b60afaca141389b8ce185c50b960154685753776d23ba085a9aaa4ec132ff170",
-    ("ternary", DERANDOMIZED): "8b26635990a16f35aa3456f774fa81d8938e4e39144c177ed3f19555cf27f03d",
+    ("binary", SHARED_SEED): "3ffccdd9674543dc2c15f9e85a4ccef36fd5a5280c53f53063ef9e8b36aa74b6",
+    ("binary", DERANDOMIZED): "8d2651637646cc97e5b0d1096d9edbf78784d0ffc0f1ca7e53cb50911a281a18",
+    ("ternary", SHARED_SEED): "a104d2be0a193b4ed8846f33c53b8f825752e67bc4d7125201138ba0db81e56c",
+    ("ternary", DERANDOMIZED): "25655a9f4cfedba9624bef5e63f894c39e4972caed356f2f4b6b37d01477dfef",
 }
 
 
@@ -363,6 +365,19 @@ def test_shift_ensemble_derandomized_runs():
     assert rep.diagnostics["n0"] == 8
     assert rep.diagnostics["seed_map_tv"] is not None
     assert rep.avg_distortion >= 0.0
+
+
+@pytest.mark.parametrize("mode", [SHARED_SEED, DERANDOMIZED])
+def test_shift_ensemble_timings_stay_out_of_the_report_bytes(mode):
+    channel, p_x, dist, kw = SIM_CASES["binary"](mode)
+    rep = shift_ensemble_sim(channel, p_x, dist, **kw)
+    assert list(rep.timings) == ["draw_s", "seed_map_s", "encode_s", "audit_s"]
+    assert all(t >= 0.0 for t in rep.timings.values())
+    payload = sim_report_to_dict(rep)
+    assert "timings" not in payload
+    back = sim_report_from_dict(payload)
+    assert back.timings is None
+    assert dumps(sim_report_to_dict(back)) == dumps(payload)
 
 
 def test_soft_covering_point_mass():
@@ -547,14 +562,17 @@ PINNED_CODING = {
 # outputs or to the random streams behind them shows here.  bernoulli-n2000
 # was recorded again when its words became uniform on the typical set, and
 # soft-covering-tv when the mixture law came to be summed over the
-# codebook's prefix trie (8 of its 12 TVs moved, by at most 8.3e-16).
+# codebook's prefix trie (8 of its 12 TVs moved, by at most 8.3e-16).  Every
+# pin but seed-map was recorded again when the codebook came to be drawn in
+# bulk (every rank, then every permutation), which changes the words a seed
+# gives.
 CODING_DIGESTS = {
-    "bernoulli-n2000": "a3e9050784a6a2e4af1875527be4b85053a4bcc6a3b9c6216d117540edc32e2e",
-    "binary-n12": "399c1350379064ebd52b93f476cc7c0e8079682311d5697ca14569cb8adb6232",
-    "quaternary-n24": "7059f32d064f3a61a39a29093d1f64de4b197a96994d8eb02aadb390048f270c",
+    "bernoulli-n2000": "9cbc22974f98558f389c90903b17089dfcf9b13a3dd404d5bebf922270ecd84a",
+    "binary-n12": "3e6889187c620445ca4226c4917c51236f2e68b5f4f6dc81dbd7c5c9f80b9017",
+    "quaternary-n24": "5024ac6841876ce677145bade62182fef18cad54e8778c2001dd1554c2e6652c",
     "seed-map": "7084c07dfcc3ffe7f35893ac9edc3153cde0c3da28f169955ba2c84a137ac7ec",
-    "soft-covering-tv": "41ffe89504e8ca8a1fd41b3dce195f6181b58a1db4658a109c3631a718b04b29",
-    "ternary-n64": "7e00eddf601b2231311d7a2dcfe2a2f9cbda1a01f072bcd82d9394594002f75d",
+    "soft-covering-tv": "88682c1e4770c94bf58afcb585de2bd4161da5454869442848f567a4457152d9",
+    "ternary-n64": "5b717d0ba8eb45d5a291599fa627d19792945af5ce1b4bf6a6056eb8d23a7fce",
 }
 
 
@@ -581,9 +599,9 @@ def test_codebook_ranks_cover_the_typical_compositions(monkeypatch):
     # composition's block (lexicographic order) draws a word of it
     bounds, ranks = [], []
 
-    def scripted(gen, bound):
-        bounds.append(bound)
-        return ranks.pop(0)
+    def scripted(gen, bound, size):
+        bounds.extend([bound] * size)
+        return [ranks.pop(0) for _ in range(size)]
 
     monkeypatch.setattr(coding, "randint_below", scripted)
     targets = [
@@ -638,6 +656,29 @@ def test_codebook_is_uniform_on_the_typical_set():
     cb = random_typical_codebook(Pmf.bernoulli(0.3), n, 0.005, 0.5, seed=4)
     assert mean == pytest.approx(894.92, abs=0.005)
     assert abs(cb.words.sum(axis=1).mean() - mean) <= 5 * math.sqrt(var / len(cb))
+
+
+def test_codebook_compositions_follow_the_typical_set_weights():
+    # under the uniform law on the typical set a composition is drawn with
+    # probability (its type-class size) / (the set's size); Pearson's
+    # statistic over the 12 typical compositions, at the 0.999 quantile
+    from scipy.stats import chi2
+
+    n, k = 8, 3
+    target = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    typical = [
+        c for c in _compositions(n, k)
+        if is_delta_typical(np.repeat(np.arange(k), c).tolist(), target, 0.9)
+    ]
+    sizes = np.array([math.factorial(n) // math.prod(map(math.factorial, c)) for c in typical])
+    cb = random_typical_codebook(target, n, 16 / n, 0.9, seed=11)
+    assert len(cb) == 2**16 and len(typical) == 12
+    drawn = Counter(tuple(np.bincount(w, minlength=k).tolist()) for w in cb.words)
+    assert set(drawn) <= set(typical)
+    observed = np.array([drawn[c] for c in typical])
+    expected = len(cb) * sizes / sizes.sum()
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert stat <= chi2.ppf(0.999, len(typical) - 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
