@@ -24,7 +24,7 @@ from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream
 MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
-_ENCODE_CHUNK_ELEMS = 50_000_000  # trials x codewords per block of _batch_encode
+_ENCODE_BLOCK_ROWS = 32  # trials per block of _batch_encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,9 +276,13 @@ def encode_min_distortion(
 ) -> int:
     """Index of the codeword minimizing the blockwise distortion to `xn`.
 
-    Ties break toward the lowest index.  mode="threshold" instead returns the
-    first word whose per-letter distortion is at most `threshold`, falling
-    back to index 0 (the construction the covering argument analyses).
+    The minimum is `_batch_encode`'s on a one-trial block: a word's total is
+    computed from its joint-type counts with `xn`, so words of equal joint
+    type tie exactly, and ties break toward the lowest index.  The working
+    set is a few n x words and 1 x words float arrays.  mode="threshold"
+    instead returns the first word whose per-letter distortion, summed
+    letter by letter, is at most `threshold`, falling back to index 0 (the
+    construction the covering argument analyses).
     """
     src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
     mat = _distortion_matrix(dist, src, cb.alphabet)
@@ -286,13 +290,13 @@ def encode_min_distortion(
     x_idx = np.array([index[s] for s in xn], dtype=np.int64)
     if len(x_idx) != cb.n:
         raise ValueError(f"sequence length {len(x_idx)} != block length {cb.n}")
-    lookup = mat[x_idx]  # (n, |alphabet|)
-    totals = lookup[np.arange(cb.n)[None, :], cb.words].sum(axis=1)
     if mode == "min_distortion":
-        return int(np.argmin(totals))
+        return int(_batch_encode(x_idx[None, :], cb.words, mat)[0][0])
     if mode == "threshold":
         if threshold is None:
             raise ValueError("threshold mode needs a threshold")
+        lookup = mat[x_idx]  # (n, |alphabet|)
+        totals = lookup[np.arange(cb.n)[None, :], cb.words].sum(axis=1)
         hits = np.nonzero(totals / cb.n <= threshold)[0]
         return int(hits[0]) if hits.size else 0
     raise ValueError(f"unknown mode {mode!r}")
@@ -370,10 +374,11 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     Each placement takes the least (total, bin) and gives that bin the total
     total + mass, so the placements are the first `count` keys, in
     (key, bin, j) order, of the per-bin sequences t_b, t_b + mass,
-    (t_b + mass) + mass, ...  np.cumsum adds sequentially, so these keys
-    are the same floats as one-at-a-time placement.  Each bin gets keys up
-    to the level the run fills to, plus a margin; if a bin uses all of its
-    keys, its next key might have come earlier, so the margin doubles.
+    (t_b + mass) + mass, ...  np.cumsum adds sequentially, also along the
+    rows of a 2-d array, so these keys are the same floats as one-at-a-time
+    placement.  Each bin gets keys up to the level the run fills to, plus a
+    margin; if a bin uses all of its keys, its next key might have come
+    earlier, so the margin doubles.
     """
     n = len(totals)
     if mass == 0.0:
@@ -390,10 +395,20 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
         n_keys = np.clip(depth + margin, 1, count + 1).astype(np.int64)
         ends = np.cumsum(n_keys)
         starts = ends - n_keys
-        keys = np.full(ends[-1], mass)
-        keys[starts] = totals
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            np.cumsum(keys[lo:hi], out=keys[lo:hi])
+        width = int(n_keys.max())
+        if n * width <= 2 * ends[-1]:
+            # bins of similar depth: one running sum along each row of a grid
+            # whose first column is `totals`, read back row by row
+            grid = np.full((n, width), mass)
+            grid[:, 0] = totals
+            np.cumsum(grid, axis=1, out=grid)
+            keys = grid[np.arange(width) < n_keys[:, None]]
+        else:
+            # a few deep bins would leave the grid mostly padding
+            keys = np.full(ends[-1], mass)
+            keys[starts] = totals
+            for lo, hi in zip(starts.tolist(), ends.tolist()):
+                np.cumsum(keys[lo:hi], out=keys[lo:hi])
         owner = np.repeat(np.arange(n), n_keys)
         picks = np.argsort(keys, kind="stable")[:count]
         used = np.bincount(owner[picks], minlength=n)
@@ -483,7 +498,7 @@ def shift_ensemble_sim(
     x_head = x_all[:, :n]
     cols_enc = (np.arange(n)[None, :] - qs[:, None]) % n
     xs = np.take_along_axis(x_head, cols_enc, axis=1)
-    m_star, dist_head = _batch_encode(xs, cb.words, mat, k_src)
+    m_star, dist_head = _batch_encode(xs, cb.words, mat)
     base = cb.words[m_star]
     cols_dec = (np.arange(n)[None, :] + qs[:, None]) % n
     xhat = np.take_along_axis(base, cols_dec, axis=1)
@@ -539,22 +554,63 @@ def shift_ensemble_sim(
     )
 
 
-def _batch_encode(xs, words, mat, k_src):
-    """Min-distortion encoding of many blocks at once via one-hot products."""
-    trials, n = xs.shape
-    n_words = words.shape[0]
-    word_costs = [mat[a][words] for a in range(k_src)]  # (M, n) each
-    m_star = np.empty(trials, dtype=np.int64)
-    best = np.empty(trials)
-    step = max(1, _ENCODE_CHUNK_ELEMS // max(1, n_words))
-    for start in range(0, trials, step):
-        sl = slice(start, min(trials, start + step))
-        totals = np.zeros((sl.stop - sl.start, n_words))
-        for a in range(k_src):
-            mask = (xs[sl] == a).astype(float)
-            totals += mask @ word_costs[a].T
-        m_star[sl] = np.argmin(totals, axis=1)
-        best[sl] = totals[np.arange(sl.stop - sl.start), m_star[sl]]
+def _batch_encode(xs, words, mat):
+    """Min-distortion encoding of many blocks at once, from joint-type counts.
+
+    The distortion of trial t against word m is fixed by the counts
+    N_ab(t, m) = #{i : x_i = a, w_i = b}.  With a reference cell (a0, b0)
+    and kappa_ab = mat[a, b] - mat[a, b0] - mat[a0, b] + mat[a0, b0], it is
+    A_t + B_m + sum_ab kappa_ab N_ab, where A_t = sum_i mat[x_i, b0] and
+    B_m = sum_i (mat[a0, w_i] - mat[a0, b0]).  The cell is the first that
+    leaves the fewest nonzero kappa (one for binary alphabets).  The cells
+    of one kappa value share one GEMM of 0/1 indicators, whose float64
+    entries are exact integer counts.  A_t and B_m are summed from symbol
+    counts, and the terms are added in one fixed order, so a total depends
+    on the joint type alone: words of equal joint type tie bit for bit,
+    `argmin` keeps the lowest index, and the result depends neither on the
+    BLAS kernel nor on how the trials are blocked.  The minimum is taken
+    over B_m + sum kappa_ab N_ab; returns the chosen word of each trial and
+    A_t plus that minimum.
+
+    Trials go `_ENCODE_BLOCK_ROWS` at a time, so a block holds two
+    rows x words float64 arrays (5 MB each at 20 000 words) beside the
+    n x words indicators of the codebook.
+    """
+    k_src, k_tgt = mat.shape
+
+    def kappa_at(a0, b0):
+        kappa = (mat - mat[:, [b0]]) - (mat[a0] - mat[a0, b0])
+        kappa[a0] = kappa[:, b0] = 0.0
+        return kappa
+
+    a0, b0 = min(np.ndindex(k_src, k_tgt), key=lambda cell: np.count_nonzero(kappa_at(*cell)))
+    kappa = kappa_at(a0, b0)
+    groups: dict[float, list] = {}
+    for a, b in zip(*np.nonzero(kappa)):
+        groups.setdefault(float(kappa[a, b]), []).append((a, b))
+    a_tot = np.zeros(len(xs))
+    for a in range(k_src):
+        a_tot += (xs == a).sum(axis=1) * mat[a, b0]
+    b_tot = np.zeros(len(words))
+    for b in range(k_tgt):
+        if b != b0:
+            b_tot += (words == b).sum(axis=1) * (mat[a0, b] - mat[a0, b0])
+    words_t = np.ascontiguousarray(words.T)
+    w_onehot = [np.concatenate([words_t == b for _, b in cells]).astype(float) for cells in groups.values()]
+    m_star = np.empty(len(xs), dtype=np.int64)
+    best = np.empty(len(xs))
+    for lo in range(0, len(xs), _ENCODE_BLOCK_ROWS):
+        blk = slice(lo, lo + _ENCODE_BLOCK_ROWS)
+        x_blk = xs[blk]
+        totals = np.broadcast_to(b_tot, (len(x_blk), len(words)))
+        for k, cells, w1 in zip(groups, groups.values(), w_onehot):
+            term = np.concatenate([x_blk == a for a, _ in cells], axis=1).astype(float) @ w1
+            term *= k
+            # ((B_m + kappa_1 N_1) + kappa_2 N_2) + ..., in the order of `groups`
+            term += totals
+            totals = term
+        m_star[blk] = np.argmin(totals, axis=1)
+        best[blk] = a_tot[blk] + totals[np.arange(len(x_blk)), m_star[blk]]
     return m_star, best
 
 
