@@ -374,11 +374,10 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     Each placement takes the least (total, bin) and gives that bin the total
     total + mass, so the placements are the first `count` keys, in
     (key, bin, j) order, of the per-bin sequences t_b, t_b + mass,
-    (t_b + mass) + mass, ...  np.cumsum adds sequentially, also along the
-    rows of a 2-d array, so these keys are the same floats as one-at-a-time
-    placement.  Each bin gets keys up to the level the run fills to, plus a
-    margin; if a bin uses all of its keys, its next key might have come
-    earlier, so the margin doubles.
+    (t_b + mass) + mass, ...  np.cumsum adds sequentially, so these keys
+    are the same floats as one-at-a-time placement.  Each bin gets keys up
+    to the level the run fills to, plus a margin; if a bin uses all of its
+    keys, its next key might have come earlier, so the margin doubles.
     """
     n = len(totals)
     if mass == 0.0:
@@ -395,20 +394,10 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
         n_keys = np.clip(depth + margin, 1, count + 1).astype(np.int64)
         ends = np.cumsum(n_keys)
         starts = ends - n_keys
-        width = int(n_keys.max())
-        if n * width <= 2 * ends[-1]:
-            # bins of similar depth: one running sum along each row of a grid
-            # whose first column is `totals`, read back row by row
-            grid = np.full((n, width), mass)
-            grid[:, 0] = totals
-            np.cumsum(grid, axis=1, out=grid)
-            keys = grid[np.arange(width) < n_keys[:, None]]
-        else:
-            # a few deep bins would leave the grid mostly padding
-            keys = np.full(ends[-1], mass)
-            keys[starts] = totals
-            for lo, hi in zip(starts.tolist(), ends.tolist()):
-                np.cumsum(keys[lo:hi], out=keys[lo:hi])
+        keys = np.full(ends[-1], mass)
+        keys[starts] = totals
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            np.cumsum(keys[lo:hi], out=keys[lo:hi])
         owner = np.repeat(np.arange(n), n_keys)
         picks = np.argsort(keys, kind="stable")[:count]
         used = np.bincount(owner[picks], minlength=n)
@@ -562,21 +551,35 @@ def _batch_encode(xs, words, mat):
     and kappa_ab = mat[a, b] - mat[a, b0] - mat[a0, b] + mat[a0, b0], it is
     A_t + B_m + sum_ab kappa_ab N_ab, where A_t = sum_i mat[x_i, b0] and
     B_m = sum_i (mat[a0, w_i] - mat[a0, b0]).  The cell is the first that
-    leaves the fewest nonzero kappa (one for binary alphabets).  The cells
-    of one kappa value share one GEMM of 0/1 indicators, whose float64
-    entries are exact integer counts.  A_t and B_m are summed from symbol
-    counts, and the terms are added in one fixed order, so a total depends
-    on the joint type alone: words of equal joint type tie bit for bit,
-    `argmin` keeps the lowest index, and the result depends neither on the
-    BLAS kernel nor on how the trials are blocked.  The minimum is taken
-    over B_m + sum kappa_ab N_ab; returns the chosen word of each trial and
-    A_t plus that minimum.
+    leaves the fewest nonzero kappa (one for binary alphabets).
 
-    Trials go `_ENCODE_BLOCK_ROWS` at a time, so a block holds two
-    rows x words float64 arrays (5 MB each at 20 000 words) beside the
-    n x words indicators of the codebook.
+    The nonzero kappa are split into groups kappa_ab = q * r_ab with
+    integer r_ab, each cell joining the first group whose q divides it
+    exactly, smallest |kappa| first: one group for binary alphabets and for
+    integer costs.  A group's sum_ab r_ab N_ab is one float32 GEMM whose
+    inner dimension is n times the fewer of its rows a or columns b, with
+    the integer weights r on the smaller side and 0/1 indicators on the
+    other.  Every partial sum is an integer of magnitude at most
+    n * max|r|, which stays below 2^24 (merging checks it; a lone cell has
+    r = 1 and n is far shorter), so the GEMM is exact.  A_t and B_m are summed from symbol counts, and the
+    terms (B_m + q_1 S_1) + q_2 S_2 + ... are added in one fixed order, so
+    a total depends on the joint type alone: words of equal joint type tie
+    bit for bit, `argmin` keeps the lowest index, and the result depends
+    neither on the BLAS kernel nor on how the trials are blocked.  The
+    minimum is taken over B_m + sum kappa_ab N_ab; returns the chosen word
+    of each trial and A_t plus that minimum.
+
+    The work grows with the summed inner dimension, n * sum over groups of
+    min(rows, columns): n (k - 1) for integer costs on k letters, against
+    n k for a plain per-symbol product, but up to n (k - 1)^2 when the
+    kappa share no common factor.  The codebook side is held for the whole
+    call as float32, 4 bytes per word, letter and unit of that dimension
+    (5 MB at 20 000 words of 64 binary letters).  Trials go
+    `_ENCODE_BLOCK_ROWS` at a time, and a block holds rows x words float64
+    totals (5 MB at 20 000 words).
     """
     k_src, k_tgt = mat.shape
+    n = xs.shape[1]
 
     def kappa_at(a0, b0):
         kappa = (mat - mat[:, [b0]]) - (mat[a0] - mat[a0, b0])
@@ -585,9 +588,28 @@ def _batch_encode(xs, words, mat):
 
     a0, b0 = min(np.ndindex(k_src, k_tgt), key=lambda cell: np.count_nonzero(kappa_at(*cell)))
     kappa = kappa_at(a0, b0)
-    groups: dict[float, list] = {}
-    for a, b in zip(*np.nonzero(kappa)):
-        groups.setdefault(float(kappa[a, b]), []).append((a, b))
+    groups: list[tuple[float, np.ndarray]] = []  # (q, r) with kappa = q * r on r's support
+    for a, b in sorted(zip(*np.nonzero(kappa)), key=lambda cell: (abs(kappa[cell]), cell)):
+        v = kappa[a, b]
+        for q, r in groups:
+            ratio = round(v / q)
+            if q * ratio == v and abs(ratio) * n < 1 << 24:
+                r[a, b] = ratio
+                break
+        else:
+            r = np.zeros((k_src, k_tgt))
+            r[a, b] = 1.0
+            groups.append((v, r))
+    # each group's r as a sum of rank-one factors u (over x) times w (over
+    # words): one per row of r if it has fewer rows than columns, else one
+    # per column
+    factors = []
+    for _, r in groups:
+        rows, cols = np.flatnonzero(r.any(axis=1)), np.flatnonzero(r.any(axis=0))
+        if len(rows) < len(cols):
+            factors.append([(np.eye(k_src)[a], r[a]) for a in rows])
+        else:
+            factors.append([(r[:, b], np.eye(k_tgt)[b]) for b in cols])
     a_tot = np.zeros(len(xs))
     for a in range(k_src):
         a_tot += (xs == a).sum(axis=1) * mat[a, b0]
@@ -596,17 +618,17 @@ def _batch_encode(xs, words, mat):
         if b != b0:
             b_tot += (words == b).sum(axis=1) * (mat[a0, b] - mat[a0, b0])
     words_t = np.ascontiguousarray(words.T)
-    w_onehot = [np.concatenate([words_t == b for _, b in cells]).astype(float) for cells in groups.values()]
+    w_side = [np.concatenate([w[words_t] for _, w in fs]).astype(np.float32) for fs in factors]
     m_star = np.empty(len(xs), dtype=np.int64)
     best = np.empty(len(xs))
     for lo in range(0, len(xs), _ENCODE_BLOCK_ROWS):
         blk = slice(lo, lo + _ENCODE_BLOCK_ROWS)
         x_blk = xs[blk]
         totals = np.broadcast_to(b_tot, (len(x_blk), len(words)))
-        for k, cells, w1 in zip(groups, groups.values(), w_onehot):
-            term = np.concatenate([x_blk == a for a, _ in cells], axis=1).astype(float) @ w1
-            term *= k
-            # ((B_m + kappa_1 N_1) + kappa_2 N_2) + ..., in the order of `groups`
+        for (q, _), fs, w1 in zip(groups, factors, w_side):
+            counts = np.concatenate([u[x_blk] for u, _ in fs], axis=1, dtype=np.float32) @ w1
+            term = np.multiply(counts, q, dtype=np.float64)
+            # ((B_m + q_1 S_1) + q_2 S_2) + ..., in the order of `groups`
             term += totals
             totals = term
         m_star[blk] = np.argmin(totals, axis=1)

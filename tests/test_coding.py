@@ -346,6 +346,62 @@ def test_batch_encode_does_not_depend_on_the_block_size(case, monkeypatch):
         assert encode_min_distortion(cb, xn, dist, source_alphabet=p_x.labels) == m
 
 
+LARGER_ALPHABET_COSTS = {
+    # integer costs: every kappa is a multiple of the least, one group
+    "squared-error-4": lambda g: (np.arange(4.0)[:, None] - np.arange(4.0)[None, :]) ** 2,
+    "hamming-5": lambda g: 1.0 - np.eye(5),
+    # kappa with no common factor: one group per cell, 3 source letters, 4 outputs
+    "uniform-3x4": lambda g: g.random((3, 4)),
+    # squared error to non-integer points: kappa are multiples up to rounding
+    "squared-error-offset-4": lambda g: (np.arange(4.0)[:, None] - np.arange(4.0)[None, :] - 0.1838) ** 2,
+    # decimal costs: some kappa are exact multiples, others miss by one ulp
+    "tenths-4": lambda g: g.integers(0, 10, (4, 4)) / 10,
+}
+
+
+@pytest.mark.parametrize("costs", sorted(LARGER_ALPHABET_COSTS))
+def test_batch_encode_is_exact_on_larger_alphabets(costs, monkeypatch):
+    g = np.random.default_rng(2024)
+    mat = LARGER_ALPHABET_COSTS[costs](g)
+    xs = g.integers(0, mat.shape[0], (60, 10))
+    words = g.integers(0, mat.shape[1], (200, 10))
+    exact = [[Fraction(c) for c in row] for row in mat]
+    integer_costs = np.array_equal(mat, np.round(mat))
+    m_star, best = coding._batch_encode(xs, words, mat)
+    for t, x in enumerate(xs.tolist()):
+        totals = [sum((exact[a][b] for a, b in zip(x, w)), Fraction(0)) for w in words.tolist()]
+        types = [sorted(zip(x, w)) for w in words.tolist()]
+        m = m_star[t]
+        # within rounding of the exact minimum, and the lowest index of its
+        # joint type; with integer costs the sums are exact, so the lowest
+        # exact minimiser
+        assert totals[m] - min(totals) <= Fraction(1, 10**9), t
+        assert types.index(types[m]) == m, t
+        if integer_costs:
+            assert m == totals.index(min(totals)), t
+        assert best[t] == pytest.approx(float(totals[m]), rel=1e-12, abs=1e-12)
+    monkeypatch.setattr(coding, "_ENCODE_BLOCK_ROWS", 7)
+    m_again, best_again = coding._batch_encode(xs, words, mat)
+    assert np.array_equal(m_again, m_star)
+    assert best_again.tobytes() == best.tobytes()
+
+
+@pytest.mark.parametrize("costs", sorted(LARGER_ALPHABET_COSTS))
+def test_batch_encode_ties_words_of_one_joint_type_exactly(costs):
+    # every word is a base word shuffled within the positions of each letter
+    # of x, so all share one joint type with x and must tie bit for bit
+    g = np.random.default_rng(7)
+    mat = LARGER_ALPHABET_COSTS[costs](g)
+    x = g.integers(0, mat.shape[0], 48)
+    words = np.tile(g.integers(0, mat.shape[1], 48), (64, 1))
+    for a in range(mat.shape[0]):
+        at = np.flatnonzero(x == a)
+        words[:, at] = g.permuted(words[:, at], axis=1)
+    for order in (words, words[::-1]):
+        m_star, best = coding._batch_encode(x[None, :], order, mat)
+        assert m_star[0] == 0
+
+
 def _test_channel(rho=0.25, dist=0.3):
     sol = binary_optimal_construction(rho, dist)
     return sol.p_v_given_x
