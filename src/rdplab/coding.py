@@ -555,26 +555,28 @@ def _batch_encode(xs, words, mat):
 
     The nonzero kappa are split into groups kappa_ab = q * r_ab with
     integer r_ab, each cell joining the first group whose q divides it
-    exactly, smallest |kappa| first: one group for binary alphabets and for
-    integer costs.  A group's sum_ab r_ab N_ab is one float32 GEMM whose
-    inner dimension is n times the fewer of its rows a or columns b, with
-    the integer weights r on the smaller side and 0/1 indicators on the
-    other.  Every partial sum is an integer of magnitude at most
-    n * max|r|, which stays below 2^24 (merging checks it; a lone cell has
-    r = 1 and n is far shorter), so the GEMM is exact.  A_t and B_m are summed from symbol counts, and the
-    terms (B_m + q_1 S_1) + q_2 S_2 + ... are added in one fixed order, so
-    a total depends on the joint type alone: words of equal joint type tie
-    bit for bit, `argmin` keeps the lowest index, and the result depends
-    neither on the BLAS kernel nor on how the trials are blocked.  The
-    minimum is taken over B_m + sum kappa_ab N_ab; returns the chosen word
-    of each trial and A_t plus that minimum.
+    exactly, smallest |kappa| first: one group when every kappa is an
+    integer multiple of the least (binary alphabets, Hamming, |i - j|,
+    squared error on integer labels).  A group's S = sum_ab r_ab N_ab is one
+    float32 GEMM whose inner dimension is n times the fewer of its rows a or
+    columns b, with the integer weights r on the smaller side and 0/1
+    indicators on the other.  Every partial sum is an integer of magnitude
+    at most n * max|r|, which stays below 2^24 (merging checks it; a lone
+    cell has r = 1 and n is far shorter), so the GEMM is exact.  A_t and B_m
+    are summed from symbol counts, and the terms (B_m + q_1 S_1) + q_2 S_2
+    + ... are added in one fixed order, so a total depends on the joint type
+    alone: words of equal joint type tie bit for bit, `argmin` keeps the
+    lowest index, and the result depends neither on the BLAS kernel nor on
+    how the trials are blocked.  The minimum is taken over
+    B_m + sum kappa_ab N_ab; returns the chosen word of each trial and A_t
+    plus that minimum.
 
-    The work grows with the summed inner dimension, n * sum over groups of
-    min(rows, columns): n (k - 1) for integer costs on k letters, against
-    n k for a plain per-symbol product, but up to n (k - 1)^2 when the
-    kappa share no common factor.  The codebook side is held for the whole
-    call as float32, 4 bytes per word, letter and unit of that dimension
-    (5 MB at 20 000 words of 64 binary letters).  Trials go
+    The GEMM work grows with the summed inner dimension: n (k - 1) for one
+    group on k letters, against n k for a plain per-symbol product, but up
+    to n (k - 1)^2 when the kappa share no common factor, and each group
+    adds a pass over the block's totals.  The codebook side is held for the
+    whole call as float32, 4 bytes per word, letter and unit of the inner
+    dimension (5 MB at 20 000 words of 64 binary letters).  Trials go
     `_ENCODE_BLOCK_ROWS` at a time, and a block holds rows x words float64
     totals (5 MB at 20 000 words).
     """
@@ -618,7 +620,7 @@ def _batch_encode(xs, words, mat):
         if b != b0:
             b_tot += (words == b).sum(axis=1) * (mat[a0, b] - mat[a0, b0])
     words_t = np.ascontiguousarray(words.T)
-    w_side = [np.concatenate([w[words_t] for _, w in fs]).astype(np.float32) for fs in factors]
+    w_side = [np.concatenate([w.astype(np.float32)[words_t] for _, w in fs]) for fs in factors]
     m_star = np.empty(len(xs), dtype=np.int64)
     best = np.empty(len(xs))
     for lo in range(0, len(xs), _ENCODE_BLOCK_ROWS):

@@ -347,7 +347,7 @@ def test_batch_encode_does_not_depend_on_the_block_size(case, monkeypatch):
 
 
 LARGER_ALPHABET_COSTS = {
-    # integer costs: every kappa is a multiple of the least, one group
+    # every kappa a multiple of the least: one group
     "squared-error-4": lambda g: (np.arange(4.0)[:, None] - np.arange(4.0)[None, :]) ** 2,
     "hamming-5": lambda g: 1.0 - np.eye(5),
     # kappa with no common factor: one group per cell, 3 source letters, 4 outputs
