@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_forms import circle_analytic
 from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
-from .pmf import Channel, Pmf, _distortion_matrix, _typical_counts, empirical_pmf
+from .pmf import AlphabetMismatchError, Channel, Pmf, _distortion_matrix, _typical_counts, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream
 
 MAX_CODEBOOK_WORDS = 1 << 20
@@ -37,7 +37,7 @@ class Codebook:
 
     n: int
     words: np.ndarray = field(repr=False)
-    target: Pmf = None  # type: ignore[assignment]
+    target: Pmf
     delta: float = 0.0
     rate_bits: float = 0.0
 
@@ -282,14 +282,20 @@ def encode_min_distortion(
     set is a few n x words and 1 x words float arrays.  mode="threshold"
     instead returns the first word whose per-letter distortion, summed
     letter by letter, is at most `threshold`, falling back to index 0 (the
-    construction the covering argument analyses).
+    construction the covering argument analyses).  Both modes reject a
+    codebook with no words and a symbol outside the source alphabet.
     """
     src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
     mat = _distortion_matrix(dist, src, cb.alphabet)
     index = {a: i for i, a in enumerate(src)}
-    x_idx = np.array([index[s] for s in xn], dtype=np.int64)
+    try:
+        x_idx = np.array([index[s] for s in xn], dtype=np.int64)
+    except KeyError as err:
+        raise AlphabetMismatchError(f"symbol {err.args[0]!r} not in alphabet") from None
     if len(x_idx) != cb.n:
         raise ValueError(f"sequence length {len(x_idx)} != block length {cb.n}")
+    if len(cb) == 0:
+        raise ValueError("codebook has no words")
     if mode == "min_distortion":
         return int(_batch_encode(x_idx[None, :], cb.words, mat)[0][0])
     if mode == "threshold":
@@ -547,88 +553,68 @@ def _batch_encode(xs, words, mat):
     """Min-distortion encoding of many blocks at once, from joint-type counts.
 
     The distortion of trial t against word m is fixed by the counts
-    N_ab(t, m) = #{i : x_i = a, w_i = b}.  With a reference cell (a0, b0)
-    and kappa_ab = mat[a, b] - mat[a, b0] - mat[a0, b] + mat[a0, b0], it is
-    A_t + B_m + sum_ab kappa_ab N_ab, where A_t = sum_i mat[x_i, b0] and
-    B_m = sum_i (mat[a0, w_i] - mat[a0, b0]).  The cell is the first that
-    leaves the fewest nonzero kappa (one for binary alphabets).
+    N_ab(t, m) = #{i : x_i = a, w_i = b}.  With the reference cell (0, 0)
+    and kappa_ab = mat[a, b] - mat[a, 0] - mat[0, b] + mat[0, 0], which is
+    zero in row 0 and column 0, it is A_t + B_m + sum_ab kappa_ab N_ab,
+    where A_t = sum_i mat[x_i, 0] and B_m = sum_i (mat[0, w_i] - mat[0, 0]).
 
-    The nonzero kappa are split into groups kappa_ab = q * r_ab with
-    integer r_ab, each cell joining the first group whose q divides it
-    exactly, smallest |kappa| first: one group when every kappa is an
-    integer multiple of the least (binary alphabets, Hamming, |i - j|,
-    squared error on integer labels).  A group's S = sum_ab r_ab N_ab is one
-    float32 GEMM whose inner dimension is n times the fewer of its rows a or
-    columns b, with the integer weights r on the smaller side and 0/1
-    indicators on the other.  Every partial sum is an integer of magnitude
-    at most n * max|r|, which stays below 2^24 (merging checks it; a lone
-    cell has r = 1 and n is far shorter), so the GEMM is exact.  A_t and B_m
+    Let q be the nonzero kappa of least |kappa| (the first such cell on a
+    tie).  Every kappa_ab = q * r_ab with integer r_ab and |r_ab| * n < 2^24
+    joins one shared group (q, r); every other nonzero kappa is a group of
+    its own with r = 1.  Binary alphabets have one nonzero kappa, and
+    Hamming, |i - j| or squared error on integer labels give one group.  A
+    group's S = sum_ab r_ab N_ab is one float32 GEMM: the trial side holds
+    r[x_i, b] and the word side the indicators [w_i = b], for each column b
+    where r is nonzero.  Every partial sum is an integer of magnitude below
+    2^24 (a lone cell's are at most n), so the GEMM is exact.  A_t and B_m
     are summed from symbol counts, and the terms (B_m + q_1 S_1) + q_2 S_2
-    + ... are added in one fixed order, so a total depends on the joint type
-    alone: words of equal joint type tie bit for bit, `argmin` keeps the
-    lowest index, and the result depends neither on the BLAS kernel nor on
-    how the trials are blocked.  The minimum is taken over
+    + ... are added in one fixed order, so a total depends on the joint
+    type alone: words of equal joint type tie bit for bit, `argmin` keeps
+    the lowest index, and the result depends neither on the BLAS kernel nor
+    on how the trials are blocked.  The minimum is taken over
     B_m + sum kappa_ab N_ab; returns the chosen word of each trial and A_t
     plus that minimum.
 
-    The GEMM work grows with the summed inner dimension: n (k - 1) for one
-    group on k letters, against n k for a plain per-symbol product, but up
-    to n (k - 1)^2 when the kappa share no common factor, and each group
-    adds a pass over the block's totals.  The codebook side is held for the
-    whole call as float32, 4 bytes per word, letter and unit of the inner
-    dimension (5 MB at 20 000 words of 64 binary letters).  Trials go
-    `_ENCODE_BLOCK_ROWS` at a time, and a block holds rows x words float64
-    totals (5 MB at 20 000 words).
+    Each group's GEMM has inner dimension n times its number of nonzero
+    columns, and each group adds one pass over the block's totals: n (k - 1)
+    for one group on k letters, against n k for a plain per-symbol product,
+    but up to n (k - 1)^2 when the kappa share no common factor.  The word
+    side is held for the whole call as float32, 4 bytes per word, letter
+    and unit of the inner dimension (5 MB at 20 000 words of 64 binary
+    letters).  Trials go `_ENCODE_BLOCK_ROWS` at a time, and a block holds
+    rows x words float64 totals (5 MB at 20 000 words).
     """
-    k_src, k_tgt = mat.shape
     n = xs.shape[1]
-
-    def kappa_at(a0, b0):
-        kappa = (mat - mat[:, [b0]]) - (mat[a0] - mat[a0, b0])
-        kappa[a0] = kappa[:, b0] = 0.0
-        return kappa
-
-    a0, b0 = min(np.ndindex(k_src, k_tgt), key=lambda cell: np.count_nonzero(kappa_at(*cell)))
-    kappa = kappa_at(a0, b0)
-    groups: list[tuple[float, np.ndarray]] = []  # (q, r) with kappa = q * r on r's support
-    for a, b in sorted(zip(*np.nonzero(kappa)), key=lambda cell: (abs(kappa[cell]), cell)):
-        v = kappa[a, b]
-        for q, r in groups:
-            ratio = round(v / q)
-            if q * ratio == v and abs(ratio) * n < 1 << 24:
-                r[a, b] = ratio
-                break
-        else:
-            r = np.zeros((k_src, k_tgt))
-            r[a, b] = 1.0
-            groups.append((v, r))
-    # each group's r as a sum of rank-one factors u (over x) times w (over
-    # words): one per row of r if it has fewer rows than columns, else one
-    # per column
-    factors = []
-    for _, r in groups:
-        rows, cols = np.flatnonzero(r.any(axis=1)), np.flatnonzero(r.any(axis=0))
-        if len(rows) < len(cols):
-            factors.append([(np.eye(k_src)[a], r[a]) for a in rows])
-        else:
-            factors.append([(r[:, b], np.eye(k_tgt)[b]) for b in cols])
+    kappa = (mat - mat[:, :1]) - (mat[0] - mat[0, 0])
+    nonzero = np.flatnonzero(kappa)
+    groups = []  # (q, r) with kappa = q * r on r's support
+    if nonzero.size:
+        q = kappa.flat[nonzero[np.argmin(np.abs(kappa.flat[nonzero]))]]
+        r = np.round(kappa / q)
+        shared = (q * r == kappa) & (np.abs(r) * n < 1 << 24)
+        groups.append((q, np.where(shared, r, 0.0)))
+        for c in np.flatnonzero(~shared):
+            groups.append((kappa.flat[c], np.arange(kappa.size).reshape(kappa.shape) == c))
     a_tot = np.zeros(len(xs))
-    for a in range(k_src):
-        a_tot += (xs == a).sum(axis=1) * mat[a, b0]
+    for a in range(mat.shape[0]):
+        a_tot += (xs == a).sum(axis=1) * mat[a, 0]
     b_tot = np.zeros(len(words))
-    for b in range(k_tgt):
-        if b != b0:
-            b_tot += (words == b).sum(axis=1) * (mat[a0, b] - mat[a0, b0])
+    for b in range(1, mat.shape[1]):
+        b_tot += (words == b).sum(axis=1) * (mat[0, b] - mat[0, 0])
     words_t = np.ascontiguousarray(words.T)
-    w_side = [np.concatenate([w.astype(np.float32)[words_t] for _, w in fs]) for fs in factors]
+    factors = []  # (q, r's nonzero columns as float32 rows, their word indicators)
+    for q, r in groups:
+        cols = np.flatnonzero(r.any(axis=0))
+        w_side = np.concatenate([words_t == b for b in cols], dtype=np.float32)
+        factors.append((q, r[:, cols].T.astype(np.float32), w_side))
     m_star = np.empty(len(xs), dtype=np.int64)
     best = np.empty(len(xs))
     for lo in range(0, len(xs), _ENCODE_BLOCK_ROWS):
         blk = slice(lo, lo + _ENCODE_BLOCK_ROWS)
         x_blk = xs[blk]
         totals = np.broadcast_to(b_tot, (len(x_blk), len(words)))
-        for (q, _), fs, w1 in zip(groups, factors, w_side):
-            counts = np.concatenate([u[x_blk] for u, _ in fs], axis=1, dtype=np.float32) @ w1
+        for q, u, w_side in factors:
+            counts = np.concatenate(u[:, x_blk], axis=1) @ w_side
             term = np.multiply(counts, q, dtype=np.float64)
             # ((B_m + q_1 S_1) + q_2 S_2) + ..., in the order of `groups`
             term += totals

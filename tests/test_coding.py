@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdplab.pmf import Channel, Pmf, is_delta_typical
+from rdplab.pmf import AlphabetMismatchError, Channel, Pmf, is_delta_typical
 from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
 from rdplab.serialize import dumps, sim_report_from_dict, sim_report_to_dict
 from rdplab.closed_forms import binary_optimal_construction, mirror_construction
@@ -111,6 +111,11 @@ def test_codebook_rejects_words_of_length_zero():
         Codebook(n=0, words=np.empty((2, 0), dtype=int), target=Pmf.bernoulli(0.5))
 
 
+def test_codebook_requires_a_target():
+    with pytest.raises(TypeError, match="target"):
+        Codebook(n=2, words=np.zeros((1, 2), dtype=int))
+
+
 def test_codebook_determinism():
     a = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
     b = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
@@ -144,6 +149,21 @@ def test_encode_threshold_mode():
     assert encode_min_distortion(cb, x, HAMMING, mode="threshold", threshold=-0.1) == 0
     with pytest.raises(ValueError):
         encode_min_distortion(cb, x, HAMMING, mode="threshold")
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"mode": "threshold", "threshold": 0.5}], ids=["min_distortion", "threshold"]
+)
+def test_encode_rejects_an_empty_codebook(kwargs):
+    cb = Codebook(n=3, words=np.empty((0, 3), dtype=int), target=Pmf.bernoulli(0.5))
+    with pytest.raises(ValueError, match="codebook has no words"):
+        encode_min_distortion(cb, (0, 1, 0), HAMMING, **kwargs)
+
+
+def test_encode_rejects_a_symbol_outside_the_source_alphabet():
+    cb = Codebook(n=3, words=np.zeros((2, 3), dtype=int), target=Pmf.bernoulli(0.5))
+    with pytest.raises(AlphabetMismatchError, match="symbol 2 not in alphabet"):
+        encode_min_distortion(cb, (0, 2, 0), HAMMING)
 
 
 def test_seed_map_dyadic_exact():
