@@ -19,7 +19,7 @@ import numpy as np
 from .closed_forms import circle_analytic
 from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
 from .pmf import AlphabetMismatchError, Channel, Pmf, _distortion_matrix, _typical_counts, empirical_pmf
-from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream
+from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream, streams
 
 MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
@@ -44,7 +44,10 @@ class Codebook:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        w = np.asarray(self.words, dtype=np.int64)
+        w = np.asarray(self.words)
+        if w.dtype.kind == "f" and not np.all(np.isfinite(w) & (np.trunc(w) == w)):
+            raise ValueError("word symbol indices must be integers")
+        w = w.astype(np.int64)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise ValueError("words must be an (M, n) index array")
         if w.size and (w.min() < 0 or w.max() >= len(self.target.atoms)):
@@ -341,6 +344,15 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     The greedy rule is evaluated per run of equal masses rather than per
     atom (see `_place_run`); the bins and float totals are exactly those of
     the atom-by-atom rule.
+
+    An atom's mass is the left-to-right float product p(x_1) p(x_2) ...
+    p(x_n0).  It is built one letter at a time over the distinct masses
+    only: the products of the distinct prefix masses with each letter's
+    probability are made unique again, and every atom keeps just the index
+    of its float in that short sorted list (310 distinct masses for the
+    3^13 atoms of a ternary source).  A stable sort of those small integer
+    ranks orders the atoms as a stable sort of the masses would, largest
+    first and ties by atom index, and their counts give the runs.
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be positive")
@@ -348,17 +360,22 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     if k**n0 > MAX_SEED_ATOMS:
         raise ValueError(f"{k}^{n0} product atoms exceed the enumeration cap")
     probs = p_x.probs
-    masses = functools.reduce(np.multiply.outer, [probs] * n0).ravel()
-    order = np.argsort(-masses, kind="stable")
-    sorted_masses = masses[order]
-    starts = np.flatnonzero(np.r_[True, sorted_masses[1:] != sorted_masses[:-1]])
-    ends = np.r_[starts[1:], len(order)]
-    bins = np.empty(len(masses), dtype=np.int64)
+    # distinct masses (ascending) and each atom's index among them, in the
+    # smallest unsigned type, for which numpy's stable sort is a radix sort
+    vals = np.ones(1)
+    idx = np.zeros(1, dtype=np.intp)
+    for _ in range(n0):
+        vals, inv = np.unique(vals[:, None] * probs[None, :], return_inverse=True)
+        idx = inv.astype(np.min_scalar_type(len(vals) - 1)).reshape(-1, k)[idx].ravel()
+    rank = len(vals) - 1 - idx  # 0 for the largest mass
+    order = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank, minlength=len(vals))).tolist()
+    bins = np.empty(len(idx), dtype=np.int64)
     totals = np.zeros(n)
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        bins[order[start:end]] = _place_run(totals, float(sorted_masses[start]), end - start)
-    bin_totals = np.zeros(n)
-    np.add.at(bin_totals, bins, masses)
+    for mass, start, end in zip(vals[::-1].tolist(), [0] + ends[:-1], ends):
+        bins[order[start:end]] = _place_run(totals, mass, end - start)
+    # np.bincount adds the weights in atom order, as the atom-by-atom rule would
+    bin_totals = np.bincount(bins, weights=vals[idx], minlength=n)
     tv = float(0.5 * np.abs(bin_totals - 1.0 / n).sum())
     bound = n * float(probs.max()) ** n0
     if tv > bound + 1e-12:
@@ -380,38 +397,42 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     Each placement takes the least (total, bin) and gives that bin the total
     total + mass, so the placements are the first `count` keys, in
     (key, bin, j) order, of the per-bin sequences t_b, t_b + mass,
-    (t_b + mass) + mass, ...  np.cumsum adds sequentially, so these keys
-    are the same floats as one-at-a-time placement.  Each bin gets keys up
-    to the level the run fills to, plus a margin; if a bin uses all of its
-    keys, its next key might have come earlier, so the margin doubles.
+    (t_b + mass) + mass, ...  The keys sit in one (bins x width) grid whose
+    row b holds t_b, mass, mass, ... before one np.cumsum along the rows;
+    np.cumsum adds left to right, so these are the same floats as
+    one-at-a-time placement.  A stable sort of the flattened grid lists
+    them in (key, bin, j) order, and a pick's bin is its flat index //
+    width.  Every row is a prefix of its bin's sequence, as long as the
+    lightest bin needs to reach the level the run fills to, plus a margin;
+    if a bin uses all of its keys, its next key might have come earlier,
+    so the margin doubles.  The work is n times that width.  When the mass
+    does not move the lightest total (t + mass == t, as for a massless
+    atom), that bin stays the least (total, bin) and takes the whole run.
     """
     n = len(totals)
-    if mass == 0.0:
-        # a massless atom leaves the lightest bin lightest
-        return np.full(count, np.argmin(totals), dtype=np.int64)
+    lightest = int(np.argmin(totals))
+    if totals[lightest] + mass == totals[lightest]:
+        return np.full(count, lightest, dtype=np.int64)
     # the level that count * mass fills the lightest bins up to, as if mass
     # were divisible; a bin takes about (level - total) / mass atoms
     s = np.sort(totals)
     levels = (mass * count + np.cumsum(s)) / np.arange(1, n + 1)
     level = levels[np.flatnonzero(levels >= s)[-1]]
-    depth = np.floor((level - totals) / mass)
+    depth = int(np.floor((level - s[0]) / mass))
     margin = 2
     while True:
-        n_keys = np.clip(depth + margin, 1, count + 1).astype(np.int64)
-        ends = np.cumsum(n_keys)
-        starts = ends - n_keys
-        keys = np.full(ends[-1], mass)
-        keys[starts] = totals
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            np.cumsum(keys[lo:hi], out=keys[lo:hi])
-        owner = np.repeat(np.arange(n), n_keys)
-        picks = np.argsort(keys, kind="stable")[:count]
-        used = np.bincount(owner[picks], minlength=n)
-        if np.all(used < n_keys):
+        width = min(depth + margin, count + 1)
+        keys = np.full((n, width), mass)
+        keys[:, 0] = totals
+        np.cumsum(keys, axis=1, out=keys)
+        picks = np.argsort(keys.ravel(), kind="stable")[:count]
+        owner = picks // width
+        used = np.bincount(owner, minlength=n)
+        if used.max() < width:
             break
         margin *= 2
-    totals[:] = keys[starts + used]
-    return owner[picks]
+    totals[:] = keys[np.arange(n), used]
+    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +500,13 @@ def shift_ensemble_sim(
         seed_map = simulate_seed_map(p_x, n0, n)
     laps.append(time.perf_counter())
     # per-trial streams: source block and the shared shift
-    cum_src = np.cumsum(p_x.probs)
-    x_all = np.empty((trials, n + n0), dtype=np.int64)
+    u = np.empty((trials, n + n0))
     qs = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        gen = stream(seed, TRIAL_BASE + t)
-        u = gen.random(n + n0)
-        x_all[t] = np.searchsorted(cum_src, u, side="right")
+    for t, gen in enumerate(streams(seed, TRIAL_BASE, trials)):
+        gen.random(out=u[t])
         if mode == SHARED_SEED:
             qs[t] = gen.integers(0, n)
+    x_all = np.searchsorted(np.cumsum(p_x.probs), u, side="right")
     if mode == DERANDOMIZED:
         qs = seed_map.assign(x_all[:, n:])
     x_head = x_all[:, :n]

@@ -1,11 +1,14 @@
 """Counter-based random streams (Philox) with explicit stream splitting.
 
-Every simulation derives its generators as `stream(seed, k)`; distinct stream
-indices are statistically independent, so per-trial streams can be consumed
-in any order (or in parallel) without changing results.
+Every simulation derives its generators as `stream(seed, k)` (or, for a run
+of consecutive indices, `streams`); distinct stream indices are statistically
+independent, so per-trial streams can be consumed in any order (or in
+parallel) without changing results.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -17,11 +20,34 @@ AUX_STREAM = 1
 TRIAL_BASE = 2
 
 
+def _key(seed: int, stream_id: int) -> list[int]:
+    return [int(seed) & _MASK64, int(stream_id) & _MASK64]
+
+
 def stream(seed: int, stream_id: int) -> np.random.Generator:
     """Philox generator for (seed, stream_id); identical inputs, identical output."""
-    return np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK64, int(stream_id) & _MASK64])
-    )
+    # an explicit uint64 key: Philox reads a list holding an int of 2^63 or
+    # more through float64, which merges nearby seeds
+    key = np.array(_key(seed, stream_id), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def streams(seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
+    """The generators `stream(seed, first + t)` for t = 0, ..., count - 1.
+
+    One Philox is re-keyed through its `state` setter for each stream, with
+    the state a new Philox starts from: counter 0, an empty buffer and no
+    saved 32-bit half.  Each stream draws exactly what `stream` gives, at a
+    fraction of the cost of a new bit generator.  The same Generator object
+    is yielded every time, so finish drawing from one before taking the next.
+    """
+    bitgen = np.random.Philox(key=0)  # re-keyed before each use
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    for t in range(count):
+        fresh["state"]["key"] = _key(seed, first + t)
+        bitgen.state = fresh
+        yield gen
 
 
 def randint_below(gen: np.random.Generator, bound: int, size: int) -> list[int]:

@@ -116,6 +116,17 @@ def test_codebook_requires_a_target():
         Codebook(n=2, words=np.zeros((1, 2), dtype=int))
 
 
+@pytest.mark.parametrize("words", [[[0.7, 1.9]], [[0.0, np.nan]], [[1.0, np.inf]]])
+def test_codebook_rejects_non_integer_indices(words):
+    with pytest.raises(ValueError, match="must be integers"):
+        Codebook(n=2, words=np.array(words), target=Pmf.bernoulli(0.5))
+
+
+def test_codebook_accepts_integer_valued_floats():
+    cb = Codebook(n=2, words=np.array([[0.0, 1.0]]), target=Pmf.bernoulli(0.5))
+    assert cb.words.dtype == np.int64 and cb.words.tolist() == [[0, 1]]
+
+
 def test_codebook_determinism():
     a = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
     b = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
@@ -225,6 +236,10 @@ def _heap_seed_map_bins(p_x, n0, n):
         # massless atoms, and masses too small to move a bin total
         (Pmf.bernoulli(1.0), 5, 7),
         (Pmf.bernoulli(1e-6), 12, 64),
+        # one heavy letter and fifteen light ones
+        (Pmf.from_probs(tuple(range(16)), (0.999,) + (0.001 / 15,) * 15), 3, 64),
+        # masses near the spacing of the bin totals, where the grid's margin doubles
+        (Pmf.from_probs(tuple(range(5)), (0.988998999, 0.01, 0.001, 1e-6, 1e-9)), 6, 28),
     ],
 )
 def test_seed_map_matches_atom_by_atom_rule(p, n0, n):

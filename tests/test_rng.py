@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rdplab.rng import randint_below, stream
+from rdplab.rng import randint_below, stream, streams
 
 
 @pytest.mark.parametrize(
@@ -29,3 +29,22 @@ def test_randint_below_is_reproducible_per_stream():
     a = randint_below(stream(7, 3), 3**50, 200)
     assert a == randint_below(stream(7, 3), 3**50, 200)
     assert a != randint_below(stream(7, 4), 3**50, 200)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**62 + 3, 2**63 + 5, 2**64 - 1, -1])
+@pytest.mark.parametrize("first", [2, 2**64 - 3])
+def test_streams_draw_what_stream_draws(seed, first):
+    # random() then a 32-bit bounded draw, so each stream leaves a half-used
+    # word behind that the next one must not see
+    got = [(g.random(65), g.integers(0, 64)) for g in streams(seed, first, 5)]
+    for t, (u, q) in enumerate(got):
+        ref = stream(seed, first + t)
+        assert np.array_equal(u, ref.random(65))
+        assert q == ref.integers(0, 64)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 5, 2**64 - 1, -1])
+def test_stream_keys_every_bit_of_a_large_seed(seed):
+    key = stream(seed, 9).bit_generator.state["state"]["key"]
+    assert key.tolist() == [seed % 2**64, 9]
+    assert not np.array_equal(stream(seed, 9).random(4), stream(seed - 1, 9).random(4))
