@@ -201,10 +201,7 @@ def _curve_rows(kind: str, args) -> list[dict]:
 
 def _run_curve(args) -> int:
     if args.curve_kind in ("binary", "gaussian"):
-        try:
-            rows = _curve_rows(args.curve_kind, args)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        rows = _curve_rows(args.curve_kind, args)
         cols = ["D", "phi", "varphi", "rd_half"]
     else:
         d_grid = _parse_grid(args.d_grid)
@@ -298,11 +295,8 @@ def _run_simulate(args) -> int:
 
 
 def _run_verify(args) -> int:
-    try:
-        sol = closed_forms.binary_optimal_construction(args.rho, args.D)
-        report = closed_forms.kkt_verify(args.rho, args.D, sol, grid_size=args.grid)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sol = closed_forms.binary_optimal_construction(args.rho, args.D)
+    report = closed_forms.kkt_verify(args.rho, args.D, sol, grid_size=args.grid)
     _emit(serialize.dumps(serialize.kkt_report_to_dict(report)), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 

@@ -110,8 +110,10 @@ def simulate_circle(
     unconstrained: deterministic K, reconstruction points (0, +-2/pi) inside
                    the circle.
 
-    `exact` integrates the deterministic schemes over the angle instead of
-    sampling.
+    Sampling draws the angles, then (private and common only) the uniforms
+    W, from one stream.  `exact` instead averages a deterministic scheme's
+    distortion over 32 Gauss-Legendre nodes on each half-circle, where it is
+    smooth; the mean is within a few 1e-16 of the closed form.
     """
     if scheme not in CIRCLE_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -122,46 +124,35 @@ def simulate_circle(
         "antipodal": consts.common_or_antipodal,
         "unconstrained": consts.unconstrained,
     }[scheme]
+    randomized = scheme in ("private", "common")
     if exact:
-        from scipy.integrate import quad
-
-        if scheme == "antipodal":
-            val = quad(lambda t: 2.0 - 2.0 * math.cos(t - math.pi / 2), 0.0, math.pi)[0]
-            val += quad(
-                lambda t: 2.0 - 2.0 * math.cos(t - 3 * math.pi / 2), math.pi, 2 * math.pi
-            )[0]
-            mean = val / (2 * math.pi)
-        elif scheme == "unconstrained":
-            val = quad(
-                lambda t: 1.0 + 4.0 / math.pi**2 - (4.0 / math.pi) * abs(math.sin(t)),
-                0.0,
-                2 * math.pi,
-                limit=200,
-            )[0]
-            mean = val / (2 * math.pi)
-        else:
+        if randomized:
             raise ValueError(f"exact integration needs a deterministic scheme, not {scheme!r}")
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        theta = np.concatenate([nodes + 1.0, nodes + 3.0]) * (math.pi / 2)
+        mean = np.average(_circle_distortion(scheme, theta, None), weights=np.tile(weights, 2))
         return CircleEstimate(scheme, 0, float(mean), 0.0, analytic)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     gen = stream(seed, AUX_STREAM)
     theta = 2.0 * math.pi * gen.random(samples)
-    if scheme == "private":
-        k = (theta >= math.pi).astype(float)
-        w = gen.random(samples)
-        dist = 2.0 - 2.0 * np.cos(theta - (k + w) * math.pi)
-    elif scheme == "common":
-        w = gen.random(samples)
-        cell = np.floor(theta / math.pi + w)
-        dist = 2.0 - 2.0 * np.cos(theta - (cell + 0.5 - w) * math.pi)
-    elif scheme == "antipodal":
-        k = (theta >= math.pi).astype(float)
-        dist = 2.0 - 2.0 * np.cos(theta - (0.5 + k) * math.pi)
-    else:
-        dist = 1.0 + 4.0 / math.pi**2 - (4.0 / math.pi) * np.abs(np.sin(theta))
+    dist = _circle_distortion(scheme, theta, gen.random(samples) if randomized else None)
     mean = float(dist.mean())
     std_error = float(dist.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return CircleEstimate(scheme, samples, mean, std_error, analytic)
+
+
+def _circle_distortion(scheme: str, theta: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Squared distance from the point at angle `theta` to the scheme's
+    reconstruction; `w` is the private or common uniform."""
+    if scheme == "unconstrained":
+        return 1.0 + 4.0 / math.pi**2 - (4.0 / math.pi) * np.abs(np.sin(theta))
+    if scheme == "common":
+        angle = (np.floor(theta / math.pi + w) + 0.5 - w) * math.pi
+    else:
+        k = (theta >= math.pi).astype(float)
+        angle = (k + w) * math.pi if scheme == "private" else (0.5 + k) * math.pi
+    return 2.0 - 2.0 * np.cos(theta - angle)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +191,8 @@ def random_typical_codebook(
     The codebook is drawn in bulk: all ranks come from one `randint_below`
     call, the counts of symbol j from one search of each state's block
     sizes for all the words that reached it, and the words from one
-    `gen.permuted` call over the stacked sorted multisets.  The stream
-    yields every rank first and then every permutation, so a seed gives
-    other words than the earlier word-by-word sampler did (it took each
-    word's rank and permutation in turn); the law of the words is the same.
+    `gen.permuted` call over the stacked sorted multisets; the stream
+    yields every rank first and then every permutation.
     """
     check_typical_codebook(target, n, rate_bits, delta)
     probs = target.probs
@@ -214,7 +203,6 @@ def random_typical_codebook(
         np.flatnonzero(_typical_counts(np.arange(n + 1)[:, None], n, probs[j : j + 1], delta))
         for j in range(k)
     ]
-    last_allowed = set(allowed[-1].tolist())
     # (j, m) -> with m letters left for symbols j, ..., k - 1: the counts c
     # of symbol j that have completions, cumulative block sizes and C(m, c)
     # (object arrays of python ints: they overflow int64); only states a
@@ -222,13 +210,12 @@ def random_typical_codebook(
     states: dict[tuple[int, int], tuple] = {}
 
     def walk_state(j: int, m: int) -> tuple:
+        if j == k:  # past the last symbol: one completion iff no letter is left
+            return (), (0, int(m == 0)), ()
         if (j, m) not in states:
             counts, cum, combs = [], [0], []
             for c in allowed[j][allowed[j] <= m].tolist():
-                if j == k - 2:
-                    completions = int(m - c in last_allowed)
-                else:
-                    completions = walk_state(j + 1, m - c)[1][-1]
+                completions = walk_state(j + 1, m - c)[1][-1]
                 if completions:
                     counts.append(c)
                     combs.append(math.comb(m, c))
@@ -240,7 +227,7 @@ def random_typical_codebook(
             )
         return states[j, m]
 
-    total = walk_state(0, n)[1][-1] if k > 1 else int(n in last_allowed)
+    total = walk_state(0, n)[1][-1]
     if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
     gen = stream(seed, CODEBOOK_STREAM)
@@ -283,10 +270,13 @@ def encode_min_distortion(
     computed from its joint-type counts with `xn`, so words of equal joint
     type tie exactly, and ties break toward the lowest index.  The working
     set is a few n x words and 1 x words float arrays.  mode="threshold"
-    instead returns the first word whose per-letter distortion, summed
-    letter by letter, is at most `threshold`, falling back to index 0 (the
-    construction the covering argument analyses).  Both modes reject a
-    codebook with no words and a symbol outside the source alphabet.
+    instead returns the first word whose total distortion divided by n is
+    at most `threshold`, falling back to index 0 (the construction the
+    covering argument analyses).  That total is numpy's sum of the n
+    per-letter distortions, pairwise for n >= 8, so it can differ in the
+    last bits from a letter-by-letter sum, and a total exactly at the
+    threshold may round either way.  Both modes reject a codebook with no
+    words and a symbol outside the source alphabet.
     """
     src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
     mat = _distortion_matrix(dist, src, cb.alphabet)
@@ -461,18 +451,24 @@ def shift_ensemble_sim(
 
     One typical-set codebook is drawn for the pushforward of `p_x` through
     `target_channel`; shift q encodes s_{-q}(x^n) with the base code and
-    shifts the chosen word back.  shared_seed draws q uniformly per trial;
-    derandomized computes q from floor(alpha*n) extra source symbols through
-    a seed map and reuses the first reconstructions for that tail.
+    shifts the chosen word back.  Both modes run one pipeline over a block
+    of n source symbols and a tail of n0 more; the mode fixes only n0, the
+    seed map and where q comes from.  shared_seed has no tail (n0 = 0) and
+    draws q uniformly from the trial's stream after its source block;
+    derandomized takes n0 = floor(alpha*n) (capped so the seed map stays
+    enumerable), computes q from the tail through a seed map and reuses the
+    first n0 reconstructions for the tail.  The average distortion is the
+    mean over trials of (block + tail distortion) / (n + n0).
 
     The report carries per-letter reconstruction marginals, their worst total
     variation to the target marginal, the average distortion (tail included
     in derandomized mode), and the number of trials whose reconstruction
     block violates the empirical perception budget (default: divergence of
     the target marginal from the source plus the typicality slack
-    2 * delta * |support|).  `timings` holds the wall seconds of the
-    codebook draw, the seed map (near 0 in shared_seed mode), the encoding
-    (source blocks, shifts, encode and decode) and the audit.
+    2 * delta * |support|); `diagnostics["seed_map_tv"]` is None in
+    shared_seed mode.  `timings` holds the wall seconds of the codebook
+    draw, the seed map (near 0 in shared_seed mode), the encoding (source
+    blocks, shifts, encode, decode and tail) and the audit.
     """
     if mode not in (SHARED_SEED, DERANDOMIZED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -484,67 +480,52 @@ def shift_ensemble_sim(
     laps = [time.perf_counter()]
     cb = random_typical_codebook(p_tilde, n, rate_bits, delta, seed)
     laps.append(time.perf_counter())
-    src_labels = p_x.labels
-    mat = _distortion_matrix(dist, src_labels, p_tilde_full.labels)
     col_idx = [p_tilde_full.labels.index(a) for a in support]
-    mat = mat[:, col_idx]
-    k_src = len(src_labels)
+    mat = _distortion_matrix(dist, p_x.labels, p_tilde_full.labels)[:, col_idx]
+    # the mode picks n0, the seed map and where each trial's shift q comes from
     n0 = 0
     seed_map = None
     if mode == DERANDOMIZED:
-        n0 = int(math.floor(alpha * n))
-        cap = int(math.floor(math.log(MAX_SEED_ATOMS, max(2, k_src))))
-        n0 = min(n0, cap)
+        cap = int(math.floor(math.log(MAX_SEED_ATOMS, max(2, len(p_x.atoms)))))
+        n0 = min(int(math.floor(alpha * n)), cap)
         if n0 < 1:
             raise ValueError("alpha * n below one symbol; derandomized mode needs a tail")
         seed_map = simulate_seed_map(p_x, n0, n)
     laps.append(time.perf_counter())
-    # per-trial streams: source block and the shared shift
+    # per-trial streams: source block and tail, then (shared seed) the shift
     u = np.empty((trials, n + n0))
     qs = np.empty(trials, dtype=np.int64)
     for t, gen in enumerate(streams(seed, TRIAL_BASE, trials)):
         gen.random(out=u[t])
-        if mode == SHARED_SEED:
+        if seed_map is None:
             qs[t] = gen.integers(0, n)
-    x_all = np.searchsorted(np.cumsum(p_x.probs), u, side="right")
-    if mode == DERANDOMIZED:
-        qs = seed_map.assign(x_all[:, n:])
-    x_head = x_all[:, :n]
-    cols_enc = (np.arange(n)[None, :] - qs[:, None]) % n
-    xs = np.take_along_axis(x_head, cols_enc, axis=1)
+    x_head, x_tail = np.split(np.searchsorted(np.cumsum(p_x.probs), u, side="right"), [n], axis=1)
+    if seed_map is not None:
+        qs = seed_map.assign(x_tail)
+    xs = np.take_along_axis(x_head, (np.arange(n) - qs[:, None]) % n, axis=1)
     m_star, dist_head = _batch_encode(xs, cb.words, mat)
-    base = cb.words[m_star]
-    cols_dec = (np.arange(n)[None, :] + qs[:, None]) % n
-    xhat = np.take_along_axis(base, cols_dec, axis=1)
-    if mode == DERANDOMIZED:
-        tail_d = np.zeros(trials)
-        for j in range(n0):
-            tail_d += mat[x_all[:, n + j], xhat[:, j]]
-        avg_distortion = float(np.mean((dist_head + tail_d) / (n + n0)))
-    else:
-        avg_distortion = float(np.mean(dist_head / n))
+    xhat = np.take_along_axis(cb.words[m_star], (np.arange(n) + qs[:, None]) % n, axis=1)
+    # the tail reuses the first n0 reconstructions; empty in shared-seed mode
+    tail_d = np.zeros(trials)
+    for j in range(n0):
+        tail_d += mat[x_tail[:, j], xhat[:, j]]
+    avg_distortion = float(np.mean((dist_head + tail_d) / (n + n0)))
     laps.append(time.perf_counter())
     k_tgt = len(support)
-    counts = np.zeros((n, k_tgt))
-    for b in range(k_tgt):
-        counts[:, b] = (xhat == b).sum(axis=0)
+    # counts[t, b]: the trials whose letter t is b
+    counts = np.bincount((np.arange(n) * k_tgt + xhat).ravel(), minlength=n * k_tgt).reshape(n, k_tgt)
     marginals = [Pmf.from_probs(support, counts[t] / trials) for t in range(n)]
-    max_div = max(
-        divergence(total_variation(), p_tilde, marg) for marg in marginals
-    )
-    dv, budget = _perception_setup(
-        perception_divergence, perception_budget, p_x, p_tilde, delta
-    )
+    max_div = max(divergence(total_variation(), p_tilde, marg) for marg in marginals)
+    dv, budget = _perception_setup(perception_divergence, perception_budget, p_x, p_tilde, delta)
     violations = 0
     if dv is not None:
         # a word's divergence depends only on its composition
         word_comps = np.stack([(cb.words == b).sum(axis=1) for b in range(k_tgt)], axis=1)
         comps, comp_of_word = np.unique(word_comps, axis=0, return_inverse=True)
-        comp_divs = np.array(
-            [divergence(dv, p_x, Pmf.from_probs(support, c / n)) for c in comps]
-        )
+        comp_divs = np.array([divergence(dv, p_x, Pmf.from_probs(support, c / n)) for c in comps])
         violations = int(np.sum(comp_divs[comp_of_word.ravel()[m_star]] > budget))
     laps.append(time.perf_counter())
+    reference = float(np.sum(p_x.probs[:, None] * target_channel.matrix[:, col_idx] * mat))
     return SimReport(
         n=n,
         trials=trials,
@@ -560,9 +541,7 @@ def shift_ensemble_sim(
             "codebook_words": len(cb),
             "seed_map_tv": seed_map.tv_to_uniform if seed_map else None,
             "perception_budget": budget,
-            "reference_distortion": float(
-                np.sum(p_x.probs[:, None] * target_channel.matrix[:, col_idx] * mat)
-            ),
+            "reference_distortion": reference,
         },
         timings=dict(zip(("draw_s", "seed_map_s", "encode_s", "audit_s"), np.diff(laps).tolist())),
     )

@@ -454,6 +454,7 @@ def test_closed_form_commands_never_import_scipy_solvers(problem_file, tmp_path)
             (["curve", "gaussian", "--grid", "20"], 0),
             (["verify", "kkt", "--rho", "0.25", "--D", "0.2", "--grid", "101"], 0),
             (["simulate", "circle", "--scheme", "common", "--samples", "1000"], 0),
+            (["simulate", "circle", "--scheme", "antipodal", "--exact"], 0),
             (["solve", "--problem", {problem_file!r}, "--D", "0.1", "--P", "0.0"], 0),
             (["curve", "solve", "--problem", {problem_file!r}, "--D-grid", "0.1:0.3:3"], 0),
             (["solve", "--problem", {str(infeasible)!r}, "--D", "0.5", "--P", "0.5"], 3),

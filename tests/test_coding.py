@@ -645,6 +645,39 @@ def test_private_randomness_mirror():
         assert abs(info["mismatch_rate"] - info["tv"]) <= mc_err + 1e-12
 
 
+def test_private_randomness_explicit_distortion():
+    p = Pmf.bernoulli(0.25)
+    noisy = Channel((0, 1), (0, 1), np.array([[0.8, 0.2], [0.3, 0.7]]))
+    args = (p, Channel.identity((0, 1)), noisy)
+    default = private_randomness_channel_sim(*args, trials=5000, seed=4)
+    # the draws do not depend on the distortion: a doubled Hamming matrix,
+    # as an array or a callable, doubles the squared-error default exactly
+    for dist in (2.0 * HAMMING, lambda x, y: 2.0 * (x != y)):
+        rep = private_randomness_channel_sim(*args, trials=5000, seed=4, dist=dist)
+        assert rep.avg_distortion == 2 * default.avg_distortion > 0.0
+        assert rep.per_letter_marginals[0].probs.tolist() == default.per_letter_marginals[0].probs.tolist()
+
+
+def test_private_randomness_hamming_for_non_real_labels():
+    p = Pmf.from_probs(("a", "b"), (0.3, 0.7))
+    encoder = Channel.identity(("a", "b"))
+    # the decoder lists the same labels in another order: Hamming distortion
+    # is taken by label, not by position
+    relabel = Channel(("a", "b"), ("b", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rep = private_randomness_channel_sim(p, encoder, relabel, trials=2000, seed=6)
+    assert rep.avg_distortion == 0.0
+    assert rep.max_perletter_divergence < 0.05
+    flip = Channel(("a", "b"), ("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert private_randomness_channel_sim(p, encoder, flip, trials=2000, seed=6).avg_distortion == 1.0
+
+
+def test_private_randomness_needs_a_distortion_for_other_non_real_labels():
+    p = Pmf.from_probs(("a", "b"), (0.3, 0.7))
+    other = Channel(("a", "b"), ("x", "y"), np.eye(2))
+    with pytest.raises(ValueError, match="provide a distortion for non-real alphabets"):
+        private_randomness_channel_sim(p, Channel.identity(("a", "b")), other, trials=10)
+
+
 def _words_digest(cb):
     return hashlib.sha256(cb.words.tobytes()).hexdigest()
 
