@@ -192,7 +192,10 @@ def random_typical_codebook(
     call, the counts of symbol j from one search of each state's block
     sizes for all the words that reached it, and the words from one
     `gen.permuted` call over the stacked sorted multisets; the stream
-    yields every rank first and then every permutation.
+    yields every rank first and then every permutation.  The ranks, block
+    sizes and C(m, c) are int64 when the set has fewer than 2^63 words and
+    Python ints (object arrays) otherwise; the search, difference and floor
+    division give the same integers in both.
     """
     check_typical_codebook(target, n, rate_bits, delta)
     probs = target.probs
@@ -204,14 +207,13 @@ def random_typical_codebook(
         for j in range(k)
     ]
     # (j, m) -> with m letters left for symbols j, ..., k - 1: the counts c
-    # of symbol j that have completions, cumulative block sizes and C(m, c)
-    # (object arrays of python ints: they overflow int64); only states a
-    # walk reaches are built.
+    # of symbol j that have completions, and lists of python ints of the
+    # cumulative block sizes and C(m, c); only states a walk reaches are built.
     states: dict[tuple[int, int], tuple] = {}
 
     def walk_state(j: int, m: int) -> tuple:
         if j == k:  # past the last symbol: one completion iff no letter is left
-            return (), (0, int(m == 0)), ()
+            return (), [0, int(m == 0)], []
         if (j, m) not in states:
             counts, cum, combs = [], [0], []
             for c in allowed[j][allowed[j] <= m].tolist():
@@ -220,18 +222,17 @@ def random_typical_codebook(
                     counts.append(c)
                     combs.append(math.comb(m, c))
                     cum.append(cum[-1] + combs[-1] * completions)
-            states[j, m] = (
-                np.array(counts, dtype=np.int64),
-                np.array(cum, dtype=object),
-                np.array(combs, dtype=object),
-            )
+            states[j, m] = (np.array(counts, dtype=np.int64), cum, combs)
         return states[j, m]
 
     total = walk_state(0, n)[1][-1]
     if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
+    # every block size and rank is at most total, so int64 holds them all
+    # below 2^63; larger sets walk in python ints (object arrays)
+    dtype = np.int64 if total < 2**63 else object
     gen = stream(seed, CODEBOOK_STREAM)
-    ranks = np.array(randint_below(gen, total, n_words), dtype=object)
+    ranks = np.array(randint_below(gen, total, n_words), dtype=dtype)
     comps = np.empty((n_words, k), dtype=np.int64)
     left = np.full(n_words, n, dtype=np.int64)
     for j in range(k - 1):
@@ -240,6 +241,7 @@ def random_typical_codebook(
         ms, starts = np.unique(left[order], return_index=True)
         for m, at in zip(ms.tolist(), np.split(order, starts[1:])):
             counts, cum, combs = walk_state(j, m)
+            cum, combs = np.array(cum, dtype=dtype), np.array(combs, dtype=dtype)
             t = np.searchsorted(cum, ranks[at], side="right") - 1
             comps[at, j] = counts[t]
             ranks[at] = (ranks[at] - cum[t]) // combs[t]
@@ -398,11 +400,28 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     so the margin doubles.  The work is n times that width.  When the mass
     does not move the lightest total (t + mass == t, as for a massless
     atom), that bin stays the least (total, bin) and takes the whole run.
+    When every total is equal, every row is the same sequence; if it
+    strictly increases up to the deepest key a bin takes, the order is
+    j-major and bin-minor, so pick i goes to bin i % n, and the new totals
+    come from one row's np.cumsum (a rounding that stalls the sequence
+    falls back to the grid).
     """
     n = len(totals)
     lightest = int(np.argmin(totals))
     if totals[lightest] + mass == totals[lightest]:
         return np.full(count, lightest, dtype=np.int64)
+    if np.all(totals == totals[0]):
+        # every bin has the key sequence of one row; if it strictly
+        # increases up to the deepest key a bin reaches, the sort is
+        # j-major and bin-minor, so pick i goes to bin i % n
+        used = np.full(n, count // n)
+        used[: count % n] += 1
+        keys = np.full(used[0] + 1, mass)
+        keys[0] = totals[0]
+        np.cumsum(keys, out=keys)
+        if np.all(keys[1:] > keys[:-1]):
+            totals[:] = keys[used]
+            return np.arange(count, dtype=np.int64) % n
     # the level that count * mass fills the lightest bins up to, as if mass
     # were divisible; a bin takes about (level - total) / mass atoms
     s = np.sort(totals)
@@ -465,7 +484,9 @@ def shift_ensemble_sim(
     in derandomized mode), and the number of trials whose reconstruction
     block violates the empirical perception budget (default: divergence of
     the target marginal from the source plus the typicality slack
-    2 * delta * |support|); `diagnostics["seed_map_tv"]` is None in
+    2 * delta * |support|); the audit takes the compositions of the chosen
+    words only, one divergence per distinct composition.
+    `diagnostics["seed_map_tv"]` is None in
     shared_seed mode.  `timings` holds the wall seconds of the codebook
     draw, the seed map (near 0 in shared_seed mode), the encoding (source
     blocks, shifts, encode, decode and tail) and the audit.
@@ -519,11 +540,14 @@ def shift_ensemble_sim(
     dv, budget = _perception_setup(perception_divergence, perception_budget, p_x, p_tilde, delta)
     violations = 0
     if dv is not None:
-        # a word's divergence depends only on its composition
-        word_comps = np.stack([(cb.words == b).sum(axis=1) for b in range(k_tgt)], axis=1)
+        # a word's divergence depends only on its composition, and only the
+        # words some trial chose are audited (at most `trials` of them)
+        chosen, word_of_trial = np.unique(m_star, return_inverse=True)
+        words = cb.words[chosen]
+        word_comps = np.stack([(words == b).sum(axis=1) for b in range(k_tgt)], axis=1)
         comps, comp_of_word = np.unique(word_comps, axis=0, return_inverse=True)
         comp_divs = np.array([divergence(dv, p_x, Pmf.from_probs(support, c / n)) for c in comps])
-        violations = int(np.sum(comp_divs[comp_of_word.ravel()[m_star]] > budget))
+        violations = int(np.sum(comp_divs[comp_of_word.ravel()[word_of_trial.ravel()]] > budget))
     laps.append(time.perf_counter())
     reference = float(np.sum(p_x.probs[:, None] * target_channel.matrix[:, col_idx] * mat))
     return SimReport(

@@ -55,20 +55,41 @@ def randint_below(gen: np.random.Generator, bound: int, size: int) -> list[int]:
     ints, for arbitrary-precision bounds.
 
     Masked rejection: each candidate is the low bit_length(bound) bits of
-    its own bytes, kept when below `bound` (at least half are).  Each round
-    draws the candidates for every rank still missing from one `gen.bytes`
-    buffer, and the kept ones are appended in buffer order.
+    its own nbytes = ceil(bit_length / 8) little-endian bytes, kept when
+    below `bound` (at least half are).  Each round draws the candidates for
+    every rank still missing from one `gen.bytes` buffer, and the kept ones
+    are appended in buffer order.  A round is vectorized: limb i of a
+    candidate is the little-endian uint64 at byte 8i of it, read in place
+    from the buffer (a strided view), and the top limb is masked to the
+    candidate's remaining bits, which clears the bytes it reads past the
+    candidate's end.  Candidates are compared with `bound` limb by limb from
+    the most significant.  Python ints are built only for the kept
+    candidates: by `tolist` below 2^64, and above it from the top limb down,
+    by one object-array shift and or per further limb.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
     bits = bound.bit_length()
     nbytes = (bits + 7) // 8
-    mask = (1 << bits) - 1
+    limbs = (nbytes + 7) // 8
+    top_mask = np.uint64((1 << (bits - 64 * (limbs - 1))) - 1)
+    bound_limbs = [np.uint64((bound >> (64 * i)) & _MASK64) for i in range(limbs)]
     ranks: list[int] = []
     while len(ranks) < size:
-        buf = gen.bytes((size - len(ranks)) * nbytes)
-        for i in range(0, len(buf), nbytes):
-            r = int.from_bytes(buf[i : i + nbytes], "little") & mask
-            if r < bound:
-                ranks.append(r)
+        want = size - len(ranks)
+        # 8 zero bytes at the end keep the last top-limb read inside the buffer
+        buf = gen.bytes(want * nbytes) + bytes(8)
+        limb = np.ndarray((limbs, want), dtype="<u8", buffer=buf, strides=(8, nbytes))
+        top = limb[-1] & top_mask
+        below = top < bound_limbs[-1]
+        equal = top == bound_limbs[-1]
+        for i in reversed(range(limbs - 1)):
+            below |= equal & (limb[i] < bound_limbs[i])
+            equal &= limb[i] == bound_limbs[i]
+        value = top[below]
+        if limbs > 1:
+            value = value.astype(object)
+            for i in reversed(range(limbs - 1)):
+                value = (value << 64) | limb[i][below].astype(object)
+        ranks.extend(value.tolist())
     return ranks

@@ -240,10 +240,38 @@ def _heap_seed_map_bins(p_x, n0, n):
         (Pmf.from_probs(tuple(range(16)), (0.999,) + (0.001 / 15,) * 15), 3, 64),
         # masses near the spacing of the bin totals, where the grid's margin doubles
         (Pmf.from_probs(tuple(range(5)), (0.988998999, 0.01, 0.001, 1e-6, 1e-9)), 6, 28),
+        # runs that meet equal bin totals, zero and not
+        (Pmf.uniform((0, 1, 2, 3)), 5, 64),
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.25, 0.25)), 2, 2),
     ],
 )
 def test_seed_map_matches_atom_by_atom_rule(p, n0, n):
     assert np.array_equal(simulate_seed_map(p, n0, n).bins, _heap_seed_map_bins(p, n0, n))
+
+
+@pytest.mark.parametrize(
+    "totals, mass, count",
+    [
+        ([0.0, 0.0, 0.0], 0.1, 7),
+        ([0.25, 0.25], 0.125, 4),
+        ([0.0] * 5, 1 / 3, 3),
+        # equal totals where the second step of mass rounds back to the first:
+        # 0.5 - 2^-54 + 2^-54 is 0.5, and 0.5 + 2^-54 is 0.5 again
+        ([0.5 - 2**-54] * 3, 2**-54, 7),
+        ([0.5 - 2**-54, 0.5 - 2**-54, 0.2], 2**-54, 5),
+    ],
+)
+def test_place_run_matches_the_lightest_bin_rule(totals, mass, count):
+    heap = [(t, b) for b, t in enumerate(totals)]
+    heapq.heapify(heap)
+    owners = []
+    for _ in range(count):
+        t, b = heapq.heappop(heap)
+        owners.append(b)
+        heapq.heappush(heap, (t + mass, b))
+    got = np.array(totals)
+    assert coding._place_run(got, mass, count).tolist() == owners
+    assert got.tolist() == [t for t, _ in sorted(heap, key=lambda tb: tb[1])]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -698,6 +726,12 @@ CODEBOOK_CASES = {
     ),
     # a typical set of about 2^1760 words, beyond any list of its members
     "bernoulli-n2000": lambda: random_typical_codebook(Pmf.bernoulli(0.3), 2000, 0.005, 0.5, seed=4),
+    # every word typical: 2^62, 2^63 and 2^64 words, on both sides of the
+    # int64 rank walk and of one uint64 rejection limb
+    **{
+        f"bernoulli-n{n}": (lambda n=n: random_typical_codebook(Pmf.bernoulli(0.5), n, 8 / n, 1.0, seed=11))
+        for n in (62, 63, 64)
+    },
 }
 
 
@@ -728,10 +762,27 @@ def _seed_map_digest():
     return h.hexdigest()
 
 
+def _equal_totals_seed_map_digest():
+    # runs of equal masses that meet equal bin totals
+    h = hashlib.sha256()
+    u4 = Pmf.uniform((0, 1, 2, 3))
+    for p, n0, n in [
+        (u4, 6, 10),
+        (u4, 5, 64),
+        (Pmf.bernoulli(0.5), 8, 7),
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.25, 0.25)), 2, 2),
+    ]:
+        sm = simulate_seed_map(p, n0, n)
+        h.update(sm.bins.tobytes())
+        h.update(repr(sm.tv_to_uniform).encode())
+    return h.hexdigest()
+
+
 PINNED_CODING = {
     **{case: (lambda f=f: _words_digest(f())) for case, f in CODEBOOK_CASES.items()},
     "soft-covering-tv": _soft_covering_digest,
     "seed-map": _seed_map_digest,
+    "seed-map-equal-totals": _equal_totals_seed_map_digest,
 }
 
 # sha256 of codebook words, soft-covering TVs and seed maps, recorded before
@@ -742,12 +793,18 @@ PINNED_CODING = {
 # codebook's prefix trie (8 of its 12 TVs moved, by at most 8.3e-16).  Every
 # pin but seed-map was recorded again when the codebook came to be drawn in
 # bulk (every rank, then every permutation), which changes the words a seed
-# gives.
+# gives.  The three bernoulli-n62..64 pins and seed-map-equal-totals were
+# recorded before the rank walk went to int64 and equal bin totals to round
+# robin.
 CODING_DIGESTS = {
     "bernoulli-n2000": "9cbc22974f98558f389c90903b17089dfcf9b13a3dd404d5bebf922270ecd84a",
+    "bernoulli-n62": "b866895abee8c384bb00ac2356e7335213fe545d111aac587afe6c6ff906d903",
+    "bernoulli-n63": "fcbdca3f74f2c2dfea7851d7af21a4fb646c186d84240c7e77becd9242272295",
+    "bernoulli-n64": "5e72b66782650aacf67af661cab8e199deb4f102a4e10afd1517717a16b3fbe5",
     "binary-n12": "3e6889187c620445ca4226c4917c51236f2e68b5f4f6dc81dbd7c5c9f80b9017",
     "quaternary-n24": "5024ac6841876ce677145bade62182fef18cad54e8778c2001dd1554c2e6652c",
     "seed-map": "7084c07dfcc3ffe7f35893ac9edc3153cde0c3da28f169955ba2c84a137ac7ec",
+    "seed-map-equal-totals": "fc6d496246e29f1440f7ee52a59fe4c202d6fa4098eef01e3c0c8329e93e9f9c",
     "soft-covering-tv": "88682c1e4770c94bf58afcb585de2bd4161da5454869442848f567a4457152d9",
     "ternary-n64": "5b717d0ba8eb45d5a291599fa627d19792945af5ce1b4bf6a6056eb8d23a7fce",
 }

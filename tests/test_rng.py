@@ -19,6 +19,36 @@ def test_randint_below_sizes_zero_and_one():
     assert 0 <= r < 2**100
 
 
+def _scalar_randint_below(gen, bound, size):
+    """Masked rejection one candidate at a time, with int.from_bytes."""
+    bits = bound.bit_length()
+    nbytes = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    ranks = []
+    while len(ranks) < size:
+        buf = gen.bytes((size - len(ranks)) * nbytes)
+        for i in range(0, len(buf), nbytes):
+            r = int.from_bytes(buf[i : i + nbytes], "little") & mask
+            if r < bound:
+                ranks.append(r)
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [1, 2, 255, 256, 257, 2**56 - 1, 2**56, 2**63 - 1, 2**63, 2**63 + 1]
+    + [2**64 - 1, 2**64, 2**64 + 1, 3**50, 2**1000 + 3],
+)
+@pytest.mark.parametrize("size", [0, 1, 1000])
+def test_randint_below_matches_the_scalar_rule(bound, size):
+    gen, ref = stream(23, 4), stream(23, 4)
+    got = randint_below(gen, bound, size)
+    assert got == _scalar_randint_below(ref, bound, size)
+    assert all(type(r) is int for r in got)
+    # the same bytes were consumed: the next draw agrees
+    assert gen.random() == ref.random()
+
+
 @pytest.mark.parametrize("bound", [0, -3])
 def test_randint_below_rejects_a_nonpositive_bound(bound):
     with pytest.raises(ValueError, match="bound must be positive"):
