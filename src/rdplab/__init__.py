@@ -6,12 +6,10 @@ from .pmf import (
     Coupling,
     Pmf,
     binary_entropy,
-    circular_shift,
     empirical_pmf,
     entropy,
     is_delta_typical,
     mutual_information,
-    quantize_to_grid,
 )
 from .divergences import (
     DivergenceSpec,
@@ -38,7 +36,6 @@ from .closed_forms import (
     rd_half_binary,
     varphi_binary,
     varphi_gaussian,
-    zero_distortion_rate,
 )
 from .solver import (
     GridInfeasibleError,

@@ -59,24 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     cb = curve_sub.add_parser("binary", help="Bernoulli closed forms")
     cb.add_argument("--rho", type=float, default=0.25)
     cb.add_argument("--grid", type=int, default=200)
-    _io_flags(cb, default_format="csv")
     cg = curve_sub.add_parser("gaussian", help="Gaussian closed forms")
     cg.add_argument("--var", type=float, default=1.0)
     cg.add_argument("--grid", type=int, default=200)
-    _io_flags(cg, default_format="csv")
     cs = curve_sub.add_parser("solve", help="numerical sweep of a problem file")
     cs.add_argument("--problem", required=True)
     cs.add_argument("--D-grid", dest="d_grid", required=True, metavar="A:B:N")
     cs.add_argument("--P-grid", dest="p_grid", default=None, metavar="A:B:N")
     cs.add_argument("--tol", type=float, default=1e-6)
-    _io_flags(cs, default_format="csv")
 
     solve = sub.add_parser("solve", help="solve one (D, P) instance")
     solve.add_argument("--problem", required=True)
     solve.add_argument("--D", type=float, required=True)
     solve.add_argument("--P", type=float, required=True)
     solve.add_argument("--tol", type=float, default=1e-6)
-    _io_flags(solve, default_format="json")
 
     sim = sub.add_parser("simulate", help="run a coding-scheme simulation")
     sim_sub = sim.add_subparsers(dest="sim_kind", required=True)
@@ -86,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--samples", type=int, default=1_000_000)
     sc.add_argument("--seed", type=int, default=None)
     sc.add_argument("--exact", action="store_true")
-    _io_flags(sc, default_format="json")
     sb = sim_sub.add_parser("block", help="shift-ensemble block coding")
     sb.add_argument("--spec", required=True,
                     help="JSON with source, channel, distortion")
@@ -99,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--alpha", type=float, default=0.1)
     sb.add_argument("--marginals-csv", default=None,
                     help="also write per-letter marginals as t,atom,prob")
-    _io_flags(sb, default_format="json")
     so = sim_sub.add_parser("softcover", help="exact soft-covering TV scan")
     so.add_argument("--spec", required=True,
                     help="JSON with target, channel, reference")
@@ -109,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--codebooks", type=int, default=1,
                     help="number of codebook seeds to average")
     so.add_argument("--seed", type=int, default=None)
-    _io_flags(so, default_format="json")
 
     verify = sub.add_parser("verify", help="check an optimality certificate")
     verify_sub = verify.add_subparsers(dest="verify_kind", required=True)
@@ -117,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     vk.add_argument("--rho", type=float, required=True)
     vk.add_argument("--D", type=float, required=True)
     vk.add_argument("--grid", type=int, default=1001)
-    _io_flags(vk, default_format="json")
+
+    for parser in (cb, cg, cs, solve, sc, sb, so, vk):
+        parser.add_argument("--output", default=None, help="file path (default stdout)")
+    # only the curves have a CSV form; every other command writes JSON
+    for parser in (cb, cg, cs):
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return top
-
-
-def _io_flags(parser, default_format):
-    parser.add_argument("--output", default=None, help="file path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -173,30 +166,22 @@ def _load_problem(path: str, **budgets) -> RdpProblem:
 def _curve_rows(kind: str, args) -> list[dict]:
     if args.grid < 1:
         raise CliError("--grid must be positive")
-    rows = []
     if kind == "binary":
-        dmax = 2.0 * args.rho * (1.0 - args.rho)
-        for dist in np.linspace(0.0, dmax, args.grid + 1):
-            rows.append(
-                {
-                    "D": dist,
-                    "phi": closed_forms.phi_binary(args.rho, dist),
-                    "varphi": closed_forms.varphi_binary(args.rho, dist),
-                    "rd_half": closed_forms.rd_half_binary(args.rho, dist),
-                }
-            )
+        param, dmax = args.rho, 2.0 * args.rho * (1.0 - args.rho)
+        phi, varphi = closed_forms.phi_binary, closed_forms.varphi_binary
+        rd_half = closed_forms.rd_half_binary
     else:
-        dmax = 2.0 * args.var
-        for dist in np.linspace(0.0, dmax, args.grid + 1):
-            rows.append(
-                {
-                    "D": dist,
-                    "phi": closed_forms.phi_gaussian(args.var, dist),
-                    "varphi": closed_forms.varphi_gaussian(args.var, dist),
-                    "rd_half": closed_forms.rd_gaussian(args.var, dist / 2.0),
-                }
-            )
-    return rows
+        param, dmax = args.var, 2.0 * args.var
+        phi, varphi = closed_forms.phi_gaussian, closed_forms.varphi_gaussian
+
+        def rd_half(var, dist):
+            return closed_forms.rd_gaussian(var, dist / 2.0)
+
+    return [
+        {"D": dist, "phi": phi(param, dist), "varphi": varphi(param, dist),
+         "rd_half": rd_half(param, dist)}
+        for dist in np.linspace(0.0, dmax, args.grid + 1)
+    ]
 
 
 def _run_curve(args) -> int:
@@ -312,10 +297,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _run_simulate(args)
         return _run_verify(args)
-    except CliError as exc:
-        print(f"rdplab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (CliError, OSError, ValueError, RuntimeError) as exc:
         print(f"rdplab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

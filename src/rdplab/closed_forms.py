@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import Channel, Pmf, binary_entropy, entropy
+from .pmf import Channel, Pmf, binary_entropy
 
 
 def _check_binary_domain(rho: float, dist: float) -> None:
@@ -178,18 +178,18 @@ def kkt_verify(
     dist: float,
     sol: BinaryOptimalSolution,
     grid_size: int = 1001,
-    tol: float = 1e-9,
 ) -> KktReport:
-    """Check that (p_V, lambda) certifies optimality for the binary problem."""
+    """Check that (p_V, lambda) certifies optimality for the binary problem,
+    each residual within `KktReport.tol`."""
     if grid_size < 101:
         raise ValueError("grid_size must be at least 101")
     support = np.array([float(v) for v in sol.p_v.labels])
     weights = sol.p_v.probs
     lam = sol.lam
+    z0 = float(np.sum(weights * np.exp2(-lam * support**2)))
+    z1 = float(np.sum(weights * np.exp2(-lam * (1.0 - support) ** 2)))
 
     def lhs(v: np.ndarray) -> np.ndarray:
-        z0 = float(np.sum(weights * np.exp2(-lam * support**2)))
-        z1 = float(np.sum(weights * np.exp2(-lam * (1.0 - support) ** 2)))
         return (1.0 - rho) * np.exp2(-lam * v**2) / z0 + rho * np.exp2(
             -lam * (1.0 - v) ** 2
         ) / z1
@@ -198,14 +198,13 @@ def kkt_verify(
     grid = np.linspace(0.0, 1.0, grid_size)
     off = grid[np.all(np.abs(grid[:, None] - support[None, :]) > 1e-9, axis=1)]
     inequality_margin = float(np.min(1.0 - lhs(off)))
-    z0 = float(np.sum(weights * np.exp2(-lam * support**2)))
-    z1 = float(np.sum(weights * np.exp2(-lam * (1.0 - support) ** 2)))
     achieved = (1.0 - rho) * float(
         np.sum(weights * np.exp2(-lam * support**2) * support**2)
     ) / z0 + rho * float(
         np.sum(weights * np.exp2(-lam * (1.0 - support) ** 2) * (1.0 - support) ** 2)
     ) / z1
     distortion_residual = abs(achieved - dist / 2.0)
+    tol = KktReport.tol
     passed = (
         equality_residual <= tol
         and inequality_margin >= -tol
@@ -216,7 +215,6 @@ def kkt_verify(
         inequality_margin=inequality_margin,
         distortion_residual=distortion_residual,
         passed=passed,
-        tol=tol,
     )
 
 
@@ -305,7 +303,7 @@ def mirror_construction(p_x: Pmf, p_v_given_x: Channel) -> MirrorConstruction:
 
 
 # ---------------------------------------------------------------------------
-# One-shot unit-circle constants and the zero-distortion rate
+# One-shot unit-circle constants
 # ---------------------------------------------------------------------------
 
 
@@ -323,8 +321,3 @@ def circle_analytic() -> CircleConstants:
         common_or_antipodal=2.0 - 4.0 / math.pi,
         unconstrained=1.0 - 4.0 / math.pi**2,
     )
-
-
-def zero_distortion_rate(p_x: Pmf) -> float:
-    """R(0, P) = H(X) for a discrete source, independent of the perception budget."""
-    return entropy(p_x)

@@ -32,7 +32,10 @@ class Codebook:
     """Fixed list of length-n words over the target alphabet.
 
     `words` holds symbol indices into `target.labels`; all words are
-    delta-typical for the target distribution.
+    delta-typical for the target distribution.  An int64 array is held as
+    given, not copied, so the codebook shares it with the caller; any other
+    input (integer-valued floats, other integer dtypes, nested lists) is
+    checked and converted to a new int64 array.
     """
 
     n: int
@@ -47,7 +50,7 @@ class Codebook:
         w = np.asarray(self.words)
         if w.dtype.kind == "f" and not np.all(np.isfinite(w) & (np.trunc(w) == w)):
             raise ValueError("word symbol indices must be integers")
-        w = w.astype(np.int64)
+        w = np.asarray(w, dtype=np.int64)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise ValueError("words must be an (M, n) index array")
         if w.size and (w.min() < 0 or w.max() >= len(self.target.atoms)):
@@ -258,27 +261,14 @@ def random_typical_codebook(
     )
 
 
-def encode_min_distortion(
-    cb: Codebook,
-    xn,
-    dist,
-    source_alphabet=None,
-    mode: str = "min_distortion",
-    threshold: float | None = None,
-) -> int:
+def encode_min_distortion(cb: Codebook, xn, dist, source_alphabet=None) -> int:
     """Index of the codeword minimizing the blockwise distortion to `xn`.
 
     The minimum is `_batch_encode`'s on a one-trial block: a word's total is
     computed from its joint-type counts with `xn`, so words of equal joint
     type tie exactly, and ties break toward the lowest index.  The working
-    set is a few n x words and 1 x words float arrays.  mode="threshold"
-    instead returns the first word whose total distortion divided by n is
-    at most `threshold`, falling back to index 0 (the construction the
-    covering argument analyses).  That total is numpy's sum of the n
-    per-letter distortions, pairwise for n >= 8, so it can differ in the
-    last bits from a letter-by-letter sum, and a total exactly at the
-    threshold may round either way.  Both modes reject a codebook with no
-    words and a symbol outside the source alphabet.
+    set is a few n x words and 1 x words float arrays.  A codebook with no
+    words and a symbol outside the source alphabet are rejected.
     """
     src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
     mat = _distortion_matrix(dist, src, cb.alphabet)
@@ -291,16 +281,7 @@ def encode_min_distortion(
         raise ValueError(f"sequence length {len(x_idx)} != block length {cb.n}")
     if len(cb) == 0:
         raise ValueError("codebook has no words")
-    if mode == "min_distortion":
-        return int(_batch_encode(x_idx[None, :], cb.words, mat)[0][0])
-    if mode == "threshold":
-        if threshold is None:
-            raise ValueError("threshold mode needs a threshold")
-        lookup = mat[x_idx]  # (n, |alphabet|)
-        totals = lookup[np.arange(cb.n)[None, :], cb.words].sum(axis=1)
-        hits = np.nonzero(totals / cb.n <= threshold)[0]
-        return int(hits[0]) if hits.size else 0
-    raise ValueError(f"unknown mode {mode!r}")
+    return int(_batch_encode(x_idx[None, :], cb.words, mat)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ mutual informations are in bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
@@ -260,7 +259,7 @@ def _distortion_matrix(dist, source_labels, target_labels) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Empirical distributions, typicality, shifts, grids
+# Empirical distributions and typicality
 # ---------------------------------------------------------------------------
 
 
@@ -302,44 +301,3 @@ def is_delta_typical(seq: Sequence[Label], p: Pmf, delta: float) -> bool:
         return False
     counts = np.bincount([index[s] for s in seq], minlength=len(p.atoms))
     return bool(_typical_counts(counts, len(seq), p.probs, delta))
-
-
-def circular_shift(seq: Sequence, q: int):
-    """Cyclic shift: output[t] = input[(t + q) mod n], so shift((1,2,3), 1) = (2,3,1)."""
-    n = len(seq)
-    if n == 0:
-        return type(seq)() if isinstance(seq, (tuple, list)) else seq
-    q = q % n
-    if isinstance(seq, np.ndarray):
-        return np.roll(seq, -q)
-    shifted = [seq[(t + q) % n] for t in range(n)]
-    return type(seq)(shifted) if isinstance(seq, (tuple, list)) else shifted
-
-
-def quantize_to_grid(values: "Pmf | Sequence[float]", n_grid: int) -> Pmf:
-    """Map real atoms to the nearest point of (1/sqrt(N)) * [-N : N].
-
-    Ties break toward the smaller grid point; values beyond +-sqrt(N) clamp to
-    the endpoints.  A Pmf input has its masses merged on the grid; a sample
-    set yields the empirical pmf of the quantized samples.
-    """
-    if n_grid < 1:
-        raise ValueError("N must be >= 1")
-    root = math.sqrt(n_grid)
-
-    def snap(v: float) -> float:
-        k = math.ceil(v * root - 0.5)  # nearest integer, ties toward the lower one
-        k = min(max(k, -n_grid), n_grid)
-        return k / root
-
-    if isinstance(values, Pmf):
-        merged: dict[float, float] = {}
-        for a, p in values.atoms:
-            g = snap(float(a))
-            merged[g] = merged.get(g, 0.0) + p
-        return Pmf.from_pairs(sorted(merged.items()))
-    vals = [snap(float(v)) for v in values]
-    if not vals:
-        raise ValueError("empty sample set")
-    labels = sorted(set(vals))
-    return empirical_pmf(vals, labels)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -57,7 +57,7 @@ _LOG2 = math.log(2.0)
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-6  # certified duality-gap target, in bits
-    feas_tol: float = 1e-9
+    feas_tol: ClassVar[float] = 1e-9  # slack on both budgets in the feasibility tests
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -208,7 +209,7 @@ def test_curve_solve_sweep(problem_file, tmp_path):
     "argv",
     [
         ["solve", "--D", "0.2", "--P", "0.05"],
-        ["curve", "solve", "--D-grid", "0.1:0.3:3", "--P-grid", "0:0.1:2"],
+        ["curve", "solve", "--D-grid", "0.1:0.3:3", "--P-grid", "0:0.1:2", "--format", "json"],
     ],
     ids=["solve", "curve-solve"],
 )
@@ -220,7 +221,7 @@ def test_budget_flags_stand_in_for_absent_file_budgets(problem_file, tmp_path, c
     bare.write_text(json.dumps({"source": full["source"], "distortion": full["distortion"]}))
     outputs = []
     for path in (problem_file, str(bare)):
-        assert main([*argv, "--problem", path, "--format", "json"]) == 0
+        assert main([*argv, "--problem", path]) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0].out and outputs[1] == outputs[0]
 
@@ -427,6 +428,150 @@ def test_softcover_checks_every_n_before_drawing(tmp_path, capsys, monkeypatch):
                  "--rate", "0.9", "--delta", "0.6", "--codebooks", "1"])
     assert code == 1
     assert capsys.readouterr() == ("", "rdplab: codebook larger than 2^20 words\n")
+
+
+BLOCK_SPEC = {
+    "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
+    "channel": {"inputs": [0, 1], "rows": [[0.9, 0.1], [0.3, 0.7]]},
+    "distortion": HAMMING,
+}
+# outputs {2, 3} are at squared distance >= 1 from {0, 1}: D = 0.5 is out of reach
+INFEASIBLE_PROBLEM = {
+    "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
+    "distortion": [[4, 9], [1, 4]],
+    "divergence": {"kind": "wasserstein_sq"},
+    "D": 0.5,
+    "P": 0.5,
+    "output_alphabet": [2, 3],
+}
+
+
+def _with_input_files(argv, problem_file, tmp_path):
+    """`argv` with "{problem}", "{infeasible}", "{block}" and "{soft}"
+    replaced by the paths of those input files, written to `tmp_path`."""
+    files = {"problem": problem_file}
+    for name, payload in (("infeasible", INFEASIBLE_PROBLEM), ("block", BLOCK_SPEC),
+                          ("soft", SOFT_SPEC)):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    return [a.format(**files) if a.startswith("{") else a for a in argv]
+
+
+# exit code and sha256 of stdout for one small run of every command,
+# recorded before `--format` was dropped from the commands that always
+# write JSON
+CLI_STDOUT_PINS = {
+    "curve-binary-csv": (
+        ["curve", "binary", "--rho", "0.25", "--grid", "20"],
+        0, "e37c2e5c28edc20e859c52ecc4d8d55855323d820e3af3382dce5d7008e13822",
+    ),
+    "curve-binary-json": (
+        ["curve", "binary", "--rho", "0.25", "--grid", "20", "--format", "json"],
+        0, "c1bcc81fc9fab64b9827a143a03c6fef49e6c3195607c8b7416b9af2eb7d3a9d",
+    ),
+    "curve-gaussian-csv": (
+        ["curve", "gaussian", "--var", "2", "--grid", "20"],
+        0, "b25cb14055c6e1178fb16ed49ee9e1bb512f8baa7d67f1c99efb96df9d52860b",
+    ),
+    "curve-gaussian-json": (
+        ["curve", "gaussian", "--var", "2", "--grid", "20", "--format", "json"],
+        0, "aaf4133ff9efa79b000addbcabff6a9942877f108c86c5c4734a981d86d3c5a7",
+    ),
+    "curve-solve-csv": (
+        ["curve", "solve", "--problem", "{problem}", "--D-grid", "0.1:0.3:3"],
+        0, "120de1ed62194e2c3b3b2b45f3a476e5f323173961b2631df64d3b13f795cec0",
+    ),
+    "curve-solve-json": (
+        ["curve", "solve", "--problem", "{problem}", "--D-grid", "0.1:0.3:2",
+         "--P-grid", "0:0.1:2", "--format", "json"],
+        0, "3f2a56734aebde7f9245bcfa857961e94c24e3c0548f7d54085daa58ce9d4ec2",
+    ),
+    "solve": (
+        ["solve", "--problem", "{problem}", "--D", "0.2", "--P", "0.05"],
+        0, "c77f6033d2ef69b9d9f8b380f746197b67ab774ce951f99f18ee48a87142f323",
+    ),
+    "solve-infeasible": (
+        ["solve", "--problem", "{infeasible}", "--D", "0.5", "--P", "0.5"],
+        3, "710d32e08cc3110c4f1128acce2dc28c8552023c4505e8698ed5879be0e2bbf0",
+    ),
+    "simulate-circle-exact": (
+        ["simulate", "circle", "--scheme", "unconstrained", "--exact"],
+        0, "3977a17f0944f59afbe6dc82eb04e8a7ee6c5e7e103b9ab9f3b35bc092109422",
+    ),
+    "simulate-circle-sampled": (
+        ["simulate", "circle", "--scheme", "private", "--samples", "5000", "--seed", "3"],
+        0, "d5f2ee825b5c52efc53c106d94e5ba32670de23cd836bb61774158f7d2c0c2d2",
+    ),
+    "simulate-block": (
+        ["simulate", "block", "--spec", "{block}", "--n", "8", "--rate", "0.5",
+         "--delta", "0.5", "--trials", "50", "--seed", "2", "--mode", "derandomized",
+         "--alpha", "0.5"],
+        0, "4ddac69b612effc47b95171138f2e3523cef2fb98dae336977816f12db13eaa8",
+    ),
+    "simulate-softcover": (
+        ["simulate", "softcover", "--spec", "{soft}", "--n", "4", "6", "--rate", "1.0",
+         "--delta", "0.6", "--codebooks", "2", "--seed", "1"],
+        0, "b28d7604548d9b82f78b3fb403343396ffda08d2df5bbe11d7f0aac276a1bacf",
+    ),
+    "verify-kkt": (
+        ["verify", "kkt", "--rho", "0.3", "--D", "0.25", "--grid", "201"],
+        0, "88f0fc100fbf47fc96abf755951ba620c3a06209da64ca995b0b903b1e543d4f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_STDOUT_PINS))
+def test_cli_stdout_is_pinned(case, problem_file, tmp_path, capsys):
+    argv, code, digest = CLI_STDOUT_PINS[case]
+    assert main(_with_input_files(argv, problem_file, tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "{problem}", "--D", "0.2", "--P", "0.05"],
+        ["simulate", "circle", "--scheme", "private", "--samples", "100"],
+        ["simulate", "block", "--spec", "{block}", "--n", "8", "--rate", "0.5",
+         "--delta", "0.5", "--trials", "5"],
+        ["simulate", "softcover", "--spec", "{soft}", "--n", "4", "--rate", "1.0",
+         "--delta", "0.6"],
+        ["verify", "kkt", "--rho", "0.25", "--D", "0.2"],
+    ],
+    ids=["solve", "simulate-circle", "simulate-block", "simulate-softcover", "verify-kkt"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_json_only_commands_reject_format(argv, fmt, problem_file, tmp_path, capsys):
+    # these commands always write JSON, so --format is a usage error
+    argv = _with_input_files(argv, problem_file, tmp_path)
+    assert main([*argv, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: rdplab ")
+    assert err.endswith(f"rdplab: unrecognized arguments: --format {fmt}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "binary", "--grid", "4"],
+        ["curve", "gaussian", "--grid", "4"],
+        ["curve", "solve", "--problem", "{problem}", "--D-grid", "0.1:0.3:2"],
+    ],
+    ids=["binary", "gaussian", "solve"],
+)
+def test_curve_commands_take_csv_or_json(argv, problem_file, tmp_path, capsys):
+    argv = _with_input_files(argv, problem_file, tmp_path)
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr() == default
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert default.out.splitlines()[0] == ",".join(payload["columns"])
+    assert len(payload["rows"]) == len(default.out.splitlines()) - 1
 
 
 def _run_fresh(script):

@@ -15,7 +15,6 @@ from rdplab.closed_forms import (
     rd_half_binary,
     varphi_binary,
     varphi_gaussian,
-    zero_distortion_rate,
 )
 
 
@@ -201,9 +200,3 @@ def test_circle_constants():
     assert consts.private == pytest.approx(1.189431, abs=1e-6)
     assert consts.common_or_antipodal == pytest.approx(0.726760, abs=1e-6)
     assert consts.unconstrained == pytest.approx(0.594715, abs=1e-6)
-
-
-def test_zero_distortion_rate():
-    assert zero_distortion_rate(Pmf.delta("a")) == 0.0
-    assert zero_distortion_rate(Pmf.bernoulli(0.5)) == pytest.approx(1.0, abs=1e-12)
-    assert zero_distortion_rate(Pmf.bernoulli(0.25)) == pytest.approx(0.811278, abs=1e-5)

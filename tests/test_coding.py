@@ -127,6 +127,16 @@ def test_codebook_accepts_integer_valued_floats():
     assert cb.words.dtype == np.int64 and cb.words.tolist() == [[0, 1]]
 
 
+def test_codebook_holds_an_int64_array_without_copying():
+    words = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    cb = Codebook(n=2, words=words, target=Pmf.bernoulli(0.5))
+    assert np.shares_memory(cb.words, words)
+    drawn = random_typical_codebook(Pmf.bernoulli(0.5), n=8, rate_bits=0.5, delta=0.6, seed=3)
+    assert Codebook(n=8, words=drawn.words, target=drawn.target).words is drawn.words
+    narrow = words.astype(np.int32)
+    assert not np.shares_memory(Codebook(n=2, words=narrow, target=Pmf.bernoulli(0.5)).words, narrow)
+
+
 def test_codebook_determinism():
     a = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
     b = random_typical_codebook(Pmf.bernoulli(0.3), n=10, rate_bits=0.4, delta=0.5, seed=21)
@@ -149,22 +159,7 @@ def test_encode_min_distortion():
         assert encode_min_distortion(cb, x, HAMMING) == best
 
 
-def test_encode_threshold_mode():
-    target = Pmf.bernoulli(0.5)
-    words = np.array([[1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0]])
-    cb = Codebook(n=4, words=words, target=target, delta=1.0, rate_bits=0.4)
-    x = (0, 0, 0, 0)
-    # first word within per-letter distortion 0.5 is index 1
-    assert encode_min_distortion(cb, x, HAMMING, mode="threshold", threshold=0.5) == 1
-    # nothing qualifies: fall back to index 0
-    assert encode_min_distortion(cb, x, HAMMING, mode="threshold", threshold=-0.1) == 0
-    with pytest.raises(ValueError):
-        encode_min_distortion(cb, x, HAMMING, mode="threshold")
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{}, {"mode": "threshold", "threshold": 0.5}], ids=["min_distortion", "threshold"]
-)
+@pytest.mark.parametrize("kwargs", [{}], ids=["min_distortion"])
 def test_encode_rejects_an_empty_codebook(kwargs):
     cb = Codebook(n=3, words=np.empty((0, 3), dtype=int), target=Pmf.bernoulli(0.5))
     with pytest.raises(ValueError, match="codebook has no words"):

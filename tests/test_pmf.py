@@ -6,12 +6,10 @@ from rdplab.pmf import (
     Channel,
     Pmf,
     binary_entropy,
-    circular_shift,
     empirical_pmf,
     entropy,
     is_delta_typical,
     mutual_information,
-    quantize_to_grid,
 )
 
 
@@ -98,36 +96,3 @@ def test_delta_typicality():
     assert not is_delta_typical((0, 2), p, 0.5)
     with pytest.raises(ValueError):
         is_delta_typical((0, 1), p, 0.0)
-
-
-def test_circular_shift():
-    assert circular_shift((1, 2, 3), 0) == (1, 2, 3)
-    assert circular_shift((1, 2, 3), 1) == (2, 3, 1)
-    s = (5, 6, 7)
-    assert circular_shift(circular_shift(s, 1), 2) == circular_shift(s, 0)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 9))
-        seq = tuple(rng.integers(0, 3, size=n))
-        a, b = int(rng.integers(-5, 10)), int(rng.integers(-5, 10))
-        assert circular_shift(circular_shift(seq, a), b) == circular_shift(seq, (a + b) % n)
-    arr = np.array([1, 2, 3, 4])
-    assert tuple(circular_shift(arr, 1)) == (2, 3, 4, 1)
-
-
-def test_quantize_to_grid():
-    assert quantize_to_grid(Pmf.delta(0.0), 5).atoms == ((0.0, 1.0),)
-    # N = 1 grid is {-1, 0, 1}; 0.6 snaps to 1
-    assert quantize_to_grid(Pmf.delta(0.6), 1).atoms == ((1.0, 1.0),)
-    p = Pmf.bernoulli(0.5)
-    q = quantize_to_grid(p, 4)
-    assert q.labels == (0.0, 1.0)
-    assert np.allclose(q.probs, (0.5, 0.5))
-    # ties break toward the smaller grid point
-    assert quantize_to_grid(Pmf.delta(0.5), 1).atoms == ((0.0, 1.0),)
-    # clamping beyond the range
-    assert quantize_to_grid(Pmf.delta(50.0), 4).atoms == ((2.0, 1.0),)
-    # sample-set input
-    q = quantize_to_grid([0.0, 0.6, 0.6, -0.6], 1)
-    assert q.labels == (-1.0, 0.0, 1.0)
-    assert np.allclose(q.probs, (0.25, 0.25, 0.5))
