@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise CliError(message)
 
+    # a command's parser reports its own unknown flags, so that the usage
+    # line printed is the command's rather than the top level's
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 class CliError(Exception):
     pass

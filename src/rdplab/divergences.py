@@ -90,13 +90,7 @@ def divergence(d: DivergenceSpec, p: Pmf, q: Pmf) -> float:
         mask = pv > 0.0
         return float(np.sum(pv[mask] * np.log2(pv[mask] / qv[mask])))
     if d.kind == COUPLING_COST:
-        cost = d.cost
-        if cost.shape != (len(p.atoms), len(q.atoms)):
-            raise AlphabetMismatchError(
-                f"cost matrix shape {cost.shape} does not match alphabets"
-            )
-        _, value = min_cost_coupling(p, q, cost)
-        return value
+        return min_cost_coupling(p, q, d.cost)[1]
     if d.kind == WASSERSTEIN_SQ:
         return wasserstein_sq_1d(p, q)
     raise ValueError(d.kind)

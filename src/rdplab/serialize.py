@@ -21,7 +21,7 @@ import numpy as np
 
 from .closed_forms import KktReport
 from .coding import CircleEstimate, SimReport
-from .divergences import COUPLING_COST, DivergenceSpec
+from .divergences import DivergenceSpec
 from .pmf import Channel, Pmf
 from .solver import RdpProblem, RdpSolution
 
@@ -60,10 +60,7 @@ def divergence_to_dict(spec: DivergenceSpec) -> dict:
 
 
 def divergence_from_dict(d: dict) -> DivergenceSpec:
-    cost = d.get("cost")
-    if d["kind"] == COUPLING_COST:
-        return DivergenceSpec(d["kind"], cost=np.array(cost, dtype=float))
-    return DivergenceSpec(d["kind"])
+    return DivergenceSpec(d["kind"], cost=d.get("cost"))
 
 
 def problem_to_dict(prob: RdpProblem) -> dict:

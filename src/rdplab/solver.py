@@ -23,7 +23,8 @@ repaired with a reference channel until both budgets hold, and a dual lower
 bound from the same point: their difference is the certified gap.  The
 reference is the identity when the output alphabet is the source's.  A
 product channel (rate zero) is tried first, in closed form: the output law
-of least expected distortion in the ball (for KL, q = p_X only).  scipy is
+of least expected distortion in the ball (for KL, on the support of p_X:
+q proportional to p_X / (a + c), a = p_X Delta, c by bisection).  scipy is
 imported lazily and for one job: when the output alphabet differs from the
 source labels, one HiGHS LP finds the least-distortion channel within the
 perception budget, which decides feasibility and is the reference.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -84,11 +86,7 @@ class RdpProblem:
         m, k = len(self.source.atoms), len(out)
         if m > 256 or k > 256:
             raise ValueError("alphabets beyond 256 symbols are out of scope")
-        delta = np.asarray(self.distortion, dtype=float)
-        if delta.shape != (m, k):
-            raise ValueError(f"distortion matrix shape {delta.shape}, expected {(m, k)}")
-        if np.any(delta < 0.0) or not np.all(np.isfinite(delta)):
-            raise ValueError("distortion matrix must be finite and nonnegative")
+        delta = _distortion_matrix(self.distortion, self.source.labels, out)
         if out == self.source.labels:
             if np.any(np.diag(delta) != 0.0):
                 raise ValueError("Delta(x, x) must vanish when alphabets coincide")
@@ -159,42 +157,40 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
             return _finish(prob, _least_cost(delta) if ref is None else ref, math.inf, 0, INFEASIBLE)
     keep = p > 0.0  # atoms without mass have no dual variable (log 0)
     pk = p[keep]
-    cost = prob.perception_cost_matrix()
-    law = _target_law(prob) if perc == 0.0 else None
-    # the product channel of least distortion within the ball has rate zero
     a = p @ delta
+    law = _target_law(prob) if perc == 0.0 else None
+    # outputs the fixed law leaves without mass have free v_y: drop them
+    cols = law > 0.0 if law is not None else np.ones(len(a), dtype=bool)
+
+    def perception(q):
+        return divergence(prob.divergence, prob.source, Pmf.from_probs(prob.output_alphabet, q))
+
+    # the ball's output law q of least distortion (None: none is tried), and
+    # the ball, built only once the zero-rate answers below are passed
     if law is not None:
-        q = law
-    elif cost is None:
-        q = p  # KL: the centre of the ball only
+        q, ball = law, partial(_Ball, law=law[cols])
+    elif prob.divergence.kind == KL:
+        q = _kl_least_law(prob, a)
+        ball = partial(_kl_ball, pk, np.flatnonzero(keep), len(a), perc, perception)
     else:
-        q = _coupling_support(pk, cost[keep], perc, -a)[1]
+        cost = prob.perception_cost_matrix()[keep]
+        q = _coupling_support(pk, cost, perc, -a)[1]
+        ball = partial(_coupling_ball, pk, cost, perc, perception)
+    # the product channel of that law has rate zero
     if q is not None and a @ q <= dist:
         return _finish(prob, np.tile(q, (len(p), 1)), 0.0, 0, OPTIMAL)
     if matching and dist <= 1e-12:
         # at the floor (to 1e-12, as for the grid) only the identity is left
         return _finish(prob, ref, 0.0, 0, OPTIMAL)
-    # outputs the fixed law leaves without mass have free v_y: drop them;
     # costs above each row's least, in units of the zero-rate distortion
-    cols = law > 0.0 if law is not None else np.ones(len(a), dtype=bool)
     sub = delta[keep][:, cols]
     floor = sub.min(axis=1, keepdims=True)
     excess = sub - floor
     scale = float(np.min(pk @ excess)) or 1.0
     ref_k = ref[keep][:, cols]
-
-    def perception(q):
-        return divergence(prob.divergence, prob.source, Pmf.from_probs(prob.output_alphabet, q))
-
-    if law is not None:
-        ball = _Ball(law=law[cols])
-    elif cost is None:
-        ball = _kl_ball(pk, np.flatnonzero(keep), len(a), perc, perception)
-    else:
-        ball = _coupling_ball(pk, cost[keep], perc, perception)
     chan, rate, lower, steps = _csiszar_dual(
         pk, excess / scale, (dist - float(pk @ floor[:, 0])) / scale,
-        ref_k / ref_k.sum(axis=1, keepdims=True), opts.tol, ball)
+        ref_k / ref_k.sum(axis=1, keepdims=True), opts.tol, ball())
     w = ref.copy()
     w[keep] = 0.0
     w[np.ix_(keep, cols)] = chan
@@ -203,10 +199,8 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
 
 
 def _finish(prob, w, gap, iterations, status) -> RdpSolution:
-    w = np.clip(w, 0.0, None)
-    channel = Channel(prob.source.labels, prob.output_alphabet, w / w.sum(axis=1, keepdims=True))
+    channel, q = _output_law(prob, w)
     p = prob.source.probs
-    q = Pmf.from_probs(prob.output_alphabet, p @ channel.matrix)
     return RdpSolution(
         rate=math.inf if status == INFEASIBLE else mutual_information_matrix(p, channel.matrix),
         channel=channel,
@@ -216,6 +210,13 @@ def _finish(prob, w, gap, iterations, status) -> RdpSolution:
         primal_gap_estimate=math.inf if status == INFEASIBLE else float(gap),
         iterations=iterations,
     )
+
+
+def _output_law(prob, w) -> tuple[Channel, Pmf]:
+    """The channel of a nonnegative kernel, its rows normalized, and its output law."""
+    w = np.clip(w, 0.0, None)
+    channel = Channel(prob.source.labels, prob.output_alphabet, w / w.sum(axis=1, keepdims=True))
+    return channel, Pmf.from_probs(prob.output_alphabet, prob.source.probs @ channel.matrix)
 
 
 def sweep_curve(
@@ -300,6 +301,48 @@ def _target_law(prob: RdpProblem) -> np.ndarray:
     """The output law that P = 0 pins: the source law, read by label."""
     target = dict(prob.source.atoms)
     return np.array([target.get(lab, 0.0) for lab in prob.output_alphabet])
+
+
+def _kl_least_law(prob, a):
+    """The law of least a.q on the support of p_X within the KL budget, or None
+    when no law there can meet the distortion budget.
+
+    The least is q proportional to p / (a + c), which runs from p (c = inf)
+    to p on the least a (c = -min a, where KL is infinite): with a scaled to
+    b in [0, 1], q_t is proportional to p / (1 - t + t b), found by bisection
+    on t in [0, 1).  The side kept must meet the budget as `_finish` measures
+    the product channel; when round-off carries the plain KL sum's answer
+    over, the bisection runs again on that measure.
+    """
+    p, dist, budget = prob.source.probs, prob.dist_budget, prob.perc_budget
+    if p @ a <= dist:
+        return p
+    on = p > 0.0
+    lo_a, hi_a = a[on].min(), a[on].max()
+    if lo_a > dist or lo_a == hi_a:  # with equal a, every law costs what p does
+        return None
+    b = (a[on] - lo_a) / (hi_a - lo_a)
+
+    def law(t):
+        q = np.zeros(len(p))
+        q[on] = p[on] / (1.0 - t + t * b)
+        return q / q.sum()
+
+    def measured(t):
+        q = _output_law(prob, np.tile(law(t), (len(p), 1)))[1]
+        return divergence(prob.divergence, prob.source, q) <= budget
+
+    def bisect(within):
+        lo, hi = 0.0, 1.0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if within(mid) else (lo, mid)
+        return lo
+
+    t = bisect(lambda t: p[on] @ np.log2(p[on] / law(t)[on]) <= budget)
+    return law(t if measured(t) else bisect(measured))
 
 
 def _least_cost(cmat: np.ndarray) -> np.ndarray:

@@ -554,6 +554,42 @@ def test_json_only_commands_reject_format(argv, fmt, problem_file, tmp_path, cap
 
 
 @pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["verify", "kkt", "--rho", "0.25", "--D", "0.2", "--format", "json"], "verify kkt"),
+        (["simulate", "circle", "--scheme", "private", "--format", "json"], "simulate circle"),
+        (["curve", "solve", "--problem", "{problem}", "--D-grid", "0.1:0.3:2", "--bogus"], "curve solve"),
+    ],
+    ids=["verify-kkt", "simulate-circle", "curve-solve"],
+)
+def test_unknown_flag_prints_the_command_usage(argv, usage, problem_file, tmp_path, capsys):
+    assert main(_with_input_files(argv, problem_file, tmp_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: rdplab {usage} [-h]")
+
+
+@pytest.mark.parametrize(
+    "divergence, message",
+    [
+        ({"kind": "total_variation", "cost": HAMMING}, "total_variation takes no cost matrix"),
+        ({"kind": "coupling_cost"}, "coupling-cost divergence needs a cost matrix"),
+    ],
+    ids=["stray-cost", "missing-cost"],
+)
+def test_problem_file_divergence_is_read_strictly(divergence, message, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
+        "distortion": HAMMING, "divergence": divergence, "D": 0.2, "P": 0.05,
+    }))
+    assert main(["solve", "--problem", str(path), "--D", "0.2", "--P", "0.05"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"rdplab: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["curve", "binary", "--grid", "4"],

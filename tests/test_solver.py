@@ -58,6 +58,11 @@ def test_problem_validation():
         )
 
 
+def test_problem_takes_a_callable_distortion():
+    prob = RdpProblem(source=Pmf.bernoulli(0.3), distortion=lambda x, y: float(x != y), dist_budget=0.1)
+    assert np.array_equal(prob.distortion, HAMMING)
+
+
 def test_classical_rd_when_perception_inactive():
     sol = solve_rdp(binary_problem(0.25, 0.2, 1.0))
     expect = binary_entropy(0.25) - binary_entropy(0.2)
@@ -128,6 +133,60 @@ def test_kl_zero_rate_needs_no_lp(monkeypatch):
     assert calls == []
     assert sol.achieved_perc == 0.0
     assert sol.achieved_dist <= 0.4
+
+
+# KL instances that reach rate zero through a product law other than p_X
+# (positions 97 and 183 of the scan below); without the KL zero-rate law the
+# engine crawls toward that law and ends iter_limit 0.124 and 0.300 bits high
+KL_ZERO_RATE = {
+    "k4": ((0.9545693073763193, 0.009374073599149308, 0.005024636517081585, 0.031031982507449863),
+           ((0.0, 0.5814700680359065, 0.2748252856388649, 0.3134014889019616),
+            (0.23602197653355642, 0.0, 0.3014927835619302, 0.7198444458862083),
+            (1.077435229529123, 0.7191717574762696, 0.0, 0.26403377522318106),
+            (0.3818345136065857, 0.5804472636918431, 0.3129745762872864, 0.0)),
+           0.019884002315830505, 1.6864193220596113),
+    "k3": ((0.022552593799120363, 0.31588806139107883, 0.6615593448098009),
+           ((0.0, 1.0436800509465864, 0.5118888030247755),
+            (0.9076554047857914, 0.0, 0.3018613235043922),
+            (0.6214985995706065, 0.36100872893462577, 0.0)),
+           0.10810261136880216, 1.6386515230679013),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KL_ZERO_RATE))
+def test_kl_zero_rate_through_another_law(name):
+    probs, delta, dist, perc = KL_ZERO_RATE[name]
+    prob = RdpProblem(Pmf.from_probs(tuple(range(len(probs))), probs), np.array(delta),
+                      kullback_leibler(), dist, perc)
+    opts = SolverOptions()
+    sol = solve_rdp(prob, opts)
+    assert sol.status == OPTIMAL
+    assert sol.rate <= opts.tol
+    assert sol.achieved_dist <= dist + opts.feas_tol
+    assert sol.achieved_perc <= perc
+
+
+def _kl_scan(n):
+    """Seeded KL instances: k in 2-5, p from Dirichlet(1), off-diagonal Delta
+    in [0.1, 1.1), P in [0.5, 2] bits, D a random share of p' Delta p."""
+    rng = np.random.default_rng(2026)
+    for _ in range(n):
+        k = int(rng.integers(2, 6))
+        p = rng.dirichlet(np.ones(k))
+        delta = rng.uniform(0.1, 1.1, (k, k))
+        np.fill_diagonal(delta, 0.0)
+        perc = float(rng.uniform(0.5, 2.0))
+        dist = float(rng.uniform(0.02, 1.0) * (p @ delta @ p))
+        yield RdpProblem(Pmf.from_probs(tuple(range(k)), p), delta, kullback_leibler(), dist, perc)
+
+
+def test_kl_scan_is_optimal_within_both_budgets():
+    opts = SolverOptions()
+    for prob in _kl_scan(100):
+        sol = solve_rdp(prob, opts)
+        assert sol.status == OPTIMAL
+        assert sol.achieved_dist <= prob.dist_budget + opts.feas_tol
+        assert sol.achieved_perc <= prob.perc_budget
 
 
 def test_brute_force_matches_known_values():
