@@ -22,6 +22,22 @@ class AlphabetMismatchError(ValueError):
     """Two distributions or a distribution/channel pair disagree on labels."""
 
 
+def _renormalized(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-ordered matrix as a pmf: checked, clipped at zero and
+    divided by its sum, the same float as the row's own sum since the rows
+    are contiguous.  The first bad row raises."""
+    if rows.shape[1] == 0 < len(rows):
+        raise ValueError("empty pmf")
+    bad = ~np.logical_and.reduce((rows >= -SUM_TOL) & (rows < np.inf), axis=1)  # NaN fails both
+    clipped = np.maximum(rows, 0.0)
+    total = np.add.reduce(clipped, axis=1)
+    for i in np.flatnonzero(bad | (np.abs(total - 1.0) > SUM_TOL))[:1]:
+        if bad[i]:
+            raise ValueError(f"negative or non-finite probabilities: {rows[i]}")
+        raise ValueError(f"probabilities sum to {float(total[i])}, not 1")
+    return clipped / total[:, None]
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function over an ordered, finite set of labeled atoms.
@@ -36,16 +52,7 @@ class Pmf:
         labels = [a for a, _ in self.atoms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate atom labels: {labels}")
-        probs = np.array([p for _, p in self.atoms], dtype=float)
-        if probs.size == 0:
-            raise ValueError("empty pmf")
-        if np.any(probs < -SUM_TOL) or not np.all(np.isfinite(probs)):
-            raise ValueError(f"negative or non-finite probabilities: {probs}")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        probs = probs / total
+        probs = _renormalized(np.array([[p for _, p in self.atoms]], dtype=float))[0]
         object.__setattr__(
             self, "atoms", tuple(zip(labels, (float(p) for p in probs)))
         )
@@ -115,17 +122,14 @@ class Channel:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float, order="C")
         if m.shape != (len(self.inputs), len(self.outputs)):
             raise ValueError(f"matrix shape {m.shape} does not match alphabets")
         if len(set(self.inputs)) != len(self.inputs):
             raise ValueError("duplicate input labels")
         if len(set(self.outputs)) != len(self.outputs):
             raise ValueError("duplicate output labels")
-        rows = [Pmf.from_probs(self.outputs, m[i]) for i in range(m.shape[0])]
-        object.__setattr__(
-            self, "matrix", np.array([r.probs for r in rows], dtype=float)
-        )
+        object.__setattr__(self, "matrix", _renormalized(m))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
 

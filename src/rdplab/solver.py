@@ -519,64 +519,76 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         free[0] = False  # the gauge: a fixed law sums to one, so u + c changes nothing
     pot = free.copy()  # everything but s, which a step at most doubles
     pot[m:o] = False
-    diag_u, diag_v = np.arange(m), np.arange(o, o + k)
+    fixed = not free.all()
+    free_idx = np.flatnonzero(free)
+    rows_t = rows.T
+    kl_idx = None if ball.kl is None else o + ball.kl
+    # the Newton system's buffers: entries no step writes stay zero
+    grad = np.zeros(nz)
+    hess = np.zeros((nz, nz))
+    diag = hess.reshape(-1)[:: nz + 1]  # a view: writes land in hess
+    # columns grad g_y over (u, s).  The operand memory order is part of the
+    # bits: cmat, a column selection, is F-ordered, and so are pi and gh
+    gh = np.empty((o, k), order="F")
 
     def constraints(z):
         """g_y and the softmax pi over x inside each g_y."""
         s = z[m] if free_s else 1.0
         logw = log_p + z[:m, None] - s * cmat
-        top = logw.max(axis=0)
-        e = np.exp(logw - top)
-        tot = e.sum(axis=0)
-        return top + np.log(tot), e / tot
+        top = np.maximum.reduce(logw, axis=0)
+        logw -= top
+        np.exp(logw, out=logw)
+        tot = np.add.reduce(logw, axis=0)
+        logw /= tot
+        return top + np.log(tot), logw
 
     def out_mult(z):
         return z[o:o + k] if nz > o else np.zeros(k)
 
-    def newton_step(z, g, pi, r, rl, w, wl, t):
+    def newton_step(z, g, pi, r, rl, w, wl, t, val):
         """Newton direction and decrement of the centring objective."""
         c1 = t * ball.law if elim else w / r
         c2 = 0.0 if elim else c1 * c1 / w
-        # columns: grad g_y; cmat is finite whenever s is free
-        gh = np.vstack([pi, -np.sum(pi * cmat, axis=0)]) if free_s else pi
-        grad = np.zeros(nz)
-        hess = np.zeros((nz, nz))
-        grad[:o] = gh @ c1
+        if free_s:  # cmat is finite whenever s is free
+            pc = pi * cmat
+            gh[:m] = pi
+            gh[m] = -np.add.reduce(pc, axis=0)
+        cols = gh if free_s else pi
+        grad[:o] = cols @ c1
         grad[:m] -= t * p
-        hess[:o, :o] = (gh * (c2 - c1)) @ gh.T
-        hess[diag_u, diag_u] += pi @ c1
+        hess[:o, :o] = (cols * (c2 - c1)) @ cols.T
+        diag[:m] += pi @ c1
         if free_s:
             grad[m] += t * dist - (1.0 / z[m] if barrier_s else 0.0)
-            cross = (pi * cmat) @ c1
+            cross = pc @ c1
             hess[:m, m] -= cross
             hess[m, :m] -= cross
-            hess[m, m] += (pi * cmat * cmat).sum(axis=0) @ c1 + (1.0 / (z[m] * z[m]) if barrier_s else 0.0)
+            hess[m, m] += np.add.reduce(pc * cmat, axis=0) @ c1 + (1.0 / (z[m] * z[m]) if barrier_s else 0.0)
         if nz > o:
             # v_y enters g_y - v_y with slope -1
-            grad[o:] = t * ball.cost - rows.T @ (wl / rl)
-            grad[diag_v] -= c1
-            hess[diag_v, :o] = -(gh * c2).T
-            hess[:o, diag_v] = hess[diag_v, :o].T
-            hess[o:, o:] = (rows.T * (wl / (rl * rl))) @ rows
-            hess[diag_v, diag_v] += c2
-        if ball.kl is not None:
-            # the smooth KL term exp(-budget) prod_x (-v_x)^p_x is -support(v)
-            idx = o + ball.kl
-            val = -ball.support(out_mult(z))
-            ratio = p / z[idx]
-            grad[idx] -= t * val * ratio
-            hess[idx[:, None], idx] -= t * val * (np.outer(ratio, ratio) - np.diag(ratio / z[idx]))
-        if not free.all():
-            grad, hess = grad[free], hess[free][:, free]
+            grad[o:] = t * ball.cost - rows_t @ (wl / rl)
+            grad[o:o + k] -= c1
+            hess[o:o + k, :o] = -(cols * c2).T
+            hess[:o, o:o + k] = hess[o:o + k, :o].T
+            hess[o:, o:] = (rows_t * (wl / (rl * rl))) @ rows
+            diag[o:o + k] += c2
+        if kl_idx is not None:
+            # the smooth KL term val = exp(-budget) prod_x (-v_x)^p_x is -support(v)
+            ratio = p / z[kl_idx]
+            grad[kl_idx] -= t * val * ratio
+            curv = ratio[:, None] * ratio  # then minus diag(ratio / z)
+            curv.reshape(-1)[:: len(ratio) + 1] -= ratio / z[kl_idx]
+            hess[kl_idx[:, None], kl_idx] -= t * val * curv
+        gf, hf = (grad[free_idx], hess.take(free_idx, 0).take(free_idx, 1)) if fixed else (grad, hess)
         # the ball's rows span many scales: solve the diagonally scaled system
-        scale = np.sqrt(np.maximum(np.diag(hess), 1e-300)) if nz > o else 1.0
+        scale = np.sqrt(np.maximum(hf.diagonal(), 1e-300)) if nz > o else 1.0
         try:
-            step = -np.linalg.solve(hess / scale / scale[:, None] if nz > o else hess, grad / scale) / scale
+            step = -np.linalg.solve(hf / scale / scale[:, None] if nz > o else hf, gf / scale) / scale
         except np.linalg.LinAlgError:
-            step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+            step = -np.linalg.lstsq(hf, gf, rcond=None)[0]
         dz = np.zeros(nz)
-        dz[free] = step
-        return dz, float(-grad @ step)
+        dz[free_idx] = step
+        return dz, float(-gf @ step)
 
     def certificate(z, g, pi, nu):
         """(channel within both budgets, its rate, dual lower bound), in bits.
@@ -647,7 +659,8 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         centred = False
         prev_dec = math.inf
         for _ in range(_MAX_STEPS):
-            dz, dec = newton_step(z, g, pi, r, rl, w, wl, t)
+            kl_val = ball.support(out_mult(z)) if kl_idx is not None else 0.0
+            dz, dec = newton_step(z, g, pi, r, rl, w, wl, t, -kl_val)
             # the decrement is at round-off once it stops falling
             if dec < 1e-20 or (dec >= prev_dec and dec < 1e-8):
                 centred = True
@@ -656,15 +669,19 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
             steps += 1
             # exp(u) can be far from its quadratic model: cap the moves
             a = a0 = 1.0 / max(1.0, float(np.abs(dz[pot]).max()) / cap, abs(dz[m]) / z[m] if free_s else 0.0)
+            # the objective's linear terms along dz, per unit of a
+            lin_u = p @ dz[:m]
+            lin_e = ball.cost @ dz[o:]
             while a > 1e-12:
                 z_new = z + a * dz
                 if not free_s or z_new[m] > 0.0:
                     g_new, pi_new = constraints(z_new)
                     r_new = out_mult(z_new) - g_new
                     rl_new = rows @ z_new[o:]
-                    if (elim or np.all(r_new > 0.0)) and np.all(rl_new > 0.0):
+                    # a NaN fails both tests
+                    if (elim or np.minimum.reduce(r_new) > 0.0) and (nz == o or np.minimum.reduce(rl_new) > 0.0):
                         # barrier change over t, from ratios so that it stays exact at large t
-                        df = -a * (p @ dz[:m])
+                        df = -a * lin_u
                         if elim:
                             df += ball.law @ (g_new - g)
                         else:
@@ -672,9 +689,9 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
                         if free_s:
                             df += a * dz[m] * dist - (math.log(z_new[m] / z[m]) / t if barrier_s else 0.0)
                         if nz > o:
-                            df += a * (ball.cost @ dz[o:]) - (wl @ np.log(rl_new / rl)) / t
-                        if ball.kl is not None:
-                            df += ball.support(out_mult(z_new)) - ball.support(out_mult(z))
+                            df += a * lin_e - (wl @ np.log(rl_new / rl)) / t
+                        if kl_idx is not None:
+                            df += ball.support(out_mult(z_new)) - kl_val
                         # a round-off-sized decrement takes the full step
                         if dec < 1e-6 or df <= -0.25 * a * dec / t:
                             break

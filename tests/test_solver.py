@@ -651,3 +651,54 @@ def test_solve_outputs_are_pinned(monkeypatch):
         got[name] = (len(calls), hashlib.sha256(text.encode()).hexdigest())
         want[name] = (n_calls, digest)
     assert got == want
+
+
+def _engine_pool():
+    """Three seeded solves of every kind at k = 2-5 on |i - j|, and one W2
+    solve onto outputs other than the source labels (the HiGHS reference)."""
+    rng = np.random.default_rng(1974)
+    probs = []
+    for k in (2, 3, 4, 5):
+        idx = np.arange(k)
+        delta = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        kinds = {
+            "p0": total_variation(),
+            "tv": total_variation(),
+            "w2": wasserstein_sq(),
+            "cc": coupling_cost(delta ** 2),
+            "kl": kullback_leibler(),
+        }
+        for kind, div in kinds.items():
+            for _ in range(3):
+                p = rng.dirichlet(np.ones(k))
+                dist = float(rng.uniform(0.1, 0.9) * (p @ delta @ p))
+                perc = 0.0 if kind == "p0" else float(rng.uniform(0.02, 0.3))
+                probs.append(RdpProblem(Pmf.from_probs(tuple(range(k)), p), delta, div, dist, perc))
+    probs.append(RdpProblem(
+        Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), lambda x, y: (x - y) ** 2,
+        wasserstein_sq(), 0.3, 0.1, output_alphabet=(0.0, 0.5, 1.0, 1.5, 2.0)))
+    return probs
+
+
+def test_engine_outputs_are_pinned():
+    """The barrier Newton engine's floats, iteration counts included, through
+    `solve_rdp`, `rd_function_grid` and `sweep_curve`."""
+    def digest(solutions):
+        text = "".join(serialize.dumps(serialize.solution_to_dict(sol)) for sol in solutions)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    grid = np.linspace(0.0, 1.0, 513)
+    ternary = RdpProblem(
+        Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)),
+        np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float))
+    got = (
+        digest(solve_rdp(prob) for prob in _engine_pool()),
+        [rd_function_grid(Pmf.bernoulli(0.25), grid, lambda x, v: (x - v) ** 2, d / 2.0).hex()
+         for d in (0.15, 0.2, 0.25)],
+        digest(sol for _, _, sol in sweep_curve(ternary, [0.1, 0.2, 0.3, 0.4, 0.5], [0.05, 0.2])),
+    )
+    assert got == (
+        "8c423ef128194c12fcbd5d14a2b0919abd9b04db3ef3a4c1a588174fea0c5b70",
+        ["0x1.9ceb902a14dccp-2", "0x1.368bd09ab1745p-2", "0x1.aee74cbc267f7p-3"],
+        "819ff741375268e425f80eba1af225dff4435f9242f5938befffaf5c72ba0726",
+    )
