@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import closed_forms, serialize
+from . import closed_forms, coding, serialize
 from .coding import (
     DERANDOMIZED,
     SHARED_SEED,
@@ -85,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a coding-scheme simulation")
     sim_sub = sim.add_subparsers(dest="sim_kind", required=True)
     sc = sim_sub.add_parser("circle", help="one-bit unit-circle schemes")
-    sc.add_argument("--scheme", required=True,
-                    choices=("private", "common", "antipodal", "unconstrained"))
+    sc.add_argument("--scheme", required=True, choices=coding.CIRCLE_SCHEMES)
     sc.add_argument("--samples", type=int, default=1_000_000)
     sc.add_argument("--seed", type=int, default=None)
     sc.add_argument("--exact", action="store_true")

@@ -315,8 +315,9 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     n * p_max^{n0} (checked, and returned exactly).
 
     The greedy rule is evaluated per run of equal masses rather than per
-    atom (see `_place_run`); the bins and float totals are exactly those of
-    the atom-by-atom rule.
+    atom, with one cumulative sum over a grid of per-bin totals (see
+    `_place_run`); the bins and float totals are exactly those of the
+    atom-by-atom rule.
 
     An atom's mass is the left-to-right float product p(x_1) p(x_2) ...
     p(x_n0).  It is built one letter at a time over the distinct masses
@@ -381,28 +382,11 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     so the margin doubles.  The work is n times that width.  When the mass
     does not move the lightest total (t + mass == t, as for a massless
     atom), that bin stays the least (total, bin) and takes the whole run.
-    When every total is equal, every row is the same sequence; if it
-    strictly increases up to the deepest key a bin takes, the order is
-    j-major and bin-minor, so pick i goes to bin i % n, and the new totals
-    come from one row's np.cumsum (a rounding that stalls the sequence
-    falls back to the grid).
     """
     n = len(totals)
     lightest = int(np.argmin(totals))
     if totals[lightest] + mass == totals[lightest]:
         return np.full(count, lightest, dtype=np.int64)
-    if np.all(totals == totals[0]):
-        # every bin has the key sequence of one row; if it strictly
-        # increases up to the deepest key a bin reaches, the sort is
-        # j-major and bin-minor, so pick i goes to bin i % n
-        used = np.full(n, count // n)
-        used[: count % n] += 1
-        keys = np.full(used[0] + 1, mass)
-        keys[0] = totals[0]
-        np.cumsum(keys, out=keys)
-        if np.all(keys[1:] > keys[:-1]):
-            totals[:] = keys[used]
-            return np.arange(count, dtype=np.int64) % n
     # the level that count * mass fills the lightest bins up to, as if mass
     # were divisible; a bin takes about (level - total) / mass atoms
     s = np.sort(totals)

@@ -204,10 +204,6 @@ def curve_csv(rows: list[dict], columns: list[str]) -> str:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     v = float(value)
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -615,7 +615,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         joint = pi * nu
         if ball.perception is not None:
             q = p @ normalized(joint)
-            theta = _mix_weight(ball.perception(q), perc_ref, ball.budget)
+            theta = _mix_weight(ball.perception(q), ref_perc, ball.budget)
             if theta > 0.0:
                 law = (1.0 - theta) * q + theta * (p @ ref)
         if law is not None:
@@ -626,7 +626,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
                 joint += np.outer(short_p, short_q) / short_p.sum()
         chan = normalized(joint)
         if free_s:
-            theta = _mix_weight(float(p @ np.sum(chan * cmat, axis=1)), d_ref, dist)
+            theta = _mix_weight(float(p @ np.sum(chan * cmat, axis=1)), ref_dist, dist)
             if theta > 0.0:
                 chan = (1.0 - theta) * chan + theta * ref
         return chan, mutual_information_matrix(p, chan), lower / _LOG2
@@ -650,8 +650,9 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     chan = np.exp(-s * cmat)
     w = np.maximum(r * (p @ (chan / chan.sum(axis=1, keepdims=True))), _WEIGHT_FLOOR)
     wl = np.maximum(ball.mult0 * rl, _WEIGHT_FLOOR)
-    d_ref = float(p @ np.sum(ref * cmat, axis=1)) if free_s else 0.0
-    perc_ref = ball.perception(p @ ref) if ball.perception else 0.0
+    # the reference's costs, measured at most once, and only if a certificate mixes
+    ref_dist = cache(lambda: float(p @ np.sum(ref * cmat, axis=1)))
+    ref_perc = cache(lambda: ball.perception(p @ ref))
     t = 1.0
     steps = 0
     cap = _STEP_CAP
@@ -717,11 +718,17 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
 
 
 def _mix_weight(value, ref_value, budget):
-    """Least weight on the reference that brings a convex cost from `value` within budget."""
+    """Least weight on the reference that brings a convex cost from `value` within budget.
+
+    `ref_value()` gives the reference's cost; it is called only when `value`
+    is over budget, so a certificate that needs no mixing never measures the
+    reference.
+    """
     aim = budget * (1.0 - 1e-12)  # just inside, so that round-off stays within it
     if value <= aim:
         return 0.0
-    return (value - aim) / (value - ref_value) if ref_value < aim else 1.0
+    ref = ref_value()
+    return (value - aim) / (value - ref) if ref < aim else 1.0
 
 
 # ---------------------------------------------------------------------------

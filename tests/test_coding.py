@@ -486,6 +486,26 @@ def test_shift_ensemble_shared_seed_basics():
     assert p1.max() - p1.min() <= 4 * 0.5 / math.sqrt(400) * 2
 
 
+@pytest.mark.parametrize("change, message", [
+    pytest.param(dict(mode="hybrid"), "unknown mode", id="unknown-mode"),
+    pytest.param(dict(trials=0), "trials must be >= 1", id="no-trials"),
+    pytest.param(dict(mode=DERANDOMIZED, alpha=0.05), "below one symbol", id="no-tail"),
+])
+def test_shift_ensemble_inputs_fail_fast(change, message):
+    channel, p_x, dist, kw = _binary_case(SHARED_SEED)
+    with pytest.raises(ValueError, match=message):
+        shift_ensemble_sim(channel, p_x, dist, **{**kw, **change})
+
+
+def test_shift_ensemble_skips_the_audit_without_a_divergence():
+    # string labels onto other string labels: neither TV nor W2 applies
+    p_x = Pmf.from_probs(("a", "b"), (0.75, 0.25))
+    channel = Channel(("a", "b"), ("c", "d"), np.array([[0.9, 0.1], [0.2, 0.8]]))
+    rep = shift_ensemble_sim(channel, p_x, HAMMING, n=16, rate_bits=0.5, delta=0.4, trials=20, seed=3)
+    assert rep.diagnostics["perception_budget"] is None
+    assert rep.perception_violations == 0
+
+
 def test_shift_ensemble_determinism():
     ch = _test_channel()
     kw = dict(

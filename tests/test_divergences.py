@@ -58,6 +58,19 @@ def test_coupling_cost_spec_validation():
     assert spec.kind == "coupling_cost"
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DivergenceSpec("hellinger"), ValueError, "unknown divergence kind", id="unknown-kind"),
+    pytest.param(lambda: coupling_cost(np.zeros(3)), ValueError, "must be 2-D", id="1-D-cost"),
+    pytest.param(lambda: min_cost_coupling(Pmf.bernoulli(0.5), Pmf.bernoulli(0.5), np.zeros((2, 3))),
+                 AlphabetMismatchError, "shape does not match", id="coupling-shape"),
+    pytest.param(lambda: min_cost_coupling(Pmf.bernoulli(0.5), Pmf.bernoulli(0.5), [[0, -1.0], [1.0, 0]]),
+                 ValueError, "finite and nonnegative", id="coupling-negative-cost"),
+])
+def test_divergence_inputs_fail_fast(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_min_cost_coupling_identity():
     p = Pmf.from_probs((0, 1, 2), (0.2, 0.3, 0.5))
     cost = 1.0 - np.eye(3)

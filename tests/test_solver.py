@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rdplab.divergences
 import rdplab.solver
 from rdplab import serialize
 from rdplab.pmf import Pmf, binary_entropy
@@ -61,6 +62,32 @@ def test_problem_validation():
 def test_problem_takes_a_callable_distortion():
     prob = RdpProblem(source=Pmf.bernoulli(0.3), distortion=lambda x, y: float(x != y), dist_budget=0.1)
     assert np.array_equal(prob.distortion, HAMMING)
+
+
+def _other_outputs(div):
+    return RdpProblem(Pmf.bernoulli(0.3), np.ones((2, 3)), div, output_alphabet=(0, 1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: RdpProblem(Pmf.bernoulli(0.3), [[0.0, 0.0], [1.0, 0.0]]),
+                 "positive off the diagonal", id="zero-off-diagonal"),
+    pytest.param(lambda: _other_outputs(total_variation()), "total_variation needs matching alphabets",
+                 id="tv-other-alphabet"),
+    pytest.param(lambda: _other_outputs(kullback_leibler()), "kullback_leibler needs matching alphabets",
+                 id="kl-other-alphabet"),
+    pytest.param(lambda: _other_outputs(coupling_cost(HAMMING)), "perception cost matrix shape",
+                 id="coupling-cost-shape"),
+    pytest.param(lambda: RdpProblem(Pmf.from_probs(tuple(range(257)), np.full(257, 1 / 257)), np.zeros((257, 257))),
+                 "beyond 256 symbols", id="257-symbols"),
+    pytest.param(lambda: sweep_curve(binary_problem(0.25, 0.1, 0.1), []), "nonempty", id="empty-D-grid"),
+    pytest.param(lambda: sweep_curve(binary_problem(0.25, 0.1, 0.1), [0.1], []), "nonempty", id="empty-P-grid"),
+    pytest.param(lambda: sweep_curve(binary_problem(0.25, 0.1, 0.1), [0.2, 0.1]), "sorted", id="unsorted-D-grid"),
+    pytest.param(lambda: sweep_curve(binary_problem(0.25, 0.1, 0.1), [0.1], [0.2, 0.1]), "sorted",
+                 id="unsorted-P-grid"),
+])
+def test_solver_inputs_fail_fast(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_classical_rd_when_perception_inactive():
@@ -369,6 +396,30 @@ def test_budgets_hold_just_below_the_zero_rate_threshold(div):
     assert sol.achieved_dist <= dist
     assert sol.achieved_perc <= 0.1
     assert solve_rdp(binary_problem(0.3, 0.38, 0.1, div=div)).rate <= 1e-12
+
+
+@pytest.mark.parametrize("probs, reads", [
+    pytest.param((0.5, 0.5), 0, id="never-mixes"),
+    pytest.param((0.5, 0.3, 0.2), 1, id="mixes"),
+])
+def test_engine_measures_the_reference_only_to_mix(monkeypatch, probs, reads):
+    """A coupling-cost certificate measures the reference's output law, p_X
+    itself under the identity reference, only when its own law is over P;
+    then the solve measures it once, however many certificates mix."""
+    real = rdplab.divergences.min_cost_coupling
+    rights = []
+
+    def spy(p, q, cost):
+        rights.append(q.probs.tolist())
+        return real(p, q, cost)
+
+    monkeypatch.setattr(rdplab.divergences, "min_cost_coupling", spy)
+    source = Pmf.from_probs(tuple(range(len(probs))), probs)
+    delta = np.abs(np.subtract.outer(np.arange(len(probs)), np.arange(len(probs)))).astype(float)
+    p = source.probs
+    sol = solve_rdp(RdpProblem(source, delta, coupling_cost(delta), 0.5 * (p @ delta @ p), 0.1))
+    assert sol.status == OPTIMAL and sol.iterations > 0
+    assert rights.count(p.tolist()) == reads
 
 
 def test_infeasible_solutions_carry_a_witness(monkeypatch):
