@@ -25,6 +25,7 @@ MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
 _ENCODE_BLOCK_ROWS = 32  # trials per block of _batch_encode
+_SEED_MAP_CHUNK = 1 << 16  # atoms per np.add.at call of simulate_seed_map
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,6 +328,11 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     3^13 atoms of a ternary source).  A stable sort of those small integer
     ranks orders the atoms as a stable sort of the masses would, largest
     first and ties by atom index, and their counts give the runs.
+
+    The bin totals are summed by `np.add.at`, `_SEED_MAP_CHUNK` atoms at a
+    time, in atom order: the additions, and their order, of `np.bincount`
+    with per-atom weights, without that float64 per-atom array (12.7 MB at
+    3^13 atoms).
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be positive")
@@ -348,8 +354,10 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     totals = np.zeros(n)
     for mass, start, end in zip(vals[::-1].tolist(), [0] + ends[:-1], ends):
         bins[order[start:end]] = _place_run(totals, mass, end - start)
-    # np.bincount adds the weights in atom order, as the atom-by-atom rule would
-    bin_totals = np.bincount(bins, weights=vals[idx], minlength=n)
+    # np.add.at adds unbuffered and in atom order, as the atom-by-atom rule would
+    bin_totals = np.zeros(n)
+    for lo in range(0, len(idx), _SEED_MAP_CHUNK):
+        np.add.at(bin_totals, bins[lo : lo + _SEED_MAP_CHUNK], vals[idx[lo : lo + _SEED_MAP_CHUNK]])
     tv = float(0.5 * np.abs(bin_totals - 1.0 / n).sum())
     bound = n * float(probs.max()) ** n0
     if tv > bound + 1e-12:
@@ -554,22 +562,35 @@ def _batch_encode(xs, words, mat):
     r[x_i, b] and the word side the indicators [w_i = b], for each column b
     where r is nonzero.  Every partial sum is an integer of magnitude below
     2^24 (a lone cell's are at most n), so the GEMM is exact.  A_t and B_m
-    are summed from symbol counts, and the terms (B_m + q_1 S_1) + q_2 S_2
-    + ... are added in one fixed order, so a total depends on the joint
-    type alone: words of equal joint type tie bit for bit, `argmin` keeps
-    the lowest index, and the result depends neither on the BLAS kernel nor
-    on how the trials are blocked.  The minimum is taken over
-    B_m + sum kappa_ab N_ab; returns the chosen word of each trial and A_t
-    plus that minimum.
+    are summed from symbol counts, and a word's total is the float64
+    (B_m + q_1 S_1) + q_2 S_2 + ..., added in one fixed order, so it
+    depends on the joint type alone: words of equal joint type tie bit for
+    bit, the lowest index wins, and the result depends neither on the BLAS
+    kernel nor on how the trials are blocked.  Returns the chosen word of
+    each trial and A_t plus its total.
+
+    With one group a total is fl(fl(q S) + B_m), and the words of one B_m
+    form a composition class.  Rounding is monotone, so within a class the
+    least total sits at the least sign(q) S.  The word side keeps each
+    class's words together, in index order, and a block takes each class's
+    extreme S in float32 (`reduceat`), totals only those C values in
+    float64, and searches only the classes that tie at the least total for
+    their first extreme word; the lowest index among them wins.  That is
+    the float64 rule's word and total exactly when the next integer S
+    raises every tied class's total; a block where it does not (a rounding
+    collapse: kappa at round-off, or |q| below the ulp of B) and costs of
+    more than one group take the float64 rule over all of the block's
+    words.
 
     Each group's GEMM has inner dimension n times its number of nonzero
-    columns, and each group adds one pass over the block's totals: n (k - 1)
-    for one group on k letters, against n k for a plain per-symbol product,
-    but up to n (k - 1)^2 when the kappa share no common factor.  The word
-    side is held for the whole call as float32, 4 bytes per word, letter
-    and unit of the inner dimension (5 MB at 20 000 words of 64 binary
-    letters).  Trials go `_ENCODE_BLOCK_ROWS` at a time, and a block holds
-    rows x words float64 totals (5 MB at 20 000 words).
+    columns: n (k - 1) for one group on k letters, against n k for a plain
+    per-symbol product, but up to n (k - 1)^2 over the groups when the
+    kappa share no common factor.  The word side is built from `words == b`
+    and held for the whole call as float32, 4 bytes per word, letter and
+    unit of the inner dimension (5 MB at 20 000 words of 64 binary
+    letters).  Trials go `_ENCODE_BLOCK_ROWS` at a time; a block holds
+    rows x words float32 counts (2.5 MB at 20 000 words), and the float64
+    rule a float64 total of the same shape per group.
     """
     n = xs.shape[1]
     kappa = (mat - mat[:, :1]) - (mat[0] - mat[0, 0])
@@ -588,27 +609,80 @@ def _batch_encode(xs, words, mat):
     b_tot = np.zeros(len(words))
     for b in range(1, mat.shape[1]):
         b_tot += (words == b).sum(axis=1) * (mat[0, b] - mat[0, 0])
-    words_t = np.ascontiguousarray(words.T)
+    # with one group, the words of one B_m (a composition class) are kept
+    # together, in index order; permuted only when there are several
+    classes = order = None
+    if len(groups) == 1:
+        b_vals, cls = np.unique(b_tot, return_inverse=True)
+        if len(b_vals) > 1:
+            order = np.argsort(cls, kind="stable")
+        classes = (b_vals, np.concatenate([[0], np.cumsum(np.bincount(cls))]), order)
     factors = []  # (q, r's nonzero columns as float32 rows, their word indicators)
     for q, r in groups:
         cols = np.flatnonzero(r.any(axis=0))
-        w_side = np.concatenate([words_t == b for b in cols], dtype=np.float32)
+        w_side = np.empty((n * len(cols), len(words)), dtype=np.float32)
+        for j, b in enumerate(cols):
+            hit = words == b
+            if order is not None:
+                hit = hit[order]
+            w_side[j * n : (j + 1) * n] = np.ascontiguousarray(hit.T)
         factors.append((q, r[:, cols].T.astype(np.float32), w_side))
     m_star = np.empty(len(xs), dtype=np.int64)
     best = np.empty(len(xs))
     for lo in range(0, len(xs), _ENCODE_BLOCK_ROWS):
         blk = slice(lo, lo + _ENCODE_BLOCK_ROWS)
-        x_blk = xs[blk]
-        totals = np.broadcast_to(b_tot, (len(x_blk), len(words)))
-        for q, u, w_side in factors:
-            counts = np.concatenate(u[:, x_blk], axis=1) @ w_side
-            term = np.multiply(counts, q, dtype=np.float64)
-            # ((B_m + q_1 S_1) + q_2 S_2) + ..., in the order of `groups`
-            term += totals
-            totals = term
-        m_star[blk] = np.argmin(totals, axis=1)
-        best[blk] = a_tot[blk] + totals[np.arange(len(x_blk)), m_star[blk]]
+        m_star[blk], low = _encode_block(xs[blk], factors, b_tot, classes)
+        best[blk] = a_tot[blk] + low
     return m_star, best
+
+
+def _encode_block(x_blk, factors, b_tot, classes):
+    """Each trial's word and least B_m + sum kappa_ab N_ab over one block:
+    by composition class when `classes` is set and no rounding collapses,
+    else by the float64 rule over all words."""
+    sums = ((q, np.concatenate(u[:, x_blk], axis=1) @ w_side) for q, u, w_side in factors)
+    if classes is not None:
+        q, counts = next(sums)
+        picked = _class_minimum(counts, q, *classes)
+        if picked is not None:
+            return picked
+        order = classes[2]
+        sums = [(q, counts if order is None else counts[:, np.argsort(order)])]
+    # (B_m + q_1 S_1) + q_2 S_2 + ..., in the order of `groups`
+    totals = np.broadcast_to(b_tot, (len(x_blk), len(b_tot)))
+    for q, counts in sums:
+        term = np.multiply(counts, q, dtype=np.float64)
+        term += totals
+        totals = term
+    m = np.argmin(totals, axis=1)
+    return m, totals[np.arange(len(m)), m]
+
+
+def _class_minimum(counts, q, b_vals, bounds, order):
+    """The float64 rule's word and total for each row of S = `counts`, read
+    from each composition class's extreme S, or None on a rounding collapse.
+
+    Class c holds the words of B_m = b_vals[c], in index order, in columns
+    bounds[c] to bounds[c + 1]; column j is word order[j] (word j when
+    `order` is None).
+    """
+    extreme = (np.minimum if q > 0 else np.maximum).reduceat(counts, bounds[:-1], axis=1)
+    tot = np.multiply(extreme, q, dtype=np.float64) + b_vals
+    low = tot.min(axis=1)
+    tied = tot == low[:, None]
+    # unless the next integer S raises a tied class's total, a word of that
+    # class beyond its extreme may tie too
+    if np.any(tied & (np.multiply(extreme + np.sign(q), q, dtype=np.float64) + b_vals == tot)):
+        return None
+    pick = np.argmin if q > 0 else np.argmax
+    m = np.full(len(counts), counts.shape[1])
+    for c in np.flatnonzero(tied.any(axis=0)):
+        rows = tied[:, c]
+        cols = slice(bounds[c], bounds[c + 1])
+        # a view when every row ties there (one class), not a copy of the block
+        pos = bounds[c] + pick(counts[:, cols] if rows.all() else counts[rows, cols], axis=1)
+        m[rows] = np.minimum(m[rows], pos if order is None else order[pos])
+    return m, low
 
 
 def _perception_setup(dv, budget, p_x, p_tilde, delta):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import heapq
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -458,6 +459,119 @@ def test_batch_encode_ties_words_of_one_joint_type_exactly(costs):
     for order in (words, words[::-1]):
         m_star, best = coding._batch_encode(x[None, :], order, mat)
         assert m_star[0] == 0
+
+
+def _float64_rule(xs, words, mat):
+    """`_batch_encode`'s rule written out: its groups (q, r), each S summed
+    word by word, each word's total (B_m + q_1 S_1) + q_2 S_2 + ... in
+    float64, and the first least total of each trial, plus A_t."""
+    n = xs.shape[1]
+    kappa = (mat - mat[:, :1]) - (mat[0] - mat[0, 0])
+    nonzero = np.flatnonzero(kappa)
+    groups = []
+    if nonzero.size:
+        q = kappa.flat[nonzero[np.argmin(np.abs(kappa.flat[nonzero]))]]
+        r = np.round(kappa / q)
+        shared = (q * r == kappa) & (np.abs(r) * n < 1 << 24)
+        groups.append((q, np.where(shared, r, 0.0)))
+        for c in np.flatnonzero(~shared):
+            groups.append((kappa.flat[c], np.arange(kappa.size).reshape(kappa.shape) == c))
+    a_tot = np.zeros(len(xs))
+    for a in range(mat.shape[0]):
+        a_tot += (xs == a).sum(axis=1) * mat[a, 0]
+    totals = np.zeros((len(xs), len(words)))
+    for b in range(1, mat.shape[1]):
+        totals += (words == b).sum(axis=1) * (mat[0, b] - mat[0, 0])
+    for q, r in groups:
+        totals = q * r[xs[:, None, :], words[None, :, :]].sum(axis=2) + totals
+    m = np.argmin(totals, axis=1)
+    return m, a_tot + totals[np.arange(len(xs)), m]
+
+
+POOL_COSTS = {
+    "hamming": lambda g, k, l: 1.0 - np.eye(k, l),
+    "abs": lambda g, k, l: np.abs(np.arange(k)[:, None] - np.arange(l)[None, :]).astype(float),
+    "squared-error-random-outputs": lambda g, k, l: (np.arange(k)[:, None] - k * g.random(l)[None, :]) ** 2,
+    "tenths": lambda g, k, l: g.integers(0, 10, (k, l)) / 10,
+}
+
+
+def test_class_path_equals_the_float64_rule(monkeypatch):
+    # uniform random words, so a codebook has several composition classes,
+    # drawn from a smaller base so that equal words tie inside a class and
+    # words of equal totals tie across classes; max(d) - d flips kappa's sign
+    g = np.random.default_rng(2306)
+    decided = Counter()
+    class_minimum = coding._class_minimum
+
+    def spy(counts, q, *rest):
+        picked = class_minimum(counts, q, *rest)
+        decided[q > 0, picked is not None] += 1
+        return picked
+
+    monkeypatch.setattr(coding, "_class_minimum", spy)
+    for i in range(600):
+        k, l = (int(v) for v in g.integers(2, 5, 2))
+        n = int(g.integers(1, 13))
+        mat = POOL_COSTS[sorted(POOL_COSTS)[i % len(POOL_COSTS)]](g, k, l)
+        if g.random() < 0.5:
+            mat = mat.max() - mat
+        xs = g.integers(0, k, (int(g.integers(1, 70)), n))
+        base = g.integers(0, l, (int(g.integers(1, 40)), n))
+        words = base[g.integers(0, len(base), int(g.integers(1, 100)))]
+        m_star, best = coding._batch_encode(xs, words, mat)
+        m_rule, best_rule = _float64_rule(xs, words, mat)
+        assert np.array_equal(m_star, m_rule), i
+        assert best.tobytes() == best_rule.tobytes(), i
+    # the class path decided blocks of either sign of q
+    assert decided[True, True] > 200 and decided[False, True] > 200
+
+
+# a tied class whose next integer S rounds to the same total: the class
+# path alone would take word 2, of the extreme S, where the float64 rule
+# takes word 1; word 0 is of a class of larger B
+COLLAPSE_X = np.array([1] * 6 + [0] * 6)
+COLLAPSE_CASES = {
+    # kappa_11 = 0.0 - 0.2 - (0.1 - 0.3) = -2.8e-17, at round-off of B = -1.2
+    "kappa-at-round-off": (
+        [[0.3, 0.1], [0.2, 0.0]],
+        [[0] * 7 + [1] * 5, [0] * 6 + [1] * 6, [1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0]],
+    ),
+    # q = -1 on the cell (1, 2), below half the ulp of B = 1e17
+    "q-below-the-ulp-of-b": (
+        [[0.0, 1e17, 1.0], [0.0, 1e17, 0.0]],
+        [[0] * 10 + [1, 1], [0] * 6 + [2, 2, 0, 0, 0, 1], [2, 2] + [0] * 9 + [1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSE_CASES))
+def test_class_path_falls_back_on_a_rounding_collapse(case):
+    mat, words = (np.array(v) for v in COLLAPSE_CASES[case])
+    m_star, best = coding._batch_encode(COLLAPSE_X[None, :], words, mat)
+    m_rule, best_rule = _float64_rule(COLLAPSE_X[None, :], words, mat)
+    assert m_star[0] == m_rule[0] == 1
+    assert best.tobytes() == best_rule.tobytes()
+
+
+def _traced_peak_mib(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_encoder_and_seed_map_peak_memory():
+    # measured 10.3 and 32.0 MiB; an int64 copy of the words, float64
+    # totals per block or a per-atom float array would each break a bound
+    cb = random_typical_codebook(Pmf.bernoulli(0.3), 64, math.log2(20_001) / 64, 0.05, seed=23)
+    assert len(cb) == 20_000
+    xs = np.random.default_rng(23).integers(0, 2, (64, 64))
+    assert _traced_peak_mib(coding._batch_encode, xs, cb.words, HAMMING) < 12.0
+    p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 35.0
 
 
 def _test_channel(rho=0.25, dist=0.3):
