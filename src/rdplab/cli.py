@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -126,12 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as fh:
-            fh.write(text)
+def _emit(text: str, output: str | None, *also: tuple[str, str]) -> None:
+    """Write `text` to `output` (stdout when None) and each (text, path) of
+    `also` to its path.  Every file is opened before anything is written,
+    so a destination that cannot be opened leaves the others unwritten."""
+    with ExitStack() as stack:
+        dests = [(text, sys.stdout if output is None else stack.enter_context(open(output, "w")))]
+        dests += [(more, stack.enter_context(open(path, "w"))) for more, path in also]
+        for body, fh in dests:
+            fh.write(body)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -253,10 +256,10 @@ def _run_simulate(args) -> int:
             mode=args.mode,
             alpha=args.alpha,
         )
-        _emit(serialize.dumps(serialize.sim_report_to_dict(rep)), args.output)
+        also = []
         if args.marginals_csv:
-            with open(args.marginals_csv, "w") as fh:
-                fh.write(serialize.marginals_csv(rep.per_letter_marginals))
+            also.append((serialize.marginals_csv(rep.per_letter_marginals), args.marginals_csv))
+        _emit(serialize.dumps(serialize.sim_report_to_dict(rep)), args.output, *also)
         return EXIT_OK
     if args.codebooks < 1:
         raise CliError("--codebooks must be positive")

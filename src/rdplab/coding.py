@@ -24,7 +24,10 @@ from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream,
 MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
-_ENCODE_BLOCK_ROWS = 32  # trials per block of _batch_encode
+_INT64_RANKS = 1 << 63  # the rank walk runs in int64 below this many completions
+_ENCODE_BLOCK_ROWS = 32  # trials per block of the float64 rule in _batch_encode
+_ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
+_ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
 _SEED_MAP_CHUNK = 1 << 16  # atoms per np.add.at call of simulate_seed_map
 
 
@@ -197,9 +200,12 @@ def random_typical_codebook(
     sizes for all the words that reached it, and the words from one
     `gen.permuted` call over the stacked sorted multisets; the stream
     yields every rank first and then every permutation.  The ranks, block
-    sizes and C(m, c) are int64 when the set has fewer than 2^63 words and
-    Python ints (object arrays) otherwise; the search, difference and floor
-    division give the same integers in both.
+    sizes and C(m, c) are Python ints (object arrays) until every state a
+    symbol's step reaches has fewer than 2^63 completions, and int64 from
+    that step on: from the first when the set has fewer than 2^63 words,
+    and from the second for a ternary set of 2^91 words at n = 64, whose
+    states after the first symbol hold fewer than 2^30.  The search,
+    difference and floor division give the same integers in both.
     """
     check_typical_codebook(target, n, rate_bits, delta)
     probs = target.probs
@@ -232,20 +238,22 @@ def random_typical_codebook(
     total = walk_state(0, n)[1][-1]
     if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
-    # every block size and rank is at most total, so int64 holds them all
-    # below 2^63; larger sets walk in python ints (object arrays)
-    dtype = np.int64 if total < 2**63 else object
     gen = stream(seed, CODEBOOK_STREAM)
-    ranks = np.array(randint_below(gen, total, n_words), dtype=dtype)
+    ranks = np.array(randint_below(gen, total, n_words), dtype=np.int64 if total < _INT64_RANKS else object)
     comps = np.empty((n_words, k), dtype=np.int64)
     left = np.full(n_words, n, dtype=np.int64)
     for j in range(k - 1):
         # the words with m letters left are at state (j, m)
         order = np.argsort(left, kind="stable")
         ms, starts = np.unique(left[order], return_index=True)
+        # a rank, block size or C(m, c) at a state is at most its completion
+        # count, so int64 holds them all once every state reached has fewer
+        # than 2^63; until then the walk runs in python ints (object arrays)
+        if ranks.dtype == object and max(walk_state(j, m)[1][-1] for m in ms.tolist()) < _INT64_RANKS:
+            ranks = ranks.astype(np.int64)
         for m, at in zip(ms.tolist(), np.split(order, starts[1:])):
             counts, cum, combs = walk_state(j, m)
-            cum, combs = np.array(cum, dtype=dtype), np.array(combs, dtype=dtype)
+            cum, combs = np.array(cum, dtype=ranks.dtype), np.array(combs, dtype=ranks.dtype)
             t = np.searchsorted(cum, ranks[at], side="right") - 1
             comps[at, j] = counts[t]
             ranks[at] = (ranks[at] - cum[t]) // combs[t]
@@ -268,8 +276,10 @@ def encode_min_distortion(cb: Codebook, xn, dist, source_alphabet=None) -> int:
     The minimum is `_batch_encode`'s on a one-trial block: a word's total is
     computed from its joint-type counts with `xn`, so words of equal joint
     type tie exactly, and ties break toward the lowest index.  The working
-    set is a few n x words and 1 x words float arrays.  A codebook with no
-    words and a symbol outside the source alphabet are rejected.
+    set is the float32 word side (words x n per nonzero output column) and
+    a float32 buffer of at most 1 x words: one trial takes each composition
+    class of up to 786 432 words in one chunk of the sweep.  A codebook
+    with no words and a symbol outside the source alphabet are rejected.
     """
     src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
     mat = _distortion_matrix(dist, src, cb.alphabet)
@@ -460,7 +470,8 @@ def shift_ensemble_sim(
     2 * delta * |support|); the audit takes the compositions of the chosen
     words only, one divergence per distinct composition.
     `diagnostics["seed_map_tv"]` is None in
-    shared_seed mode.  `timings` holds the wall seconds of the codebook
+    shared_seed mode.  The mode, trial count, tail length, distortion and
+    perception divergence are checked before the codebook is drawn.  `timings` holds the wall seconds of the codebook
     draw, the seed map (near 0 in shared_seed mode), the encoding (source
     blocks, shifts, encode, decode and tail) and the audit.
     """
@@ -471,20 +482,21 @@ def shift_ensemble_sim(
     p_tilde_full = target_channel.push(p_x)
     support = p_tilde_full.support()
     p_tilde = Pmf.from_pairs([(a, p_tilde_full.prob(a)) for a in support])
-    laps = [time.perf_counter()]
-    cb = random_typical_codebook(p_tilde, n, rate_bits, delta, seed)
-    laps.append(time.perf_counter())
     col_idx = [p_tilde_full.labels.index(a) for a in support]
     mat = _distortion_matrix(dist, p_x.labels, p_tilde_full.labels)[:, col_idx]
-    # the mode picks n0, the seed map and where each trial's shift q comes from
+    # the mode picks n0, the seed map and where each trial's shift q comes
+    # from; n0 and the audit are checked before the codebook is drawn
     n0 = 0
-    seed_map = None
     if mode == DERANDOMIZED:
         cap = int(math.floor(math.log(MAX_SEED_ATOMS, max(2, len(p_x.atoms)))))
         n0 = min(int(math.floor(alpha * n)), cap)
         if n0 < 1:
             raise ValueError("alpha * n below one symbol; derandomized mode needs a tail")
-        seed_map = simulate_seed_map(p_x, n0, n)
+    dv, budget = _perception_setup(perception_divergence, perception_budget, p_x, p_tilde, delta)
+    laps = [time.perf_counter()]
+    cb = random_typical_codebook(p_tilde, n, rate_bits, delta, seed)
+    laps.append(time.perf_counter())
+    seed_map = simulate_seed_map(p_x, n0, n) if n0 else None
     laps.append(time.perf_counter())
     # per-trial streams: source block and tail, then (shared seed) the shift
     u = np.empty((trials, n + n0))
@@ -510,7 +522,6 @@ def shift_ensemble_sim(
     counts = np.bincount((np.arange(n) * k_tgt + xhat).ravel(), minlength=n * k_tgt).reshape(n, k_tgt)
     marginals = [Pmf.from_probs(support, counts[t] / trials) for t in range(n)]
     max_div = max(divergence(total_variation(), p_tilde, marg) for marg in marginals)
-    dv, budget = _perception_setup(perception_divergence, perception_budget, p_x, p_tilde, delta)
     violations = 0
     if dv is not None:
         # a word's divergence depends only on its composition, and only the
@@ -566,21 +577,23 @@ def _batch_encode(xs, words, mat):
     (B_m + q_1 S_1) + q_2 S_2 + ..., added in one fixed order, so it
     depends on the joint type alone: words of equal joint type tie bit for
     bit, the lowest index wins, and the result depends neither on the BLAS
-    kernel nor on how the trials are blocked.  Returns the chosen word of
-    each trial and A_t plus its total.
+    kernel nor on how the trials or words are split.  Returns the chosen
+    word of each trial and A_t plus its total.
 
     With one group a total is fl(fl(q S) + B_m), and the words of one B_m
     form a composition class.  Rounding is monotone, so within a class the
-    least total sits at the least sign(q) S.  The word side keeps each
-    class's words together, in index order, and a block takes each class's
-    extreme S in float32 (`reduceat`), totals only those C values in
-    float64, and searches only the classes that tie at the least total for
-    their first extreme word; the lowest index among them wins.  That is
-    the float64 rule's word and total exactly when the next integer S
-    raises every tied class's total; a block where it does not (a rounding
-    collapse: kappa at round-off, or |q| below the ulp of B) and costs of
-    more than one group take the float64 rule over all of the block's
-    words.
+    least total sits at the extreme sign(q) S.  The word side keeps each
+    class's words together, in index order, and `_sweep_classes` streams
+    it past up to `_ENCODE_GROUP_ROWS` trials at a time, so the word side
+    is read once per group of trials, not once per few dozen.  It keeps
+    each trial's extreme S of a class and its first word, totals that in
+    float64, and takes the lowest word index among the classes tied at
+    the least total.  That is the float64 rule's word and total exactly
+    when the next integer S raises every tied class's total; a trial where
+    it does not (a rounding collapse: kappa at round-off, or |q| below the
+    ulp of B) and every trial of a cost with more than one group take the
+    float64 rule over all words, `_ENCODE_BLOCK_ROWS` trials at a time
+    (`_encode_block`).
 
     Each group's GEMM has inner dimension n times its number of nonzero
     columns: n (k - 1) for one group on k letters, against n k for a plain
@@ -588,9 +601,10 @@ def _batch_encode(xs, words, mat):
     kappa share no common factor.  The word side is built from `words == b`
     and held for the whole call as float32, 4 bytes per word, letter and
     unit of the inner dimension (5 MB at 20 000 words of 64 binary
-    letters).  Trials go `_ENCODE_BLOCK_ROWS` at a time; a block holds
-    rows x words float32 counts (2.5 MB at 20 000 words), and the float64
-    rule a float64 total of the same shape per group.
+    letters).  A sweep holds one float32 buffer of at most
+    `_ENCODE_BUFFER_FLOATS` S values (3 MiB) whatever the number of trials,
+    and a few values per trial of its group; the float64 rule holds a
+    float64 total per word and trial of its block, per group.
     """
     n = xs.shape[1]
     kappa = (mat - mat[:, :1]) - (mat[0] - mat[0, 0])
@@ -611,78 +625,99 @@ def _batch_encode(xs, words, mat):
         b_tot += (words == b).sum(axis=1) * (mat[0, b] - mat[0, 0])
     # with one group, the words of one B_m (a composition class) are kept
     # together, in index order; permuted only when there are several
-    classes = order = None
+    order = None
     if len(groups) == 1:
         b_vals, cls = np.unique(b_tot, return_inverse=True)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(cls))]).tolist()
         if len(b_vals) > 1:
             order = np.argsort(cls, kind="stable")
-        classes = (b_vals, np.concatenate([[0], np.cumsum(np.bincount(cls))]), order)
-    factors = []  # (q, r's nonzero columns as float32 rows, their word indicators)
+    factors = []  # (q, r's nonzero columns as float32 rows, word side: one row per word)
     for q, r in groups:
         cols = np.flatnonzero(r.any(axis=0))
-        w_side = np.empty((n * len(cols), len(words)), dtype=np.float32)
+        w_side = np.empty((len(words), n * len(cols)), dtype=np.float32)
         for j, b in enumerate(cols):
             hit = words == b
-            if order is not None:
-                hit = hit[order]
-            w_side[j * n : (j + 1) * n] = np.ascontiguousarray(hit.T)
+            w_side[:, j * n : (j + 1) * n] = hit if order is None else hit[order]
         factors.append((q, r[:, cols].T.astype(np.float32), w_side))
     m_star = np.empty(len(xs), dtype=np.int64)
     best = np.empty(len(xs))
-    for lo in range(0, len(xs), _ENCODE_BLOCK_ROWS):
-        blk = slice(lo, lo + _ENCODE_BLOCK_ROWS)
-        m_star[blk], low = _encode_block(xs[blk], factors, b_tot, classes)
+    undecided = np.ones(len(xs), dtype=bool)  # left to the float64 rule
+    if len(groups) == 1:
+        q, u, w_side = factors[0]
+        for lo in range(0, len(xs), _ENCODE_GROUP_ROWS):
+            grp = slice(lo, lo + _ENCODE_GROUP_ROWS)
+            t_side = np.concatenate(u[:, xs[grp]], axis=1)
+            m_star[grp], low, undecided[grp] = _sweep_classes(t_side, w_side, q, b_vals, bounds, order)
+            best[grp] = a_tot[grp] + low
+    rest = np.flatnonzero(undecided)
+    for lo in range(0, len(rest), _ENCODE_BLOCK_ROWS):
+        blk = rest[lo : lo + _ENCODE_BLOCK_ROWS]
+        m_star[blk], low = _encode_block(xs[blk], factors, b_tot, order)
         best[blk] = a_tot[blk] + low
     return m_star, best
 
 
-def _encode_block(x_blk, factors, b_tot, classes):
-    """Each trial's word and least B_m + sum kappa_ab N_ab over one block:
-    by composition class when `classes` is set and no rounding collapses,
-    else by the float64 rule over all words."""
-    sums = ((q, np.concatenate(u[:, x_blk], axis=1) @ w_side) for q, u, w_side in factors)
-    if classes is not None:
-        q, counts = next(sums)
-        picked = _class_minimum(counts, q, *classes)
-        if picked is not None:
-            return picked
-        order = classes[2]
-        sums = [(q, counts if order is None else counts[:, np.argsort(order)])]
+def _sweep_classes(t_side, w_side, q, b_vals, bounds, order):
+    """The float64 rule's word and total for each trial row of `t_side`,
+    read from each composition class's extreme S, and whether a rounding
+    collapse leaves them undecided.
+
+    Class c holds the words of B_m = b_vals[c], in index order, in rows
+    bounds[c] to bounds[c + 1] of `w_side`; row j is word order[j] (word j
+    when `order` is None).  A class passes in chunks of at most as many
+    words as fill `_ENCODE_BUFFER_FLOATS` S values; each chunk is one GEMM
+    into the buffer and one argmin (argmax when q < 0) along its words, and
+    a later chunk takes a trial's extreme only by strict improvement, so
+    the first extreme word of the class is kept.
+    """
+    rows = len(t_side)
+    width = max(1, _ENCODE_BUFFER_FLOATS // rows)
+    buf = np.empty(rows * min(width, len(w_side)), dtype=np.float32)
+    pick, better = (np.argmin, np.less) if q > 0 else (np.argmax, np.greater)
+    at = np.arange(rows)
+    low = np.full(rows, np.inf)
+    m = np.full(rows, len(w_side))
+    collapse = np.zeros(rows, dtype=bool)
+    for c, b in enumerate(b_vals.tolist()):
+        for lo in range(bounds[c], bounds[c + 1], width):
+            hi = min(lo + width, bounds[c + 1])
+            s = np.matmul(t_side, w_side[lo:hi].T, out=buf[: rows * (hi - lo)].reshape(rows, hi - lo))
+            pos = pick(s, axis=1)
+            val = s[at, pos]
+            if lo == bounds[c]:
+                extreme, first = val, lo + pos
+            else:
+                up = better(val, extreme)
+                extreme = np.where(up, val, extreme)
+                first = np.where(up, lo + pos, first)
+        tot = np.multiply(extreme, q, dtype=np.float64) + b
+        word = first if order is None else order[first]
+        # unless the next integer S raises the total, a word of this class
+        # beyond its extreme may tie too
+        stuck = np.multiply(extreme + np.sign(q), q, dtype=np.float64) + b == tot
+        # a lower total takes the trial, and an equal one a lower word
+        lower, tied = tot < low, tot == low
+        m = np.where(lower | (tied & (word < m)), word, m)
+        collapse = np.where(lower, stuck, collapse | (tied & stuck))
+        low = np.where(lower, tot, low)
+    return m, low, collapse
+
+
+def _encode_block(x_blk, factors, b_tot, order):
+    """Each trial's word and least B_m + sum kappa_ab N_ab over one block by
+    the float64 rule over all words; the word sides hold word order[j] in
+    row j when `order` is set."""
     # (B_m + q_1 S_1) + q_2 S_2 + ..., in the order of `groups`
     totals = np.broadcast_to(b_tot, (len(x_blk), len(b_tot)))
-    for q, counts in sums:
+    for q, u, w_side in factors:
+        counts = np.concatenate(u[:, x_blk], axis=1) @ w_side.T
+        if order is not None:
+            counts = counts[:, np.argsort(order)]
         term = np.multiply(counts, q, dtype=np.float64)
         term += totals
         totals = term
     m = np.argmin(totals, axis=1)
     return m, totals[np.arange(len(m)), m]
-
-
-def _class_minimum(counts, q, b_vals, bounds, order):
-    """The float64 rule's word and total for each row of S = `counts`, read
-    from each composition class's extreme S, or None on a rounding collapse.
-
-    Class c holds the words of B_m = b_vals[c], in index order, in columns
-    bounds[c] to bounds[c + 1]; column j is word order[j] (word j when
-    `order` is None).
-    """
-    extreme = (np.minimum if q > 0 else np.maximum).reduceat(counts, bounds[:-1], axis=1)
-    tot = np.multiply(extreme, q, dtype=np.float64) + b_vals
-    low = tot.min(axis=1)
-    tied = tot == low[:, None]
-    # unless the next integer S raises a tied class's total, a word of that
-    # class beyond its extreme may tie too
-    if np.any(tied & (np.multiply(extreme + np.sign(q), q, dtype=np.float64) + b_vals == tot)):
-        return None
-    pick = np.argmin if q > 0 else np.argmax
-    m = np.full(len(counts), counts.shape[1])
-    for c in np.flatnonzero(tied.any(axis=0)):
-        rows = tied[:, c]
-        cols = slice(bounds[c], bounds[c + 1])
-        # a view when every row ties there (one class), not a copy of the block
-        pos = bounds[c] + pick(counts[:, cols] if rows.all() else counts[rows, cols], axis=1)
-        m[rows] = np.minimum(m[rows], pos if order is None else order[pos])
-    return m, low
 
 
 def _perception_setup(dv, budget, p_x, p_tilde, delta):

@@ -295,7 +295,7 @@ def test_simulate_circle_env_seed(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_block(tmp_path):
+def _block_argv(tmp_path):
     sol = binary_optimal_construction(0.25, 0.3)
     spec = {
         "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
@@ -307,19 +307,43 @@ def test_simulate_block(tmp_path):
     }
     spec_path = tmp_path / "block.json"
     spec_path.write_text(json.dumps(spec))
-    out = tmp_path / "report.json"
-    csv_out = tmp_path / "marg.csv"
-    code = main([
+    return [
         "simulate", "block", "--spec", str(spec_path), "--n", "16",
         "--rate", "0.35", "--delta", "0.4", "--trials", "200", "--seed", "5",
-        "--output", str(out), "--marginals-csv", str(csv_out),
-    ])
+    ]
+
+
+def test_simulate_block(tmp_path):
+    out = tmp_path / "report.json"
+    csv_out = tmp_path / "marg.csv"
+    code = main(_block_argv(tmp_path) + ["--output", str(out), "--marginals-csv", str(csv_out)])
     assert code == 0
     rep = serialize.sim_report_from_dict(json.loads(out.read_text()))
     assert rep.n == 16 and rep.trials == 200
     lines = csv_out.read_text().strip().split("\n")
     assert lines[0] == "t,atom,prob"
     assert len(lines) == 1 + 16 * 2
+
+
+@pytest.mark.parametrize("output, csv", [
+    pytest.param(None, "missing", id="stdout-and-unopenable-csv"),
+    pytest.param("report.json", "missing", id="file-and-unopenable-csv"),
+    pytest.param("missing", "marg.csv", id="unopenable-output-and-csv"),
+])
+def test_simulate_block_writes_nothing_when_a_destination_cannot_be_opened(output, csv, tmp_path, capsys):
+    # "missing" names a file in a directory that does not exist
+    paths = {name: tmp_path / ("no-such-dir/x" if name == "missing" else name) for name in (output, csv) if name}
+    argv = _block_argv(tmp_path) + ["--marginals-csv", str(paths[csv])]
+    if output:
+        argv += ["--output", str(paths[output])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rdplab: [Errno 2]") and "no-such-dir" in captured.err
+    # a destination opened before the other failed holds nothing
+    for name, path in paths.items():
+        if name != "missing":
+            assert not path.exists() or path.read_text() == "", name
 
 
 def test_simulate_softcover(tmp_path):

@@ -388,11 +388,18 @@ def test_batch_encode_picks_the_lowest_exact_minimiser():
 
 @pytest.mark.parametrize("case", sorted(SIM_CASES))
 def test_batch_encode_does_not_depend_on_the_block_size(case, monkeypatch):
+    # the float64 rule's blocks, the sweep's trial groups and its chunks of
+    # (about) 1, 7 and the default number of words
     xs, words, mat = _encode_inputs(case, SHARED_SEED)
     results = []
-    for rows in (1, 7, coding._ENCODE_BLOCK_ROWS):
-        monkeypatch.setattr(coding, "_ENCODE_BLOCK_ROWS", rows)
-        results.append(coding._batch_encode(xs, words, mat))
+    for rows, group in zip((1, 7, coding._ENCODE_BLOCK_ROWS), (1, 7, coding._ENCODE_GROUP_ROWS)):
+        for width in (1, 7, None):
+            floats = min(group, len(xs)) * width if width else coding._ENCODE_BUFFER_FLOATS
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(coding, "_ENCODE_BLOCK_ROWS", rows)
+                mp.setattr(coding, "_ENCODE_GROUP_ROWS", group)
+                mp.setattr(coding, "_ENCODE_BUFFER_FLOATS", floats)
+                results.append(coding._batch_encode(xs, words, mat))
     for m_star, best in results[1:]:
         assert np.array_equal(m_star, results[0][0])
         assert best.tobytes() == results[0][1].tobytes()
@@ -461,6 +468,49 @@ def test_batch_encode_ties_words_of_one_joint_type_exactly(costs):
         assert m_star[0] == 0
 
 
+def test_sweep_keeps_the_first_extreme_word_of_a_class_split_across_chunks(monkeypatch):
+    # one composition class (three 1s) in chunks of two words.  Hamming
+    # (q < 0) takes the most 1-1 matches: trial 0's S = 3 at words 3 and 4;
+    # 1 - Hamming (q > 0) the fewest: trial 1's S = 0 at words 3 and 5; both
+    # in the second and third chunks
+    xs = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 0]])
+    words = np.array([
+        [0, 0, 0, 0, 1, 1, 1, 0],
+        [1, 0, 0, 0, 1, 1, 0, 0],
+        [1, 1, 0, 0, 0, 0, 1, 0],
+        [1, 1, 1, 0, 0, 0, 0, 0],
+        [0, 1, 1, 1, 0, 0, 0, 0],
+        [1, 1, 0, 0, 0, 0, 0, 1],
+    ])
+    monkeypatch.setattr(coding, "_ENCODE_BUFFER_FLOATS", 2 * len(xs))
+    for mat, t in ((HAMMING, 0), (1.0 - HAMMING, 1)):
+        m_star, best = coding._batch_encode(xs, words, mat)
+        m_rule, best_rule = _float64_rule(xs, words, mat)
+        assert m_rule[t] == 3
+        assert np.array_equal(m_star, m_rule)
+        assert best.tobytes() == best_rule.tobytes()
+
+
+def test_batch_encode_sweeps_more_trials_than_one_group(monkeypatch):
+    g = np.random.default_rng(2401)
+    xs = g.integers(0, 3, (coding._ENCODE_GROUP_ROWS + 300, 12))
+    words = g.integers(0, 3, (60, 12))
+    mat = np.abs(np.arange(3.0)[:, None] - np.arange(3.0)[None, :])
+    groups = []
+    sweep_classes = coding._sweep_classes
+
+    def spy(t_side, *rest):
+        groups.append(len(t_side))
+        return sweep_classes(t_side, *rest)
+
+    monkeypatch.setattr(coding, "_sweep_classes", spy)
+    m_star, best = coding._batch_encode(xs, words, mat)
+    m_rule, best_rule = _float64_rule(xs, words, mat)
+    assert groups == [coding._ENCODE_GROUP_ROWS, 300]
+    assert np.array_equal(m_star, m_rule)
+    assert best.tobytes() == best_rule.tobytes()
+
+
 def _float64_rule(xs, words, mat):
     """`_batch_encode`'s rule written out: its groups (q, r), each S summed
     word by word, each word's total (B_m + q_1 S_1) + q_2 S_2 + ... in
@@ -502,14 +552,14 @@ def test_class_path_equals_the_float64_rule(monkeypatch):
     # words of equal totals tie across classes; max(d) - d flips kappa's sign
     g = np.random.default_rng(2306)
     decided = Counter()
-    class_minimum = coding._class_minimum
+    sweep_classes = coding._sweep_classes
 
-    def spy(counts, q, *rest):
-        picked = class_minimum(counts, q, *rest)
-        decided[q > 0, picked is not None] += 1
-        return picked
+    def spy(t_side, w_side, q, *rest):
+        m, low, collapse = sweep_classes(t_side, w_side, q, *rest)
+        decided[q > 0] += int(np.count_nonzero(~collapse))
+        return m, low, collapse
 
-    monkeypatch.setattr(coding, "_class_minimum", spy)
+    monkeypatch.setattr(coding, "_sweep_classes", spy)
     for i in range(600):
         k, l = (int(v) for v in g.integers(2, 5, 2))
         n = int(g.integers(1, 13))
@@ -523,8 +573,8 @@ def test_class_path_equals_the_float64_rule(monkeypatch):
         m_rule, best_rule = _float64_rule(xs, words, mat)
         assert np.array_equal(m_star, m_rule), i
         assert best.tobytes() == best_rule.tobytes(), i
-    # the class path decided blocks of either sign of q
-    assert decided[True, True] > 200 and decided[False, True] > 200
+    # the class path decided trials of either sign of q
+    assert decided[True] > 5000 and decided[False] > 5000
 
 
 # a tied class whose next integer S rounds to the same total: the class
@@ -570,6 +620,10 @@ def test_encoder_and_seed_map_peak_memory():
     assert len(cb) == 20_000
     xs = np.random.default_rng(23).integers(0, 2, (64, 64))
     assert _traced_peak_mib(coding._batch_encode, xs, cb.words, HAMMING) < 12.0
+    # 10 000 trials measured 10.6 MiB: the sweep's buffer and trial side
+    # are per group of trials, so they do not grow with the trial count
+    xs = np.random.default_rng(24).integers(0, 2, (10_000, 64))
+    assert _traced_peak_mib(coding._batch_encode, xs, cb.words, HAMMING) < 12.0
     p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
     assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 35.0
 
@@ -604,11 +658,25 @@ def test_shift_ensemble_shared_seed_basics():
     pytest.param(dict(mode="hybrid"), "unknown mode", id="unknown-mode"),
     pytest.param(dict(trials=0), "trials must be >= 1", id="no-trials"),
     pytest.param(dict(mode=DERANDOMIZED, alpha=0.05), "below one symbol", id="no-tail"),
+    pytest.param(dict(mode=DERANDOMIZED, alpha=0.01, n=40), "below one symbol", id="no-tail-n40"),
+    pytest.param(dict(perception_divergence=total_variation()), "alphabets differ", id="tv-across-alphabets"),
+    pytest.param(dict(dist=[[0.0, 1.0]]), "distortion shape", id="distortion-shape"),
 ])
-def test_shift_ensemble_inputs_fail_fast(change, message):
+def test_shift_ensemble_inputs_fail_fast(change, message, monkeypatch):
+    # each is rejected before the codebook is drawn
+    drawn = []
+    draw = coding.random_typical_codebook
+
+    def spy(*args, **kwargs):
+        drawn.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(coding, "random_typical_codebook", spy)
     channel, p_x, dist, kw = _binary_case(SHARED_SEED)
+    kw = {**kw, "dist": dist, **change}
     with pytest.raises(ValueError, match=message):
-        shift_ensemble_sim(channel, p_x, dist, **{**kw, **change})
+        shift_ensemble_sim(channel, p_x, **kw)
+    assert drawn == []
 
 
 def test_shift_ensemble_skips_the_audit_without_a_divergence():
@@ -947,6 +1015,23 @@ def test_coding_outputs_are_pinned(case):
 def test_codebook_words_pass_is_delta_typical():
     cb = CODEBOOK_CASES["quaternary-n24"]()
     assert all(is_delta_typical(cb.word_labels(m), cb.target, cb.delta) for m in range(len(cb)))
+
+
+@pytest.mark.parametrize("target, n, rate, delta", [
+    # 2^91 words; every state after the first symbol has fewer than 2^30 completions
+    pytest.param(_ternary_block_target(), 64, 0.2, 0.05, id="ternary-n64"),
+    # 5^40 words, all typical: the second symbol's states reach 4^m completions
+    pytest.param(Pmf.uniform(tuple(range(5))), 40, 0.3, 1.0, id="uniform-5-n40"),
+    pytest.param(Pmf.from_probs((0, 1, 2, 3), (0.375, 0.25, 0.125, 0.25)), 64, 0.15, 0.3, id="quaternary-n64"),
+])
+def test_rank_walk_in_int64_draws_the_words_of_the_object_walk(target, n, rate, delta, monkeypatch):
+    # sets above 2^63 words start the walk in python ints and go to int64
+    # once every state a step reaches fits; a limit of 0 keeps them in
+    # python ints throughout
+    int64_walk = random_typical_codebook(target, n, rate, delta, seed=24).words
+    monkeypatch.setattr(coding, "_INT64_RANKS", 0)
+    object_walk = random_typical_codebook(target, n, rate, delta, seed=24).words
+    assert np.array_equal(int64_walk, object_walk)
 
 
 def _compositions(n, k):
