@@ -25,7 +25,6 @@ MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
 _INT64_RANKS = 1 << 63  # the rank walk runs in int64 below this many completions
-_ENCODE_BLOCK_ROWS = 32  # trials per block of the float64 rule in _batch_encode
 _ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
 _ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
 _SEED_MAP_CHUNK = 1 << 16  # atoms per np.add.at call of simulate_seed_map
@@ -277,9 +276,11 @@ def encode_min_distortion(cb: Codebook, xn, dist, source_alphabet=None) -> int:
     computed from its joint-type counts with `xn`, so words of equal joint
     type tie exactly, and ties break toward the lowest index.  The working
     set is the float32 word side (words x n per nonzero output column) and
-    a float32 buffer of at most 1 x words: one trial takes each composition
-    class of up to 786 432 words in one chunk of the sweep.  A codebook
-    with no words and a symbol outside the source alphabet are rejected.
+    a float32 buffer of at most 1 x words: one trial takes each run of up
+    to 786 432 words (a composition class, or all words for a cost of
+    several kappa groups) in one chunk of the sweep, and the float64 rule,
+    where it runs, that chunk's float64 totals.  A codebook with no words
+    and a symbol outside the source alphabet are rejected.
     """
     src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
     mat = _distortion_matrix(dist, src, cb.alphabet)
@@ -582,29 +583,31 @@ def _batch_encode(xs, words, mat):
 
     With one group a total is fl(fl(q S) + B_m), and the words of one B_m
     form a composition class.  Rounding is monotone, so within a class the
-    least total sits at the extreme sign(q) S.  The word side keeps each
-    class's words together, in index order, and `_sweep_classes` streams
-    it past up to `_ENCODE_GROUP_ROWS` trials at a time, so the word side
-    is read once per group of trials, not once per few dozen.  It keeps
-    each trial's extreme S of a class and its first word, totals that in
-    float64, and takes the lowest word index among the classes tied at
-    the least total.  That is the float64 rule's word and total exactly
-    when the next integer S raises every tied class's total; a trial where
-    it does not (a rounding collapse: kappa at round-off, or |q| below the
-    ulp of B) and every trial of a cost with more than one group take the
-    float64 rule over all words, `_ENCODE_BLOCK_ROWS` trials at a time
-    (`_encode_block`).
+    least total sits at the extreme sign(q) S.  The word side then keeps
+    each class's words together, in index order; with several groups, or
+    none, it is one run of all words in index order.  `_sweep` streams it
+    past up to `_ENCODE_GROUP_ROWS` trials at a time, so the word side is
+    read once per group of trials.  With one group it first takes each
+    trial's extreme S of a class and its first word, totals that in
+    float64, and takes the lowest word index among the classes tied at the
+    least total.  That is the float64 rule's word and total exactly when
+    the next integer S raises every tied class's total.  A trial where it
+    does not (a rounding collapse: kappa at round-off, or |q| below the ulp
+    of B) passes over the same chunks once more under the float64 rule,
+    which forms each chunk's totals; every trial of a cost with several
+    groups, or none, takes only that pass.
 
     Each group's GEMM has inner dimension n times its number of nonzero
     columns: n (k - 1) for one group on k letters, against n k for a plain
     per-symbol product, but up to n (k - 1)^2 over the groups when the
-    kappa share no common factor.  The word side is built from `words == b`
-    and held for the whole call as float32, 4 bytes per word, letter and
-    unit of the inner dimension (5 MB at 20 000 words of 64 binary
-    letters).  A sweep holds one float32 buffer of at most
-    `_ENCODE_BUFFER_FLOATS` S values (3 MiB) whatever the number of trials,
-    and a few values per trial of its group; the float64 rule holds a
-    float64 total per word and trial of its block, per group.
+    kappa share no common factor.  Each output letter's indicator
+    `words == b` is built once, for B_m and every group's word side, and
+    freed before the sweep.  The word side is held for the whole call as
+    float32, 4 bytes per word, letter and unit of the inner dimension (5 MB
+    at 20 000 words of 64 binary letters).  A sweep holds one float32
+    buffer of at most `_ENCODE_BUFFER_FLOATS` S values (3 MiB) whatever the
+    number of trials or words, the float64 rule's totals of one chunk, and
+    a few values per trial of its group (a trial side per group).
     """
     n = xs.shape[1]
     kappa = (mat - mat[:, :1]) - (mat[0] - mat[0, 0])
@@ -620,104 +623,101 @@ def _batch_encode(xs, words, mat):
     a_tot = np.zeros(len(xs))
     for a in range(mat.shape[0]):
         a_tot += (xs == a).sum(axis=1) * mat[a, 0]
+    # each output letter's indicator, built once for B_m and the word sides
+    hits = {b: words == b for b in range(1, mat.shape[1])}
     b_tot = np.zeros(len(words))
-    for b in range(1, mat.shape[1]):
-        b_tot += (words == b).sum(axis=1) * (mat[0, b] - mat[0, 0])
-    # with one group, the words of one B_m (a composition class) are kept
-    # together, in index order; permuted only when there are several
-    order = None
+    for b, hit in hits.items():
+        b_tot += hit.sum(axis=1) * (mat[0, b] - mat[0, 0])
+    # word side row j is word order[j]; with one group each composition
+    # class (one B_m) is a run, otherwise all words are one run
+    order, bounds = np.arange(len(words)), [0, len(words)]
     if len(groups) == 1:
-        b_vals, cls = np.unique(b_tot, return_inverse=True)
+        cls = np.unique(b_tot, return_inverse=True)[1]
+        order = np.argsort(cls, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(cls))]).tolist()
-        if len(b_vals) > 1:
-            order = np.argsort(cls, kind="stable")
     factors = []  # (q, r's nonzero columns as float32 rows, word side: one row per word)
     for q, r in groups:
         cols = np.flatnonzero(r.any(axis=0))
         w_side = np.empty((len(words), n * len(cols)), dtype=np.float32)
         for j, b in enumerate(cols):
-            hit = words == b
-            w_side[:, j * n : (j + 1) * n] = hit if order is None else hit[order]
+            w_side[:, j * n : (j + 1) * n] = np.take(hits[b], order, axis=0)
         factors.append((q, r[:, cols].T.astype(np.float32), w_side))
+    del hits
     m_star = np.empty(len(xs), dtype=np.int64)
     best = np.empty(len(xs))
-    undecided = np.ones(len(xs), dtype=bool)  # left to the float64 rule
-    if len(groups) == 1:
-        q, u, w_side = factors[0]
-        for lo in range(0, len(xs), _ENCODE_GROUP_ROWS):
-            grp = slice(lo, lo + _ENCODE_GROUP_ROWS)
-            t_side = np.concatenate(u[:, xs[grp]], axis=1)
-            m_star[grp], low, undecided[grp] = _sweep_classes(t_side, w_side, q, b_vals, bounds, order)
+    for lo in range(0, len(xs), _ENCODE_GROUP_ROWS):
+        grp = slice(lo, lo + _ENCODE_GROUP_ROWS)
+        rest = np.arange(len(xs))[grp]
+        if len(groups) == 1:  # the class rule; a collapse is left to the float64 rule
+            m_star[grp], low, undecided = _sweep(xs[grp], factors, b_tot, order, bounds, True)
             best[grp] = a_tot[grp] + low
-    rest = np.flatnonzero(undecided)
-    for lo in range(0, len(rest), _ENCODE_BLOCK_ROWS):
-        blk = rest[lo : lo + _ENCODE_BLOCK_ROWS]
-        m_star[blk], low = _encode_block(xs[blk], factors, b_tot, order)
-        best[blk] = a_tot[blk] + low
+            rest = rest[undecided]
+        if len(rest):
+            m_star[rest], low, _ = _sweep(xs[rest], factors, b_tot, order, bounds, False)
+            best[rest] = a_tot[rest] + low
     return m_star, best
 
 
-def _sweep_classes(t_side, w_side, q, b_vals, bounds, order):
-    """The float64 rule's word and total for each trial row of `t_side`,
-    read from each composition class's extreme S, and whether a rounding
-    collapse leaves them undecided.
+def _sweep(x, factors, b_tot, order, bounds, classes):
+    """Each trial row of `x`'s word and least B_m + sum kappa_ab N_ab, and
+    whether a rounding collapse leaves it undecided.
 
-    Class c holds the words of B_m = b_vals[c], in index order, in rows
-    bounds[c] to bounds[c + 1] of `w_side`; row j is word order[j] (word j
-    when `order` is None).  A class passes in chunks of at most as many
-    words as fill `_ENCODE_BUFFER_FLOATS` S values; each chunk is one GEMM
-    into the buffer and one argmin (argmax when q < 0) along its words, and
-    a later chunk takes a trial's extreme only by strict improvement, so
-    the first extreme word of the class is kept.
+    Row j of the word sides is word order[j], and each run from bounds[c]
+    to bounds[c + 1] holds its words in index order.  A run passes in
+    chunks of at most as many words as fill `_ENCODE_BUFFER_FLOATS` S
+    values.  With `classes` (one group, whose runs are the composition
+    classes) a chunk is one GEMM into the buffer and one argmin (argmax
+    when q < 0) of S; at the end of the class its extreme is totalled in
+    float64 once.  Otherwise a chunk's values are the float64 rule's
+    totals (B_m + q_1 S_1) + q_2 S_2 + ..., one GEMM per group into the
+    buffer, and its argmin.  A later chunk of a run takes a trial's value
+    only by strict improvement, so the first word of the run's extreme is
+    kept; across runs a lower total takes the trial, and an equal one the
+    lower word.
     """
-    rows = len(t_side)
+    rows = len(x)
+    t_sides = [np.concatenate(u[:, x], axis=1) for _, u, _ in factors]
     width = max(1, _ENCODE_BUFFER_FLOATS // rows)
-    buf = np.empty(rows * min(width, len(w_side)), dtype=np.float32)
+    buf = np.empty(rows * min(width, len(order)), dtype=np.float32)
+    q = factors[0][0] if classes else 1.0
     pick, better = (np.argmin, np.less) if q > 0 else (np.argmax, np.greater)
     at = np.arange(rows)
     low = np.full(rows, np.inf)
-    m = np.full(rows, len(w_side))
+    m = np.full(rows, len(order))
     collapse = np.zeros(rows, dtype=bool)
-    for c, b in enumerate(b_vals.tolist()):
-        for lo in range(bounds[c], bounds[c + 1], width):
-            hi = min(lo + width, bounds[c + 1])
-            s = np.matmul(t_side, w_side[lo:hi].T, out=buf[: rows * (hi - lo)].reshape(rows, hi - lo))
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        for lo in range(start, end, width):
+            hi = min(lo + width, end)
+            out = buf[: rows * (hi - lo)].reshape(rows, hi - lo)
+            if classes:
+                s = np.matmul(t_sides[0], factors[0][2][lo:hi].T, out=out)
+            else:
+                s = np.broadcast_to(b_tot[order[lo:hi]], out.shape)
+                for (q_g, _, w_side), t_side in zip(factors, t_sides):
+                    term = np.multiply(np.matmul(t_side, w_side[lo:hi].T, out=out), q_g, dtype=np.float64)
+                    term += s
+                    s = term
             pos = pick(s, axis=1)
             val = s[at, pos]
-            if lo == bounds[c]:
+            if lo == start:
                 extreme, first = val, lo + pos
             else:
                 up = better(val, extreme)
                 extreme = np.where(up, val, extreme)
                 first = np.where(up, lo + pos, first)
-        tot = np.multiply(extreme, q, dtype=np.float64) + b
-        word = first if order is None else order[first]
-        # unless the next integer S raises the total, a word of this class
-        # beyond its extreme may tie too
-        stuck = np.multiply(extreme + np.sign(q), q, dtype=np.float64) + b == tot
+        word, tot, stuck = order[first], extreme, False
+        if classes:
+            b = b_tot[order[start]]
+            tot = np.multiply(extreme, q, dtype=np.float64) + b
+            # unless the next integer S raises the total, a word of this
+            # class beyond its extreme may tie too
+            stuck = np.multiply(extreme + np.sign(q), q, dtype=np.float64) + b == tot
         # a lower total takes the trial, and an equal one a lower word
         lower, tied = tot < low, tot == low
         m = np.where(lower | (tied & (word < m)), word, m)
         collapse = np.where(lower, stuck, collapse | (tied & stuck))
         low = np.where(lower, tot, low)
     return m, low, collapse
-
-
-def _encode_block(x_blk, factors, b_tot, order):
-    """Each trial's word and least B_m + sum kappa_ab N_ab over one block by
-    the float64 rule over all words; the word sides hold word order[j] in
-    row j when `order` is set."""
-    # (B_m + q_1 S_1) + q_2 S_2 + ..., in the order of `groups`
-    totals = np.broadcast_to(b_tot, (len(x_blk), len(b_tot)))
-    for q, u, w_side in factors:
-        counts = np.concatenate(u[:, x_blk], axis=1) @ w_side.T
-        if order is not None:
-            counts = counts[:, np.argsort(order)]
-        term = np.multiply(counts, q, dtype=np.float64)
-        term += totals
-        totals = term
-    m = np.argmin(totals, axis=1)
-    return m, totals[np.arange(len(m)), m]
 
 
 def _perception_setup(dv, budget, p_x, p_tilde, delta):

@@ -423,6 +423,21 @@ def test_malformed_input_file_exit(tmp_path, capsys, payload, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["curve", "solve", "--D-grid", "0.1:0.3"], "bad grid spec '0.1:0.3', expected A:B:N",
+                 id="grid-spec-two-fields"),
+    pytest.param(["curve", "solve", "--D-grid", "0.1:0.3:x"], "bad grid spec '0.1:0.3:x', expected A:B:N",
+                 id="grid-spec-not-a-number"),
+    pytest.param(["curve", "binary", "--grid", "0"], "--grid must be positive", id="curve-binary-grid-0"),
+    pytest.param(["curve", "gaussian", "--grid", "0"], "--grid must be positive", id="curve-gaussian-grid-0"),
+])
+def test_grid_options_fail_fast(argv, message, problem_file, capsys):
+    if argv[1] == "solve":
+        argv = [*argv, "--problem", problem_file]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"rdplab: {message}\n")
+
+
 def test_softcover_rejects_zero_codebooks(tmp_path, capsys, recwarn):
     spec_path = tmp_path / "soft.json"
     spec_path.write_text(json.dumps(SOFT_SPEC))

@@ -113,6 +113,20 @@ def test_binary_optimal_construction_symmetry_and_errors():
         binary_optimal_construction(0.25, 0.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: phi_gaussian(1.0, -0.1), "D=-0.1 negative", id="phi-gaussian-negative-D"),
+    pytest.param(lambda: varphi_gaussian(1.0, -0.1), "D=-0.1 negative", id="varphi-gaussian-negative-D"),
+    pytest.param(lambda: rd_gaussian(1.0, -0.1), "D=-0.1 negative", id="rd-gaussian-negative-D"),
+    pytest.param(lambda: binary_optimal_construction(0.0, 0.1), r"rho=0.0 outside \(0, 0.5\]", id="rho-zero"),
+    pytest.param(lambda: binary_optimal_construction(0.6, 0.1), r"rho=0.6 outside \(0, 0.5\]", id="rho-above-half"),
+    pytest.param(lambda: mirror_construction(Pmf.bernoulli(0.5), Channel.identity((1, 2))),
+                 "channel inputs must match the source alphabet", id="mirror-alphabets"),
+])
+def test_closed_form_inputs_fail_fast(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_kkt_verify_passes_and_fails():
     rho, dist = 0.25, 0.2
     sol = binary_optimal_construction(rho, dist)

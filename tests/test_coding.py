@@ -92,6 +92,34 @@ def test_codebook_single_word_and_vacuous_delta():
     assert seen <= {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Codebook(n=3, words=np.zeros((2, 4), dtype=np.int64), target=Pmf.bernoulli(0.5)),
+                 ValueError, r"words must be an \(M, n\) index array", id="codebook-shape"),
+    pytest.param(lambda: Codebook(n=3, words=[[0, 2, 1]], target=Pmf.bernoulli(0.5)),
+                 ValueError, "word symbol index out of range", id="codebook-index-above"),
+    pytest.param(lambda: Codebook(n=3, words=[[0, -1, 1]], target=Pmf.bernoulli(0.5)),
+                 ValueError, "word symbol index out of range", id="codebook-index-below"),
+    pytest.param(lambda: simulate_circle("private", samples=0), ValueError, "samples must be >= 1",
+                 id="circle-no-samples"),
+    pytest.param(lambda: coding.check_typical_codebook(Pmf.bernoulli(0.3), 8, 0.5, 0.0),
+                 ValueError, "delta must be positive", id="typical-zero-delta"),
+    pytest.param(lambda: coding.check_typical_codebook(Pmf.bernoulli(0.3), 8, -0.1, 0.1),
+                 ValueError, "rate must be nonnegative", id="typical-negative-rate"),
+    pytest.param(lambda: encode_min_distortion(Codebook(n=3, words=[[0, 1, 1]], target=Pmf.bernoulli(0.5)),
+                                               [0, 1], HAMMING),
+                 ValueError, "sequence length 2 != block length 3", id="encode-length"),
+    pytest.param(lambda: private_randomness_channel_sim(Pmf.bernoulli(0.5), Channel.identity((1, 2)),
+                                                        Channel.identity((1, 2)), trials=1),
+                 ValueError, "channel inputs must match the source alphabet", id="private-channel-inputs"),
+    pytest.param(lambda: private_randomness_channel_sim(Pmf.bernoulli(0.5), Channel.identity((0, 1)),
+                                                        Channel.identity((1, 2)), trials=1),
+                 ValueError, "decoder inputs must match the channel outputs", id="private-decoder-inputs"),
+])
+def test_coding_inputs_fail_fast(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_codebook_errors():
     with pytest.raises(ValueError):
         random_typical_codebook(Pmf.bernoulli(0.25), n=5, rate_bits=0.1, delta=0.01, seed=0)
@@ -386,32 +414,6 @@ def test_batch_encode_picks_the_lowest_exact_minimiser():
         assert best[t] == pytest.approx(float(min(totals)), rel=1e-12)
 
 
-@pytest.mark.parametrize("case", sorted(SIM_CASES))
-def test_batch_encode_does_not_depend_on_the_block_size(case, monkeypatch):
-    # the float64 rule's blocks, the sweep's trial groups and its chunks of
-    # (about) 1, 7 and the default number of words
-    xs, words, mat = _encode_inputs(case, SHARED_SEED)
-    results = []
-    for rows, group in zip((1, 7, coding._ENCODE_BLOCK_ROWS), (1, 7, coding._ENCODE_GROUP_ROWS)):
-        for width in (1, 7, None):
-            floats = min(group, len(xs)) * width if width else coding._ENCODE_BUFFER_FLOATS
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(coding, "_ENCODE_BLOCK_ROWS", rows)
-                mp.setattr(coding, "_ENCODE_GROUP_ROWS", group)
-                mp.setattr(coding, "_ENCODE_BUFFER_FLOATS", floats)
-                results.append(coding._batch_encode(xs, words, mat))
-    for m_star, best in results[1:]:
-        assert np.array_equal(m_star, results[0][0])
-        assert best.tobytes() == results[0][1].tobytes()
-    channel, p_x, dist, kw = SIM_CASES[case](SHARED_SEED)
-    pushed = channel.push(p_x)
-    target = Pmf.from_pairs([(a, pushed.prob(a)) for a in pushed.support()])
-    cb = Codebook(n=kw["n"], words=words, target=target)
-    for x, m in zip(xs.tolist(), results[0][0]):
-        xn = [p_x.labels[a] for a in x]
-        assert encode_min_distortion(cb, xn, dist, source_alphabet=p_x.labels) == m
-
-
 LARGER_ALPHABET_COSTS = {
     # every kappa a multiple of the least: one group
     "squared-error-4": lambda g: (np.arange(4.0)[:, None] - np.arange(4.0)[None, :]) ** 2,
@@ -446,7 +448,7 @@ def test_batch_encode_is_exact_on_larger_alphabets(costs, monkeypatch):
         if integer_costs:
             assert m == totals.index(min(totals)), t
         assert best[t] == pytest.approx(float(totals[m]), rel=1e-12, abs=1e-12)
-    monkeypatch.setattr(coding, "_ENCODE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(coding, "_ENCODE_BUFFER_FLOATS", 7 * len(xs))  # chunks of 7 words
     m_again, best_again = coding._batch_encode(xs, words, mat)
     assert np.array_equal(m_again, m_star)
     assert best_again.tobytes() == best.tobytes()
@@ -496,17 +498,17 @@ def test_batch_encode_sweeps_more_trials_than_one_group(monkeypatch):
     xs = g.integers(0, 3, (coding._ENCODE_GROUP_ROWS + 300, 12))
     words = g.integers(0, 3, (60, 12))
     mat = np.abs(np.arange(3.0)[:, None] - np.arange(3.0)[None, :])
-    groups = []
-    sweep_classes = coding._sweep_classes
+    calls = []  # (trial rows, class rule)
+    sweep = coding._sweep
 
-    def spy(t_side, *rest):
-        groups.append(len(t_side))
-        return sweep_classes(t_side, *rest)
+    def spy(x, *rest):
+        calls.append((len(x), rest[-1]))
+        return sweep(x, *rest)
 
-    monkeypatch.setattr(coding, "_sweep_classes", spy)
+    monkeypatch.setattr(coding, "_sweep", spy)
     m_star, best = coding._batch_encode(xs, words, mat)
     m_rule, best_rule = _float64_rule(xs, words, mat)
-    assert groups == [coding._ENCODE_GROUP_ROWS, 300]
+    assert calls == [(coding._ENCODE_GROUP_ROWS, True), (300, True)]
     assert np.array_equal(m_star, m_rule)
     assert best.tobytes() == best_rule.tobytes()
 
@@ -552,14 +554,15 @@ def test_class_path_equals_the_float64_rule(monkeypatch):
     # words of equal totals tie across classes; max(d) - d flips kappa's sign
     g = np.random.default_rng(2306)
     decided = Counter()
-    sweep_classes = coding._sweep_classes
+    sweep = coding._sweep
 
-    def spy(t_side, w_side, q, *rest):
-        m, low, collapse = sweep_classes(t_side, w_side, q, *rest)
-        decided[q > 0] += int(np.count_nonzero(~collapse))
+    def spy(x, factors, *rest):
+        m, low, collapse = sweep(x, factors, *rest)
+        if rest[-1]:  # the class rule's rows
+            decided[factors[0][0] > 0] += int(np.count_nonzero(~collapse))
         return m, low, collapse
 
-    monkeypatch.setattr(coding, "_sweep_classes", spy)
+    monkeypatch.setattr(coding, "_sweep", spy)
     for i in range(600):
         k, l = (int(v) for v in g.integers(2, 5, 2))
         n = int(g.integers(1, 13))
@@ -604,6 +607,51 @@ def test_class_path_falls_back_on_a_rounding_collapse(case):
     assert best.tobytes() == best_rule.tobytes()
 
 
+def _sweep_inputs(case):
+    """Encoder inputs: a pinned case (one group), a cost of several groups,
+    or a rounding-collapse case's words and trial among random ones."""
+    if case in SIM_CASES:
+        return _encode_inputs(case, SHARED_SEED)
+    g = np.random.default_rng(2501)
+    if case in COLLAPSE_CASES:
+        mat, words = (np.array(v) for v in COLLAPSE_CASES[case])
+        xs = np.vstack([COLLAPSE_X, g.integers(0, 2, (30, 12))])
+        return xs, np.vstack([words, g.integers(0, mat.shape[1], (60, 12))]), mat
+    mat = LARGER_ALPHABET_COSTS[case](g)
+    return g.integers(0, mat.shape[0], (30, 10)), g.integers(0, mat.shape[1], (120, 10)), mat
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES) + ["uniform-3x4"] + sorted(COLLAPSE_CASES))
+def test_batch_encode_does_not_depend_on_the_block_size(case):
+    # trial groups of 1, 7 and the default, each with chunks of (about) 1, 7
+    # and the default number of words; the last three cases take the
+    # float64 rule's pass for some or all trials
+    xs, words, mat = _sweep_inputs(case)
+    results = []
+    for group in (1, 7, coding._ENCODE_GROUP_ROWS):
+        for width in (1, 7, None):
+            floats = min(group, len(xs)) * width if width else coding._ENCODE_BUFFER_FLOATS
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(coding, "_ENCODE_GROUP_ROWS", group)
+                mp.setattr(coding, "_ENCODE_BUFFER_FLOATS", floats)
+                results.append(coding._batch_encode(xs, words, mat))
+    for m_star, best in results[1:]:
+        assert np.array_equal(m_star, results[0][0])
+        assert best.tobytes() == results[0][1].tobytes()
+    if case not in SIM_CASES:
+        m_rule, best_rule = _float64_rule(xs, words, mat)
+        assert np.array_equal(results[0][0], m_rule)
+        assert results[0][1].tobytes() == best_rule.tobytes()
+        return
+    channel, p_x, dist, kw = SIM_CASES[case](SHARED_SEED)
+    pushed = channel.push(p_x)
+    target = Pmf.from_pairs([(a, pushed.prob(a)) for a in pushed.support()])
+    cb = Codebook(n=kw["n"], words=words, target=target)
+    for x, m in zip(xs.tolist(), results[0][0]):
+        xn = [p_x.labels[a] for a in x]
+        assert encode_min_distortion(cb, xn, dist, source_alphabet=p_x.labels) == m
+
+
 def _traced_peak_mib(f, *args):
     tracemalloc.start()
     try:
@@ -615,7 +663,7 @@ def _traced_peak_mib(f, *args):
 
 def test_encoder_and_seed_map_peak_memory():
     # measured 10.3 and 32.0 MiB; an int64 copy of the words, float64
-    # totals per block or a per-atom float array would each break a bound
+    # totals of every word or a per-atom float array would each break a bound
     cb = random_typical_codebook(Pmf.bernoulli(0.3), 64, math.log2(20_001) / 64, 0.05, seed=23)
     assert len(cb) == 20_000
     xs = np.random.default_rng(23).integers(0, 2, (64, 64))
@@ -626,6 +674,17 @@ def test_encoder_and_seed_map_peak_memory():
     assert _traced_peak_mib(coding._batch_encode, xs, cb.words, HAMMING) < 12.0
     p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
     assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 35.0
+
+
+def test_float64_rule_peak_memory():
+    # kappa at round-off: 52 of the 64 trials collapse and take the float64
+    # rule, whose totals are per chunk of the sweep.  Measured 23.5 MiB;
+    # float64 totals of every word for blocks of 32 trials read 54 MiB
+    g = np.random.default_rng(2502)
+    words = g.integers(0, 2, (65_536, 40))
+    xs = g.integers(0, 2, (64, 40))
+    mat = np.array(COLLAPSE_CASES["kappa-at-round-off"][0])
+    assert _traced_peak_mib(coding._batch_encode, xs, words, mat) < 30.0
 
 
 def _test_channel(rho=0.25, dist=0.3):

@@ -4,6 +4,7 @@ import pytest
 from rdplab.pmf import (
     AlphabetMismatchError,
     Channel,
+    Coupling,
     Pmf,
     binary_entropy,
     empirical_pmf,
@@ -11,6 +12,42 @@ from rdplab.pmf import (
     is_delta_typical,
     mutual_information,
 )
+
+
+def _coupling(joint, right=(0, 1)):
+    return Coupling(Pmf.bernoulli(0.5), Pmf.uniform(right), np.array(joint))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Pmf.from_probs((0, 1), (1.0,)), ValueError, "labels/probs length mismatch",
+                 id="from-probs-length"),
+    pytest.param(lambda: Pmf.bernoulli(1.5), ValueError, r"rho=1.5 outside \[0, 1\]", id="bernoulli-range"),
+    pytest.param(lambda: Pmf.bernoulli(0.5).prob(2), KeyError, "2", id="prob-missing-label"),
+    pytest.param(lambda: Channel((0, 1), (), np.zeros((2, 0))), ValueError, "empty pmf", id="empty-pmf"),
+    pytest.param(lambda: Channel((0, 1), (0, 1), np.eye(3)), ValueError,
+                 r"matrix shape \(3, 3\) does not match alphabets", id="channel-shape"),
+    pytest.param(lambda: Channel((0, 0), (0, 1), np.eye(2)), ValueError, "duplicate input labels",
+                 id="channel-duplicate-inputs"),
+    pytest.param(lambda: Channel((0, 1), (1, 1), np.eye(2)), ValueError, "duplicate output labels",
+                 id="channel-duplicate-outputs"),
+    pytest.param(lambda: Channel.identity((1, 2)).push(Pmf.bernoulli(0.5)), AlphabetMismatchError,
+                 "channel inputs .* do not match pmf labels", id="push-mismatch"),
+    pytest.param(lambda: _coupling(np.eye(3) / 3), ValueError, "joint shape does not match marginals",
+                 id="coupling-shape"),
+    pytest.param(lambda: _coupling([[0.6, -0.1], [-0.1, 0.6]]), ValueError, "negative joint mass",
+                 id="coupling-negative"),
+    pytest.param(lambda: _coupling([[0.5, 0.25], [0.0, 0.25]]), ValueError,
+                 "row sums do not match left marginal", id="coupling-rows"),
+    pytest.param(lambda: _coupling([[0.5, 0.0], [0.5, 0.0]]), ValueError,
+                 "column sums do not match right marginal", id="coupling-columns"),
+    pytest.param(lambda: _coupling(np.eye(2) / 2, right=(1, 2)).off_diagonal_mass(), AlphabetMismatchError,
+                 "off-diagonal mass needs a shared alphabet", id="off-diagonal-alphabets"),
+    pytest.param(lambda: is_delta_typical([], Pmf.bernoulli(0.5), 0.1), ValueError, "empty sequence",
+                 id="typical-empty-sequence"),
+])
+def test_pmf_inputs_fail_fast(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_pmf_validation():

@@ -84,6 +84,11 @@ def _other_outputs(div):
     pytest.param(lambda: sweep_curve(binary_problem(0.25, 0.1, 0.1), [0.2, 0.1]), "sorted", id="unsorted-D-grid"),
     pytest.param(lambda: sweep_curve(binary_problem(0.25, 0.1, 0.1), [0.1], [0.2, 0.1]), "sorted",
                  id="unsorted-P-grid"),
+    pytest.param(lambda: brute_force_rdp(RdpProblem(Pmf.uniform((0, 1, 2)), 1.0 - np.eye(3), dist_budget=0.1)),
+                 "binary sources only", id="brute-force-ternary-source"),
+    pytest.param(lambda: brute_force_rdp(RdpProblem(Pmf.bernoulli(0.3), np.ones((2, 4)), wasserstein_sq(),
+                                                    output_alphabet=(0, 1, 2, 3))),
+                 "output alphabet too large for brute force", id="brute-force-four-outputs"),
 ])
 def test_solver_inputs_fail_fast(call, message):
     with pytest.raises(ValueError, match=message):
