@@ -27,7 +27,7 @@ MAX_SEED_ATOMS = 1 << 22
 _INT64_RANKS = 1 << 63  # the rank walk runs in int64 below this many completions
 _ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
 _ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
-_SEED_MAP_CHUNK = 1 << 16  # atoms per np.add.at call of simulate_seed_map
+_SEED_MAP_CHUNK = 1 << 16  # atoms simulate_seed_map bins per step, in index order
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,14 +336,20 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     only: the products of the distinct prefix masses with each letter's
     probability are made unique again, and every atom keeps just the index
     of its float in that short sorted list (310 distinct masses for the
-    3^13 atoms of a ternary source).  A stable sort of those small integer
-    ranks orders the atoms as a stable sort of the masses would, largest
-    first and ties by atom index, and their counts give the runs.
+    3^13 atoms of a ternary source).  The counts of those small integers
+    give the runs, largest mass first, and every run's placements go into
+    one array in run order.  Then the atoms are binned in index order,
+    `_SEED_MAP_CHUNK` at a time: a run's atoms take its placements in turn,
+    so a chunk's stable sort by mass index and a cursor per run give each
+    atom its placement, as a stable sort of all the masses would, largest
+    first and ties by atom index.  The bin totals are summed by `np.add.at`
+    in the same loop, in atom order: the additions, and their order, of
+    `np.bincount` with per-atom weights, without a float64 per-atom array.
 
-    The bin totals are summed by `np.add.at`, `_SEED_MAP_CHUNK` atoms at a
-    time, in atom order: the additions, and their order, of `np.bincount`
-    with per-atom weights, without that float64 per-atom array (12.7 MB at
-    3^13 atoms).
+    Per atom the working set is the returned int64 `bins`, the mass index
+    (1 or 2 bytes while there are at most 65 536 distinct masses) and the
+    placement (1 byte up to n = 256 bins, 2 beyond); everything else is per
+    run, per chunk or the grid of the run being placed.
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be positive")
@@ -352,23 +358,34 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
         raise ValueError(f"{k}^{n0} product atoms exceed the enumeration cap")
     probs = p_x.probs
     # distinct masses (ascending) and each atom's index among them, in the
-    # smallest unsigned type, for which numpy's stable sort is a radix sort
+    # smallest unsigned type, for which numpy's stable sort is a radix sort;
+    # np.take gathers the rows of a small table faster than [idx] does
     vals = np.ones(1)
     idx = np.zeros(1, dtype=np.intp)
     for _ in range(n0):
         vals, inv = np.unique(vals[:, None] * probs[None, :], return_inverse=True)
-        idx = inv.astype(np.min_scalar_type(len(vals) - 1)).reshape(-1, k)[idx].ravel()
-    rank = len(vals) - 1 - idx  # 0 for the largest mass
-    order = np.argsort(rank, kind="stable")
-    ends = np.cumsum(np.bincount(rank, minlength=len(vals))).tolist()
-    bins = np.empty(len(idx), dtype=np.int64)
+        idx = np.take(inv.astype(np.min_scalar_type(len(vals) - 1)).reshape(-1, k), idx, axis=0).ravel()
+    # runs of equal mass, largest first; run v (the atoms whose idx is v)
+    # takes placed[start[v] : start[v] + sizes[v]], in placement order
+    sizes = np.bincount(idx, minlength=len(vals))
+    start = len(idx) - np.cumsum(sizes)
+    placed = np.empty(len(idx), dtype=np.min_scalar_type(n - 1))
     totals = np.zeros(n)
-    for mass, start, end in zip(vals[::-1].tolist(), [0] + ends[:-1], ends):
-        bins[order[start:end]] = _place_run(totals, mass, end - start)
-    # np.add.at adds unbuffered and in atom order, as the atom-by-atom rule would
+    for v in range(len(vals) - 1, -1, -1):
+        placed[start[v] : start[v] + sizes[v]] = _place_run(totals, float(vals[v]), int(sizes[v]))
+    # the atoms in index order: an atom's placement is its run's cursor
+    # (start) plus its rank among the chunk's atoms of that run; np.add.at
+    # adds unbuffered and in atom order, as the atom-by-atom rule would
+    bins = np.empty(len(idx), dtype=np.int64)
     bin_totals = np.zeros(n)
     for lo in range(0, len(idx), _SEED_MAP_CHUNK):
-        np.add.at(bin_totals, bins[lo : lo + _SEED_MAP_CHUNK], vals[idx[lo : lo + _SEED_MAP_CHUNK]])
+        chunk = idx[lo : lo + _SEED_MAP_CHUNK]
+        counts = np.bincount(chunk, minlength=len(vals))
+        first = np.cumsum(counts) - counts  # of each run in the sorted chunk
+        pos = np.repeat(start - first, counts) + np.arange(len(chunk))
+        bins[lo : lo + len(chunk)][np.argsort(chunk, kind="stable")] = placed[pos]
+        start += counts
+        np.add.at(bin_totals, bins[lo : lo + len(chunk)], vals[chunk])
     tv = float(0.5 * np.abs(bin_totals - 1.0 / n).sum())
     bound = n * float(probs.max()) ** n0
     if tv > bound + 1e-12:
@@ -385,7 +402,8 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
 
 def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     """Bins of `count` atoms of equal `mass`, in placement order, under the
-    lightest-bin rule; `totals` is updated in place.
+    lightest-bin rule, in the smallest unsigned type that holds n - 1;
+    `totals` is updated in place.
 
     Each placement takes the least (total, bin) and gives that bin the total
     total + mass, so the placements are the first `count` keys, in
@@ -395,17 +413,23 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
     np.cumsum adds left to right, so these are the same floats as
     one-at-a-time placement.  A stable sort of the flattened grid lists
     them in (key, bin, j) order, and a pick's bin is its flat index //
-    width.  Every row is a prefix of its bin's sequence, as long as the
-    lightest bin needs to reach the level the run fills to, plus a margin;
-    if a bin uses all of its keys, its next key might have come earlier,
-    so the margin doubles.  The work is n times that width.  When the mass
-    does not move the lightest total (t + mass == t, as for a massless
-    atom), that bin stays the least (total, bin) and takes the whole run.
+    width, divided in place.  Every row is a prefix of its bin's
+    sequence, as long as the lightest bin needs to reach the level the run
+    fills to, plus a margin; if a bin uses all of its keys, its next key
+    might have come earlier, so the margin doubles.  The work is n times
+    that width.  When the mass does not move the lightest total
+    (t + mass == t, as for a massless atom), that bin stays the least
+    (total, bin) and takes the whole run.
+
+    The grid is freed before the picks are narrowed, so one huge run (a
+    uniform source has a single run) peaks at the grid and its sort, 16
+    bytes a key.
     """
     n = len(totals)
     lightest = int(np.argmin(totals))
+    small = np.min_scalar_type(n - 1)
     if totals[lightest] + mass == totals[lightest]:
-        return np.full(count, lightest, dtype=np.int64)
+        return np.full(count, lightest, dtype=small)
     # the level that count * mass fills the lightest bins up to, as if mass
     # were divisible; a bin takes about (level - total) / mass atoms
     s = np.sort(totals)
@@ -419,13 +443,14 @@ def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
         keys[:, 0] = totals
         np.cumsum(keys, axis=1, out=keys)
         picks = np.argsort(keys.ravel(), kind="stable")[:count]
-        owner = picks // width
-        used = np.bincount(owner, minlength=n)
+        np.floor_divide(picks, width, out=picks)  # each pick's bin
+        used = np.bincount(picks, minlength=n)
         if used.max() < width:
             break
         margin *= 2
     totals[:] = keys[np.arange(n), used]
-    return owner
+    del keys
+    return picks.astype(small)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +495,10 @@ def shift_ensemble_sim(
     the target marginal from the source plus the typicality slack
     2 * delta * |support|); the audit takes the compositions of the chosen
     words only, one divergence per distinct composition.
-    `diagnostics["seed_map_tv"]` is None in
-    shared_seed mode.  The mode, trial count, tail length, distortion and
+    `diagnostics["seed_map_tv"]` is None in shared_seed mode; in
+    derandomized mode the seed map is released once the shifts are
+    assigned, before the encode, and only its TV is kept.
+    The mode, trial count, tail length, distortion and
     perception divergence are checked before the codebook is drawn.  `timings` holds the wall seconds of the codebook
     draw, the seed map (near 0 in shared_seed mode), the encoding (source
     blocks, shifts, encode, decode and tail) and the audit.
@@ -507,8 +534,12 @@ def shift_ensemble_sim(
         if seed_map is None:
             qs[t] = gen.integers(0, n)
     x_head, x_tail = np.split(np.searchsorted(np.cumsum(p_x.probs), u, side="right"), [n], axis=1)
+    seed_map_tv = None
     if seed_map is not None:
-        qs = seed_map.assign(x_tail)
+        # the map's int64 bins are not needed past the shifts: drop them
+        # before the encode allocates its working set
+        qs, seed_map_tv = seed_map.assign(x_tail), seed_map.tv_to_uniform
+        del seed_map
     xs = np.take_along_axis(x_head, (np.arange(n) - qs[:, None]) % n, axis=1)
     m_star, dist_head = _batch_encode(xs, cb.words, mat)
     xhat = np.take_along_axis(cb.words[m_star], (np.arange(n) + qs[:, None]) % n, axis=1)
@@ -548,7 +579,7 @@ def shift_ensemble_sim(
             "mode": mode,
             "n0": n0,
             "codebook_words": len(cb),
-            "seed_map_tv": seed_map.tv_to_uniform if seed_map else None,
+            "seed_map_tv": seed_map_tv,
             "perception_budget": budget,
             "reference_distortion": reference,
         },

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdplab.pmf import AlphabetMismatchError, Channel, Pmf, is_delta_typical
+from rdplab.pmf import AlphabetMismatchError, Channel, Pmf, is_delta_typical, mutual_information
 from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
 from rdplab.serialize import dumps, sim_report_from_dict, sim_report_to_dict
 from rdplab.closed_forms import binary_optimal_construction, mirror_construction
@@ -267,10 +267,27 @@ def _heap_seed_map_bins(p_x, n0, n):
         # runs that meet equal bin totals, zero and not
         (Pmf.uniform((0, 1, 2, 3)), 5, 64),
         (Pmf.from_probs((0, 1, 2), (0.5, 0.25, 0.25)), 2, 2),
+        # the placements' type: uint8 up to 256 bins, uint16 from 257
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 7, 1),
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 7, 255),
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 7, 256),
+        (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 7, 257),
     ],
 )
 def test_seed_map_matches_atom_by_atom_rule(p, n0, n):
     assert np.array_equal(simulate_seed_map(p, n0, n).bins, _heap_seed_map_bins(p, n0, n))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_seed_map_runs_straddle_chunks(chunk, monkeypatch):
+    # the atoms are binned in index order a chunk at a time, so a run's
+    # atoms spread over many chunks, and a chunk holds parts of many runs
+    p = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    whole = simulate_seed_map(p, 6, 10)
+    monkeypatch.setattr(coding, "_SEED_MAP_CHUNK", chunk)
+    sm = simulate_seed_map(p, 6, 10)
+    assert np.array_equal(sm.bins, _heap_seed_map_bins(p, 6, 10))
+    assert sm.tv_to_uniform == whole.tv_to_uniform
 
 
 @pytest.mark.parametrize(
@@ -662,7 +679,7 @@ def _traced_peak_mib(f, *args):
 
 
 def test_encoder_and_seed_map_peak_memory():
-    # measured 10.3 and 32.0 MiB; an int64 copy of the words, float64
+    # the encodes measured 10.3 MiB; an int64 copy of the words, float64
     # totals of every word or a per-atom float array would each break a bound
     cb = random_typical_codebook(Pmf.bernoulli(0.3), 64, math.log2(20_001) / 64, 0.05, seed=23)
     assert len(cb) == 20_000
@@ -672,8 +689,46 @@ def test_encoder_and_seed_map_peak_memory():
     # are per group of trials, so they do not grow with the trial count
     xs = np.random.default_rng(24).integers(0, 2, (10_000, 64))
     assert _traced_peak_mib(coding._batch_encode, xs, cb.words, HAMMING) < 12.0
+    # the seed maps measured 18.2 and 41.5 MiB: per atom the int64 bins, a
+    # mass index of 1 or 2 bytes and a 1-byte placement; int64 work arrays
+    # per atom (a sort order, picks and owners) read 32.0 and 88.2 MiB
     p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
-    assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 35.0
+    assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 24.0
+    assert _traced_peak_mib(simulate_seed_map, Pmf.bernoulli(0.25), 22, 96) < 50.0
+
+
+def test_derandomized_sim_peak_memory():
+    # block_code's ternary derandomized case at 200 trials, measured 25.6
+    # MiB: the seed map's build with the codebook alive.  Keeping the map's
+    # 12.1 MiB of bins through the encode read 31.7 MiB, and int64 work
+    # arrays per atom in the map's build 39.4 MiB
+    p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    ch3 = Channel((0, 1, 2), (0, 1, 2), 0.3 * np.eye(3) + 0.7 * np.tile(p3.probs, (3, 1)))
+    lab = np.arange(3, dtype=float)
+    kw = dict(
+        n=64, rate_bits=mutual_information(p3, ch3) + 0.1, delta=0.05, trials=200, seed=5,
+        mode=DERANDOMIZED, alpha=0.25,
+    )
+    peak = _traced_peak_mib(lambda: shift_ensemble_sim(ch3, p3, np.abs(lab[:, None] - lab), **kw))
+    assert peak < 29.0
+
+
+def test_derandomized_sim_builds_its_seed_map_once(monkeypatch):
+    # through the module attribute, which is what the tracer wraps; the map
+    # itself is dropped before the encode and only its TV is reported
+    maps = []
+    build = coding.simulate_seed_map
+
+    def spy(*args):
+        maps.append(build(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(coding, "simulate_seed_map", spy)
+    channel, p_x, dist, kw = SIM_CASES["ternary"](DERANDOMIZED)
+    rep = shift_ensemble_sim(channel, p_x, dist, **kw)
+    assert len(maps) == 1
+    assert maps[0].n0 == rep.diagnostics["n0"]
+    assert rep.diagnostics["seed_map_tv"] == maps[0].tv_to_uniform
 
 
 def test_float64_rule_peak_memory():
