@@ -24,7 +24,7 @@ from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream,
 MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
-_INT64_RANKS = 1 << 63  # the rank walk runs in int64 below this many completions
+_INT64_RANKS = 1 << 63  # rank walks and soft-covering word codes run in int64 below this
 _ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
 _ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
 _SEED_MAP_CHUNK = 1 << 16  # atoms simulate_seed_map bins per step, in index order
@@ -497,11 +497,16 @@ def shift_ensemble_sim(
     words only, one divergence per distinct composition.
     `diagnostics["seed_map_tv"]` is None in shared_seed mode; in
     derandomized mode the seed map is released once the shifts are
-    assigned, before the encode, and only its TV is kept.
-    The mode, trial count, tail length, distortion and
-    perception divergence are checked before the codebook is drawn.  `timings` holds the wall seconds of the codebook
-    draw, the seed map (near 0 in shared_seed mode), the encoding (source
-    blocks, shifts, encode, decode and tail) and the audit.
+    assigned, and only its TV is kept.
+
+    The mode, trial count, tail length, distortion, perception divergence
+    and codebook arguments are checked before any work.  The seed map is
+    built, the shifts assigned and the map dropped before the codebook is
+    drawn, so the two never share memory; the codebook and the trials own
+    separate streams, so the order changes no draw.  `timings` holds the
+    wall seconds of the codebook draw, the seed map (near 0 in shared_seed
+    mode), the encoding (source blocks, shifts, encode, decode and tail)
+    and the audit.
     """
     if mode not in (SHARED_SEED, DERANDOMIZED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -513,7 +518,7 @@ def shift_ensemble_sim(
     col_idx = [p_tilde_full.labels.index(a) for a in support]
     mat = _distortion_matrix(dist, p_x.labels, p_tilde_full.labels)[:, col_idx]
     # the mode picks n0, the seed map and where each trial's shift q comes
-    # from; n0 and the audit are checked before the codebook is drawn
+    # from; n0, the audit and the codebook are checked before any work
     n0 = 0
     if mode == DERANDOMIZED:
         cap = int(math.floor(math.log(MAX_SEED_ATOMS, max(2, len(p_x.atoms)))))
@@ -521,11 +526,10 @@ def shift_ensemble_sim(
         if n0 < 1:
             raise ValueError("alpha * n below one symbol; derandomized mode needs a tail")
     dv, budget = _perception_setup(perception_divergence, perception_budget, p_x, p_tilde, delta)
-    laps = [time.perf_counter()]
-    cb = random_typical_codebook(p_tilde, n, rate_bits, delta, seed)
-    laps.append(time.perf_counter())
+    check_typical_codebook(p_tilde, n, rate_bits, delta)
+    t_map = time.perf_counter()
     seed_map = simulate_seed_map(p_x, n0, n) if n0 else None
-    laps.append(time.perf_counter())
+    t_blocks = time.perf_counter()
     # per-trial streams: source block and tail, then (shared seed) the shift
     u = np.empty((trials, n + n0))
     qs = np.empty(trials, dtype=np.int64)
@@ -537,10 +541,13 @@ def shift_ensemble_sim(
     seed_map_tv = None
     if seed_map is not None:
         # the map's int64 bins are not needed past the shifts: drop them
-        # before the encode allocates its working set
+        # before the codebook is drawn
         qs, seed_map_tv = seed_map.assign(x_tail), seed_map.tv_to_uniform
         del seed_map
     xs = np.take_along_axis(x_head, (np.arange(n) - qs[:, None]) % n, axis=1)
+    t_draw = time.perf_counter()
+    cb = random_typical_codebook(p_tilde, n, rate_bits, delta, seed)
+    t_encode = time.perf_counter()
     m_star, dist_head = _batch_encode(xs, cb.words, mat)
     xhat = np.take_along_axis(cb.words[m_star], (np.arange(n) + qs[:, None]) % n, axis=1)
     # the tail reuses the first n0 reconstructions; empty in shared-seed mode
@@ -548,7 +555,7 @@ def shift_ensemble_sim(
     for j in range(n0):
         tail_d += mat[x_tail[:, j], xhat[:, j]]
     avg_distortion = float(np.mean((dist_head + tail_d) / (n + n0)))
-    laps.append(time.perf_counter())
+    t_audit = time.perf_counter()
     k_tgt = len(support)
     # counts[t, b]: the trials whose letter t is b
     counts = np.bincount((np.arange(n) * k_tgt + xhat).ravel(), minlength=n * k_tgt).reshape(n, k_tgt)
@@ -564,7 +571,7 @@ def shift_ensemble_sim(
         comps, comp_of_word = np.unique(word_comps, axis=0, return_inverse=True)
         comp_divs = np.array([divergence(dv, p_x, Pmf.from_probs(support, c / n)) for c in comps])
         violations = int(np.sum(comp_divs[comp_of_word.ravel()[word_of_trial.ravel()]] > budget))
-    laps.append(time.perf_counter())
+    t_end = time.perf_counter()
     reference = float(np.sum(p_x.probs[:, None] * target_channel.matrix[:, col_idx] * mat))
     return SimReport(
         n=n,
@@ -583,7 +590,12 @@ def shift_ensemble_sim(
             "perception_budget": budget,
             "reference_distortion": reference,
         },
-        timings=dict(zip(("draw_s", "seed_map_s", "encode_s", "audit_s"), np.diff(laps).tolist())),
+        timings={
+            "draw_s": t_encode - t_draw,
+            "seed_map_s": t_blocks - t_map,
+            "encode_s": (t_draw - t_blocks) + (t_audit - t_encode),
+            "audit_s": t_end - t_audit,
+        },
     )
 
 
@@ -792,31 +804,46 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     the summed law of its words on letters j+1..n, which is the sum over its
     children (one per next letter a) of W[a] x (the child's law).
 
-    With k_in channel inputs, k_in <= |X|, work is O(n * k_in * |X|^n),
-    against M * |X|^n for M separate product laws; the level-j laws hold at
-    most min(M, k_in^j) * |X|^(n - j) floats, never more than the |X|^n
-    output law, and the products that form them at most k_in times that.
-    Equal to the per-word sum in exact arithmetic; the float sums run in
-    another order.
+    The trie is read off integer word codes in base k_in (the number of
+    channel inputs), c = sum_i w_i k_in^(n-1-i), formed as one matrix
+    product of the words with the place values.  They are int64 when
+    k_in^n < 2^63, the rule the codebook draw uses for its ranks, and
+    python ints in an object array otherwise.  One np.unique gives the
+    distinct words in lexicographic order with their counts, the leaf
+    laws.  At each level a (j+1)-prefix's code divides into its j-prefix
+    c // k_in and its letter c % k_in, and a group opens a new j-prefix
+    where that quotient changes, so the products and the summed groups,
+    and their order, are those of a fold over lexsorted word rows.
+
+    With k_in <= |X|, work is O(n * k_in * |X|^n), against M * |X|^n for M
+    separate product laws.  Besides a few codes per word, the level-j laws
+    hold at most min(M, k_in^j) * |X|^(n - j) floats, never more than the
+    |X|^n output law, and the products that form them at most k_in times
+    that; no (M, n) copy of the words is made.  Equal to the per-word sum
+    in exact arithmetic; the float sums run in another order.
     """
     check_soft_covering(channel_out, cb.alphabet, p_x, cb.n)
     if len(cb) == 0:
         raise ValueError("codebook has no words")
-    words = cb.words[np.lexsort(cb.words.T[::-1])]
-    # first letter at which each sorted word differs from the next, n if equal
-    differs = words[1:] != words[:-1]
-    split = np.where(differs.any(axis=1), differs.argmax(axis=1), cb.n)
-    # starts[g]: first word of the g-th distinct prefix at the current level
-    starts = np.flatnonzero(np.r_[True, split < cb.n])
-    law = np.add.reduceat(np.ones(len(cb)), starts)[:, None]
+    k = len(cb.alphabet)
+    dtype = np.int64 if k**cb.n < _INT64_RANKS else object
+    place = np.array([k**i for i in range(cb.n - 1, -1, -1)], dtype=dtype)
+    # the distinct words' codes in lexicographic order, and their counts
+    codes, counts = np.unique(cb.words @ place, return_counts=True)
+    law = counts.astype(float)[:, None]
     rows = channel_out.matrix
-    for j in range(cb.n - 1, -1, -1):
-        law = (rows[words[starts, j]][:, :, None] * law[:, None, :]).reshape(len(starts), -1)
-        # a group opens a new j-prefix iff its first word's split from the
-        # word before it comes before letter j
-        new_prefix = np.r_[True, split[starts[1:] - 1] < j]
-        law = np.add.reduceat(law, np.flatnonzero(new_prefix))
-        starts = starts[new_prefix]
+    opens = np.empty(len(codes), dtype=bool)
+    opens[0] = True
+    for _ in range(cb.n):
+        # codes of the current (j+1)-prefixes -> their j-prefixes and letter j
+        letter = (codes % k).astype(np.intp)
+        codes = codes // k
+        law = (rows[letter][:, :, None] * law[:, None, :]).reshape(len(codes), -1)
+        # a group opens a new j-prefix where its j-prefix code changes
+        new = opens[: len(codes)]
+        np.not_equal(codes[1:], codes[:-1], out=new[1:])
+        law = np.add.reduceat(law, np.flatnonzero(new))
+        codes = codes[new]
     p_out = law[0] / len(cb)
     prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
     return float(0.5 * np.abs(p_out - prod).sum())

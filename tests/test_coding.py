@@ -698,10 +698,11 @@ def test_encoder_and_seed_map_peak_memory():
 
 
 def test_derandomized_sim_peak_memory():
-    # block_code's ternary derandomized case at 200 trials, measured 25.6
-    # MiB: the seed map's build with the codebook alive.  Keeping the map's
-    # 12.1 MiB of bins through the encode read 31.7 MiB, and int64 work
-    # arrays per atom in the map's build 39.4 MiB
+    # block_code's ternary derandomized case at 200 trials, measured 20.2
+    # MiB: the seed map's build, before the codebook is drawn.  Building the
+    # map with the codebook alive read 25.6-26.4 MiB, keeping the map's 12.1
+    # MiB of bins through the encode 31.7 MiB, and int64 work arrays per
+    # atom in the map's build 39.4 MiB
     p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
     ch3 = Channel((0, 1, 2), (0, 1, 2), 0.3 * np.eye(3) + 0.7 * np.tile(p3.probs, (3, 1)))
     lab = np.arange(3, dtype=float)
@@ -710,7 +711,7 @@ def test_derandomized_sim_peak_memory():
         mode=DERANDOMIZED, alpha=0.25,
     )
     peak = _traced_peak_mib(lambda: shift_ensemble_sim(ch3, p3, np.abs(lab[:, None] - lab), **kw))
-    assert peak < 29.0
+    assert peak < 23.0
 
 
 def test_derandomized_sim_builds_its_seed_map_once(monkeypatch):
@@ -775,22 +776,29 @@ def test_shift_ensemble_shared_seed_basics():
     pytest.param(dict(mode=DERANDOMIZED, alpha=0.01, n=40), "below one symbol", id="no-tail-n40"),
     pytest.param(dict(perception_divergence=total_variation()), "alphabets differ", id="tv-across-alphabets"),
     pytest.param(dict(dist=[[0.0, 1.0]]), "distortion shape", id="distortion-shape"),
+    pytest.param(dict(mode=DERANDOMIZED, rate_bits=-0.1), "rate must be nonnegative", id="negative-rate"),
+    pytest.param(dict(mode=DERANDOMIZED, rate_bits=1.5), "larger than 2", id="too-many-words"),
 ])
 def test_shift_ensemble_inputs_fail_fast(change, message, monkeypatch):
-    # each is rejected before the codebook is drawn
-    drawn = []
-    draw = coding.random_typical_codebook
+    # each is rejected before the seed map is built or the codebook drawn
+    calls = []
 
-    def spy(*args, **kwargs):
-        drawn.append(args)
-        return draw(*args, **kwargs)
+    def spy(name):
+        run = getattr(coding, name)
 
-    monkeypatch.setattr(coding, "random_typical_codebook", spy)
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(coding, name, wrapped)
+
+    spy("random_typical_codebook")
+    spy("simulate_seed_map")
     channel, p_x, dist, kw = _binary_case(SHARED_SEED)
     kw = {**kw, "dist": dist, **change}
     with pytest.raises(ValueError, match=message):
         shift_ensemble_sim(channel, p_x, **kw)
-    assert drawn == []
+    assert calls == []
 
 
 def test_shift_ensemble_skips_the_audit_without_a_divergence():
@@ -902,6 +910,61 @@ def test_soft_covering_fold_matches_per_word_sum(data, k_in, n_x, n):
     cb = Codebook(n=n, words=words, target=Pmf.uniform(range(k_in)))
     assert soft_covering_tv(channel, cb, p_x) == pytest.approx(
         _soft_covering_tv_oracle(channel, cb, p_x), abs=1e-12)
+
+
+def _soft_covering_lexsort_fold(channel_out, cb, p_x):
+    """Reference: the prefix-trie fold over lexsorted word rows, whose
+    products and reduceat groups the integer-code fold must repeat."""
+    words = cb.words[np.lexsort(cb.words.T[::-1])]
+    # first letter at which each sorted word differs from the next, n if equal
+    differs = words[1:] != words[:-1]
+    split = np.where(differs.any(axis=1), differs.argmax(axis=1), cb.n)
+    starts = np.flatnonzero(np.r_[True, split < cb.n])
+    law = np.add.reduceat(np.ones(len(cb)), starts)[:, None]
+    rows = channel_out.matrix
+    for j in range(cb.n - 1, -1, -1):
+        law = (rows[words[starts, j]][:, :, None] * law[:, None, :]).reshape(len(starts), -1)
+        new_prefix = np.r_[True, split[starts[1:] - 1] < j]
+        law = np.add.reduceat(law, np.flatnonzero(new_prefix))
+        starts = starts[new_prefix]
+    p_out = law[0] / len(cb)
+    prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
+    return float(0.5 * np.abs(p_out - prod).sum())
+
+
+def _random_soft_covering_case(g, k_in, n_x, n, m):
+    rows = g.random((k_in, n_x)) + 0.01
+    ref = g.random(n_x) + 0.01
+    # about half as many distinct words as draws, in drawn order
+    base = g.integers(0, k_in, (max(1, m // 2), n))
+    words = base[g.integers(0, len(base), m)]
+    outputs = tuple("abc"[:n_x])
+    channel = Channel(tuple(range(k_in)), outputs, rows / rows.sum(axis=1, keepdims=True))
+    p_x = Pmf.from_probs(outputs, ref / ref.sum())
+    return channel, Codebook(n=n, words=words, target=Pmf.uniform(range(k_in))), p_x
+
+
+def test_soft_covering_code_fold_matches_lexsort_fold_exactly():
+    g = np.random.default_rng(2801)
+    for _ in range(120):
+        k_in, n_x, n = int(g.integers(1, 5)), int(g.integers(1, 4)), int(g.integers(1, 10))
+        channel, cb, p_x = _random_soft_covering_case(g, k_in, n_x, n, int(g.integers(1, 200)))
+        assert soft_covering_tv(channel, cb, p_x) == _soft_covering_lexsort_fold(channel, cb, p_x)
+    # 80^10 >= 2^63: the codes are python ints in an object array
+    channel, cb, p_x = _random_soft_covering_case(g, 80, 2, 10, 300)
+    assert len(cb.alphabet) ** cb.n >= 1 << 63
+    assert soft_covering_tv(channel, cb, p_x) == _soft_covering_lexsort_fold(channel, cb, p_x)
+
+
+def test_soft_covering_peak_memory():
+    # 65 536 binary words at n = 16 measured 2.9 MiB: one int64 code per
+    # word and the fold's laws.  The lexsort fold's sorted (M, n) int64
+    # copy of the words read 12.0 MiB, and any (M, n) int64 temporary is
+    # 8 MiB on its own
+    p = Pmf.bernoulli(0.5)
+    cb = random_typical_codebook(p, 16, 1.0, 0.6, seed=3)
+    assert len(cb) == 65_536
+    assert _traced_peak_mib(soft_covering_tv, Channel.bsc(0.11), cb, p) < 6.0
 
 
 @pytest.mark.parametrize(
