@@ -23,7 +23,6 @@ from .divergences import (
 )
 from .closed_forms import (
     BinaryOptimalSolution,
-    CircleConstants,
     KktReport,
     MirrorConstruction,
     binary_optimal_construction,

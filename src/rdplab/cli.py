@@ -140,7 +140,10 @@ def _emit(text: str, output: str | None, *also: tuple[str, str]) -> None:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         a, b, n = spec.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        ends = np.array([float(a), float(b)])
+        if not np.all(np.isfinite(ends)):
+            raise ValueError("grid ends must be finite")
+        return np.linspace(*ends, int(n))
     except Exception as exc:
         raise CliError(f"bad grid spec {spec!r}, expected A:B:N") from exc
 
@@ -176,11 +179,14 @@ def _load_problem(path: str, **budgets) -> RdpProblem:
 def _curve_rows(kind: str, args) -> list[dict]:
     if args.grid < 1:
         raise CliError("--grid must be positive")
+    # the parameter is checked before its D grid is built from it
     if kind == "binary":
+        closed_forms._check_binary_domain(args.rho, 0.0)
         param, dmax = args.rho, 2.0 * args.rho * (1.0 - args.rho)
         phi, varphi = closed_forms.phi_binary, closed_forms.varphi_binary
         rd_half = closed_forms.rd_half_binary
     else:
+        closed_forms._check_gaussian_domain(args.var, 0.0)
         param, dmax = args.var, 2.0 * args.var
         phi, varphi = closed_forms.phi_gaussian, closed_forms.varphi_gaussian
 

@@ -11,7 +11,7 @@ Covers the Bernoulli and Gaussian sources:
 
 plus the explicit optimal binary test channel, its KKT certificate, the
 mirror construction that doubles a test-channel distortion while preserving
-the source marginal exactly, and the analytic one-bit unit-circle constants.
+the source marginal exactly, and the analytic one-bit unit-circle distortions.
 """
 
 from __future__ import annotations
@@ -24,11 +24,20 @@ import numpy as np
 from .pmf import Channel, Pmf, binary_entropy
 
 
+def _check_dist(dist: float) -> None:
+    if not dist >= 0.0:
+        raise ValueError(f"D={dist} negative" if dist < 0.0 else f"D={dist} is not a number")
+
+
 def _check_binary_domain(rho: float, dist: float) -> None:
     if not 0.0 < rho <= 0.5:
         raise ValueError(f"rho={rho} outside (0, 0.5]")
-    if dist < 0.0:
-        raise ValueError(f"D={dist} negative")
+    _check_dist(dist)
+
+
+def _mirror_level(dist: float) -> float:
+    """a = (1 - sqrt(1 - 2D)) / 2, the level of V on {a, 1 - a}."""
+    return (1.0 - math.sqrt(1.0 - 2.0 * dist)) / 2.0
 
 
 def phi_binary(rho: float, dist: float) -> float:
@@ -53,8 +62,7 @@ def varphi_binary(rho: float, dist: float) -> float:
     _check_binary_domain(rho, dist)
     if dist >= 2.0 * rho * (1.0 - rho):
         return 0.0
-    a = (1.0 - math.sqrt(1.0 - 2.0 * dist)) / 2.0
-    return binary_entropy(rho) - binary_entropy(a)
+    return binary_entropy(rho) - binary_entropy(_mirror_level(dist))
 
 
 def rd_half_binary(rho: float, dist: float) -> float:
@@ -66,10 +74,9 @@ def rd_half_binary(rho: float, dist: float) -> float:
 
 
 def _check_gaussian_domain(var: float, dist: float) -> None:
-    if var <= 0.0:
-        raise ValueError(f"variance {var} must be positive")
-    if dist < 0.0:
-        raise ValueError(f"D={dist} negative")
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"variance {var} must be " + ("positive" if var <= 0.0 else "finite"))
+    _check_dist(dist)
 
 
 def phi_gaussian(var: float, dist: float) -> float:
@@ -128,13 +135,12 @@ def binary_optimal_construction(rho: float, dist: float) -> BinaryOptimalSolutio
     Requires D strictly inside (0, 2 rho (1-rho)); at the endpoints the
     support collapses (a = 0 or p_V(1-a) = 0).
     """
-    if not 0.0 < rho <= 0.5:
-        raise ValueError(f"rho={rho} outside (0, 0.5]")
+    _check_binary_domain(rho, dist)
     if not 0.0 < dist < 2.0 * rho * (1.0 - rho):
         raise ValueError(
             f"D={dist} outside the open interval (0, {2.0 * rho * (1.0 - rho)})"
         )
-    a = (1.0 - math.sqrt(1.0 - 2.0 * dist)) / 2.0
+    a = _mirror_level(dist)
     one_two_a = 1.0 - 2.0 * a
     lam = math.log2((1.0 - a) / a) / one_two_a
     p_v = Pmf.from_pairs(
@@ -153,8 +159,9 @@ def binary_optimal_construction(rho: float, dist: float) -> BinaryOptimalSolutio
         ]
     )
     channel = Channel((0, 1), (a, 1.0 - a), w)
-    rate = binary_entropy(rho) - binary_entropy(a)
-    return BinaryOptimalSolution(a=a, lam=lam, p_v=p_v, p_v_given_x=channel, rate=rate)
+    return BinaryOptimalSolution(
+        a=a, lam=lam, p_v=p_v, p_v_given_x=channel, rate=varphi_binary(rho, dist)
+    )
 
 
 @dataclass(frozen=True)
@@ -186,22 +193,23 @@ def kkt_verify(
     support = np.array([float(v) for v in sol.p_v.labels])
     weights = sol.p_v.probs
     lam = sol.lam
-    z0 = float(np.sum(weights * np.exp2(-lam * support**2)))
-    z1 = float(np.sum(weights * np.exp2(-lam * (1.0 - support) ** 2)))
 
-    def lhs(v: np.ndarray) -> np.ndarray:
-        return (1.0 - rho) * np.exp2(-lam * v**2) / z0 + rho * np.exp2(
-            -lam * (1.0 - v) ** 2
-        ) / z1
+    def exp_weights(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.exp2(-lam * v**2), np.exp2(-lam * (1.0 - v) ** 2)
 
-    equality_residual = float(np.max(np.abs(lhs(support) - 1.0)))
+    e0, e1 = exp_weights(support)
+    z0 = float(np.sum(weights * e0))
+    z1 = float(np.sum(weights * e1))
+
+    def lhs(w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+        return (1.0 - rho) * w0 / z0 + rho * w1 / z1
+
+    equality_residual = float(np.max(np.abs(lhs(e0, e1) - 1.0)))
     grid = np.linspace(0.0, 1.0, grid_size)
     off = grid[np.all(np.abs(grid[:, None] - support[None, :]) > 1e-9, axis=1)]
-    inequality_margin = float(np.min(1.0 - lhs(off)))
-    achieved = (1.0 - rho) * float(
-        np.sum(weights * np.exp2(-lam * support**2) * support**2)
-    ) / z0 + rho * float(
-        np.sum(weights * np.exp2(-lam * (1.0 - support) ** 2) * (1.0 - support) ** 2)
+    inequality_margin = float(np.min(1.0 - lhs(*exp_weights(off))))
+    achieved = (1.0 - rho) * float(np.sum(weights * e0 * support**2)) / z0 + rho * float(
+        np.sum(weights * e1 * (1.0 - support) ** 2)
     ) / z1
     distortion_residual = abs(achieved - dist / 2.0)
     tol = KktReport.tol
@@ -303,21 +311,17 @@ def mirror_construction(p_x: Pmf, p_v_given_x: Channel) -> MirrorConstruction:
 
 
 # ---------------------------------------------------------------------------
-# One-shot unit-circle constants
+# One-shot unit-circle distortions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CircleConstants:
-    private: float
-    common_or_antipodal: float
-    unconstrained: float
-
-
-def circle_analytic() -> CircleConstants:
-    """Analytic one-bit distortions for a source uniform on the unit circle."""
-    return CircleConstants(
-        private=2.0 - 8.0 / math.pi**2,
-        common_or_antipodal=2.0 - 4.0 / math.pi,
-        unconstrained=1.0 - 4.0 / math.pi**2,
-    )
+def circle_analytic() -> dict[str, float]:
+    """Analytic one-bit expected squared distance of each scheme for a source
+    uniform on the unit circle; its keys, in order, are `coding.CIRCLE_SCHEMES`."""
+    midpoint = 2.0 - 4.0 / math.pi  # the common and antipodal schemes
+    return {
+        "private": 2.0 - 8.0 / math.pi**2,
+        "common": midpoint,
+        "antipodal": midpoint,
+        "unconstrained": 1.0 - 4.0 / math.pi**2,
+    }

@@ -100,7 +100,7 @@ class CircleEstimate:
 # One-shot circle schemes
 # ---------------------------------------------------------------------------
 
-CIRCLE_SCHEMES = ("private", "common", "antipodal", "unconstrained")
+CIRCLE_SCHEMES = tuple(circle_analytic())
 
 
 def simulate_circle(
@@ -123,13 +123,7 @@ def simulate_circle(
     """
     if scheme not in CIRCLE_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    consts = circle_analytic()
-    analytic = {
-        "private": consts.private,
-        "common": consts.common_or_antipodal,
-        "antipodal": consts.common_or_antipodal,
-        "unconstrained": consts.unconstrained,
-    }[scheme]
+    analytic = circle_analytic()[scheme]
     randomized = scheme in ("private", "common")
     if exact:
         if randomized:
@@ -171,13 +165,13 @@ def check_typical_codebook(target: Pmf, n: int, rate_bits: float, delta: float) 
     arguments; cheap, so callers can check before drawing."""
     if n < 1:
         raise ValueError("n must be positive")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
-    if rate_bits < 0.0:
+    if not rate_bits >= 0.0:
         raise ValueError("rate must be nonnegative")
     if np.any(target.probs <= 0.0):
         raise ValueError("target must have full support; restrict the alphabet first")
-    if 2.0 ** (n * rate_bits) > MAX_CODEBOOK_WORDS:
+    if n * rate_bits > math.log2(MAX_CODEBOOK_WORDS):
         raise ValueError("codebook larger than 2^20 words")
 
 
@@ -521,6 +515,8 @@ def shift_ensemble_sim(
     # from; n0, the audit and the codebook are checked before any work
     n0 = 0
     if mode == DERANDOMIZED:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha={alpha} must be finite")
         cap = int(math.floor(math.log(MAX_SEED_ATOMS, max(2, len(p_x.atoms)))))
         n0 = min(int(math.floor(alpha * n)), cap)
         if n0 < 1:

@@ -8,8 +8,9 @@ Problem:  {"source": Pmf, "distortion": [[...]], "divergence":
            "output_alphabet": [...]?}
 
 CSV files use '.' decimals and 12 significant digits so identical runs diff
-byte-identically across platforms.  Both formats spell infinite values
-"inf" / "-inf"; JSON output is strict (no bare Infinity or NaN).
+byte-identically across platforms.  Both formats follow one non-finite rule:
+infinite values are spelled "inf" / "-inf" and a NaN is refused, so JSON
+output is strict (no bare Infinity or NaN).
 """
 
 from __future__ import annotations
@@ -177,21 +178,28 @@ def kkt_report_from_dict(d: dict) -> KktReport:
     )
 
 
-def dumps(payload: dict) -> str:
-    """Strict JSON: infinite floats become the strings "inf" / "-inf" (the
-    CSV spelling, read back by the `*_from_dict` readers through float());
-    a NaN raises."""
-    return json.dumps(_spell_infinities(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _spell_infinities(value):
-    if isinstance(value, float) and math.isinf(value):
+def _spell(value):
+    """The non-finite rule of both formats: an infinite float becomes the
+    string "inf" / "-inf" (read back through float()), a NaN raises, and any
+    other value is returned as it is."""
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise ValueError("NaN cannot be written: output is strict")
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, dict):
-        return {k: _spell_infinities(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_spell_infinities(v) for v in value]
     return value
+
+
+def dumps(payload: dict) -> str:
+    """Strict JSON, with floats spelled by `_spell`."""
+    return json.dumps(_spell_all(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _spell_all(value):
+    if isinstance(value, dict):
+        return {k: _spell_all(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_all(v) for v in value]
+    return _spell(value)
 
 
 def curve_csv(rows: list[dict], columns: list[str]) -> str:
@@ -202,12 +210,8 @@ def curve_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return fmt(v)
+    v = value if isinstance(value, str) else _spell(float(value))
+    return v if isinstance(v, str) else fmt(v)
 
 
 def marginals_csv(marginals: list[Pmf]) -> str:

@@ -123,6 +123,18 @@ def test_round_trip_infinities_through_strict_json():
         serialize.dumps({"x": float("nan")})
 
 
+def test_csv_and_json_share_the_nonfinite_rule():
+    row = {"D": float("inf"), "phi": float("-inf"), "status": "nan"}
+    assert serialize.curve_csv([row], list(row)) == "D,phi,status\ninf,-inf,nan\n"
+    assert _strict_loads(serialize.dumps(row)) == {"D": "inf", "phi": "-inf", "status": "nan"}
+    # a NaN float is refused by both, wherever it sits
+    for value in (float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="NaN cannot be written"):
+            serialize.curve_csv([{"D": 0.1, "phi": value}], ["D", "phi"])
+        with pytest.raises(ValueError, match="NaN cannot be written"):
+            serialize.dumps({"rows": [{"phi": value}]})
+
+
 def test_channel_outputs_default_to_inputs():
     ch = serialize.channel_from_dict({"inputs": [0, 1], "rows": [[0.7, 0.3], [0.1, 0.9]]})
     assert ch.outputs == (0, 1)
@@ -566,6 +578,38 @@ def test_cli_stdout_is_pinned(case, problem_file, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every float flag, set to NaN or +-inf in one pinned run above; only an
+# infinite typicality slack is a valid input (every word is typical)
+NONFINITE_RUNS = [
+    (case, flag, value, 0 if (flag, value) == ("--delta", "inf") else 1)
+    for case, flag in [
+        ("curve-binary-csv", "--rho"), ("curve-gaussian-csv", "--var"), ("curve-solve-csv", "--tol"),
+        ("curve-solve-csv", "--D-grid"), ("curve-solve-json", "--P-grid"), ("solve", "--D"),
+        ("solve", "--P"), ("solve", "--tol"), ("simulate-block", "--rate"),
+        ("simulate-block", "--delta"), ("simulate-block", "--alpha"), ("simulate-softcover", "--rate"),
+        ("simulate-softcover", "--delta"), ("verify-kkt", "--rho"), ("verify-kkt", "--D"),
+    ]
+    for value in ("nan", "inf", "-inf")
+] + [("simulate-block", "--rate", "300", 1), ("simulate-softcover", "--rate", "300", 1)]
+
+
+@pytest.mark.parametrize("case, flag, value, code", NONFINITE_RUNS,
+                         ids=[f"{c}{f}={v}" for c, f, v, _ in NONFINITE_RUNS])
+def test_nonfinite_numbers_exit_with_a_message(case, flag, value, code, problem_file, tmp_path, capsys):
+    argv = _with_input_files(CLI_STDOUT_PINS[case][0], problem_file, tmp_path)
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    if flag.endswith("-grid"):
+        value = f"0.1:{value}:2"
+    # main returns rather than raising, and under the suite's warning filter
+    # no RuntimeWarning escapes it either
+    assert main([*argv, f"{flag}={value}"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("rdplab: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

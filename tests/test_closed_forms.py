@@ -60,6 +60,12 @@ def test_binary_curve_ordering_and_shape():
     assert phi_binary(rho, dmax - 1e-9) < 1e-6
 
 
+def test_rd_half_binary_vanishes_from_twice_rho():
+    rho = 0.25
+    assert rd_half_binary(rho, 2 * rho) == rd_half_binary(rho, 0.7) == rd_half_binary(rho, math.inf) == 0.0
+    assert 0.0 < rd_half_binary(rho, 2 * rho - 1e-9) < 1e-8
+
+
 def test_gaussian_spot_values():
     assert phi_gaussian(1.0, 2.0) == 0.0
     assert varphi_gaussian(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -121,6 +127,16 @@ def test_binary_optimal_construction_symmetry_and_errors():
     pytest.param(lambda: binary_optimal_construction(0.6, 0.1), r"rho=0.6 outside \(0, 0.5\]", id="rho-above-half"),
     pytest.param(lambda: mirror_construction(Pmf.bernoulli(0.5), Channel.identity((1, 2))),
                  "channel inputs must match the source alphabet", id="mirror-alphabets"),
+    # NaN D and a non-finite variance; an infinite D is a budget that binds nowhere
+    pytest.param(lambda: phi_binary(0.25, math.nan), "D=nan is not a number", id="phi-binary-nan-D"),
+    pytest.param(lambda: varphi_binary(0.25, math.nan), "D=nan is not a number", id="varphi-binary-nan-D"),
+    pytest.param(lambda: rd_half_binary(0.25, math.nan), "D=nan is not a number", id="rd-half-binary-nan-D"),
+    pytest.param(lambda: binary_optimal_construction(0.25, math.nan), "D=nan is not a number",
+                 id="construction-nan-D"),
+    pytest.param(lambda: phi_gaussian(1.0, math.nan), "D=nan is not a number", id="phi-gaussian-nan-D"),
+    pytest.param(lambda: varphi_gaussian(math.nan, 0.5), "variance nan must be finite", id="varphi-gaussian-nan-var"),
+    pytest.param(lambda: rd_gaussian(math.inf, 0.5), "variance inf must be finite", id="rd-gaussian-inf-var"),
+    pytest.param(lambda: phi_gaussian(-math.inf, 0.5), "variance -inf must be positive", id="phi-gaussian-minus-inf-var"),
 ])
 def test_closed_form_inputs_fail_fast(call, message):
     with pytest.raises(ValueError, match=message):
@@ -210,7 +226,8 @@ def test_mirror_construction_u_marginal_is_the_pushed_source():
 
 
 def test_circle_constants():
-    consts = circle_analytic()
-    assert consts.private == pytest.approx(1.189431, abs=1e-6)
-    assert consts.common_or_antipodal == pytest.approx(0.726760, abs=1e-6)
-    assert consts.unconstrained == pytest.approx(0.594715, abs=1e-6)
+    table = circle_analytic()
+    assert tuple(table) == ("private", "common", "antipodal", "unconstrained")
+    assert table["private"] == pytest.approx(1.189431, abs=1e-6)
+    assert table["common"] == table["antipodal"] == pytest.approx(0.726760, abs=1e-6)
+    assert table["unconstrained"] == pytest.approx(0.594715, abs=1e-6)

@@ -105,6 +105,13 @@ def test_codebook_single_word_and_vacuous_delta():
                  ValueError, "delta must be positive", id="typical-zero-delta"),
     pytest.param(lambda: coding.check_typical_codebook(Pmf.bernoulli(0.3), 8, -0.1, 0.1),
                  ValueError, "rate must be nonnegative", id="typical-negative-rate"),
+    pytest.param(lambda: coding.check_typical_codebook(Pmf.bernoulli(0.3), 8, math.nan, 0.1),
+                 ValueError, "rate must be nonnegative", id="typical-nan-rate"),
+    pytest.param(lambda: coding.check_typical_codebook(Pmf.bernoulli(0.3), 8, 0.5, math.nan),
+                 ValueError, "delta must be positive", id="typical-nan-delta"),
+    # 2^(n R) is past the float range at n R >= 1024
+    pytest.param(lambda: random_typical_codebook(Pmf.bernoulli(0.3), 4, 300.0, 0.5),
+                 ValueError, r"codebook larger than 2\^20 words", id="typical-rate-300"),
     pytest.param(lambda: encode_min_distortion(Codebook(n=3, words=[[0, 1, 1]], target=Pmf.bernoulli(0.5)),
                                                [0, 1], HAMMING),
                  ValueError, "sequence length 2 != block length 3", id="encode-length"),
@@ -118,6 +125,20 @@ def test_codebook_single_word_and_vacuous_delta():
 def test_coding_inputs_fail_fast(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_codebook_size_rule_matches_the_word_count():
+    # n R > 20 rejects exactly the codebooks whose 2^(n R) words pass 2^20
+    rng = np.random.default_rng(11)
+    cases = [(1, float(x)) for x in (np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 21.0))]
+    cases += [(int(n), float(r)) for n, r in zip(rng.integers(1, 65, 2000), rng.uniform(0.0, 1.0, 2000))]
+    for n, rate in cases:
+        try:
+            coding.check_typical_codebook(Pmf.bernoulli(0.3), n, rate, 0.5)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == (2.0 ** (n * rate) > coding.MAX_CODEBOOK_WORDS), (n, rate)
 
 
 def test_codebook_errors():
@@ -778,6 +799,8 @@ def test_shift_ensemble_shared_seed_basics():
     pytest.param(dict(dist=[[0.0, 1.0]]), "distortion shape", id="distortion-shape"),
     pytest.param(dict(mode=DERANDOMIZED, rate_bits=-0.1), "rate must be nonnegative", id="negative-rate"),
     pytest.param(dict(mode=DERANDOMIZED, rate_bits=1.5), "larger than 2", id="too-many-words"),
+    pytest.param(dict(mode=DERANDOMIZED, alpha=math.nan), "alpha=nan must be finite", id="nan-alpha"),
+    pytest.param(dict(mode=DERANDOMIZED, alpha=math.inf), "alpha=inf must be finite", id="inf-alpha"),
 ])
 def test_shift_ensemble_inputs_fail_fast(change, message, monkeypatch):
     # each is rejected before the seed map is built or the codebook drawn

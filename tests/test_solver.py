@@ -610,6 +610,16 @@ def test_brute_force_ternary_output():
     assert sol3.rate - 1e-6 <= val3 <= sol3.rate + 0.06
 
 
+@pytest.mark.parametrize("kind", ["wasserstein_sq", "coupling_cost"])
+def test_brute_force_ternary_output_at_zero_perception(kind):
+    # P = 0 pins the output law to the source's, so the third letter gets no
+    # mass and the oracle reads phi_binary up to its grid
+    delta = np.abs(np.subtract.outer([0.0, 1.0], [0.0, 1.0, 2.0]))
+    div = wasserstein_sq() if kind == "wasserstein_sq" else coupling_cost(delta)
+    prob = RdpProblem(Pmf.bernoulli(0.25), delta, div, 0.2, 0.0, output_alphabet=(0, 1, 2))
+    assert abs(brute_force_rdp(prob, resolution=0.02) - phi_binary(0.25, 0.2)) < 1e-3
+
+
 def test_convex_curve_fixed_p():
     template = binary_problem(0.25, 0.1, 0.1)
     grid = np.linspace(0.06, 0.3, 9)
