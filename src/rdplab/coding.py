@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_forms import circle_analytic
 from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
-from .pmf import AlphabetMismatchError, Channel, Pmf, _distortion_matrix, _typical_counts, empirical_pmf
+from .pmf import AlphabetMismatchError, Channel, Pmf, _check_slack, _distortion_matrix, _typical_counts, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream, streams
 
 MAX_CODEBOOK_WORDS = 1 << 20
@@ -165,8 +165,7 @@ def check_typical_codebook(target: Pmf, n: int, rate_bits: float, delta: float) 
     arguments; cheap, so callers can check before drawing."""
     if n < 1:
         raise ValueError("n must be positive")
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    _check_slack(delta)
     if not rate_bits >= 0.0:
         raise ValueError("rate must be nonnegative")
     if np.any(target.probs <= 0.0):
@@ -796,27 +795,44 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
 
     Enumerates all |X|^n output sequences; the mixture is the uniform average
     over codewords of the product channel law.  It is folded over the
-    codebook's prefix trie, last letter first: each distinct j-prefix carries
-    the summed law of its words on letters j+1..n, which is the sum over its
+    codebook's prefix trie, last letter first: each j-prefix carries the
+    summed law of its words on letters j+1..n, which is the sum over its
     children (one per next letter a) of W[a] x (the child's law).
 
     The trie is read off integer word codes in base k_in (the number of
     channel inputs), c = sum_i w_i k_in^(n-1-i), formed as one matrix
     product of the words with the place values.  They are int64 when
     k_in^n < 2^63, the rule the codebook draw uses for its ranks, and
-    python ints in an object array otherwise.  One np.unique gives the
-    distinct words in lexicographic order with their counts, the leaf
-    laws.  At each level a (j+1)-prefix's code divides into its j-prefix
-    c // k_in and its letter c % k_in, and a group opens a new j-prefix
-    where that quotient changes, so the products and the summed groups,
-    and their order, are those of a fold over lexsorted word rows.
+    python ints in an object array otherwise.  Two folds share the codes
+    and the final TV; they give the same floats, as both sum a node's
+    children in the order of `np.add.reduceat` over lexsorted word rows:
+    the first child plus numpy's pairwise sum of the rest.
 
-    With k_in <= |X|, work is O(n * k_in * |X|^n), against M * |X|^n for M
-    separate product laws.  Besides a few codes per word, the level-j laws
-    hold at most min(M, k_in^j) * |X|^(n - j) floats, never more than the
-    |X|^n output law, and the products that form them at most k_in times
-    that; no (M, n) copy of the words is made.  Equal to the per-word sum
-    in exact arithmetic; the float sums run in another order.
+    With k_in <= min(3, |X|) the fold is dense (`_dense_fold`): one
+    np.bincount of the codes is the leaf law over all k_in^n words, and
+    level j is W[0] x c_0 + (W[1] x c_1 + W[2] x c_2) over every j-prefix at
+    once.  With at most three letters that is the reduceat order, and the
+    zero law of an absent child changes no nonnegative finite float
+    (x + 0 = x).  Work is about n * k_in * |X|^n whatever the number of
+    words, so a few words at large n cost more than the trie fold would.
+    Besides the codes and the leaf counts it holds at most three arrays of
+    k_in^j * |X|^(n - j) <= |X|^n floats: the level's input, its output and
+    one product.
+
+    Otherwise (`_trie_fold`) one np.unique gives the distinct words in
+    lexicographic order with their counts, the leaf laws, and only the
+    prefixes present are folded.  At each level a (j+1)-prefix's code
+    divides into its j-prefix c // k_in and its letter c % k_in, and a group
+    opens a new j-prefix where that quotient changes, so the products and
+    the summed groups, and their order, are those of the lexsorted fold.
+    With k_in >= 4 a fixed-slot sum would differ from it (a node that lacks
+    letter 0 and has three or more children), and with k_in > |X| the
+    k_in^n leaves would outgrow the output law.  The level-j laws hold at
+    most min(M, k_in^j) * |X|^(n - j) floats, and the products that form
+    them at most k_in times that.
+
+    No (M, n) copy of the words is made.  Equal to the per-word sum in
+    exact arithmetic; the float sums run in another order.
     """
     check_soft_covering(channel_out, cb.alphabet, p_x, cb.n)
     if len(cb) == 0:
@@ -824,13 +840,41 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     k = len(cb.alphabet)
     dtype = np.int64 if k**cb.n < _INT64_RANKS else object
     place = np.array([k**i for i in range(cb.n - 1, -1, -1)], dtype=dtype)
+    fold = _dense_fold if k <= min(3, len(p_x.atoms)) else _trie_fold
+    p_out = fold(channel_out.matrix, cb.words @ place, k, cb.n)
+    p_out /= len(cb)
+    prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
+    return float(0.5 * np.abs(p_out - prod).sum())
+
+
+def _dense_fold(rows: np.ndarray, codes: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Summed output law of the words with base-k int64 `codes`, k <= 3,
+    folded over every prefix (see `soft_covering_tv`)."""
+    # laws are held (later letters' outputs, prefix code): with the prefix
+    # innermost, each product and sum is one strided loop of k^j |X|^(n-j-1)
+    law = np.bincount(codes, minlength=k**n).astype(float)
+    # letter 0's product last: (W1 c1 + W2 c2) + W0 c0 is reduceat's
+    # W0 c0 + (W1 c1 + W2 c2), since + is commutative
+    first, *rest = [*range(1, k), 0]
+    for j in range(n - 1, -1, -1):
+        child = law.reshape(-1, k**j, k)  # (outputs j+2..n, j-prefix, letter j)
+        spare = None
+        law = np.multiply(rows[first][:, None, None], child[:, :, first])
+        for a in rest:
+            spare = np.multiply(rows[a][:, None, None], child[:, :, a], out=spare)
+            law += spare
+    return law.ravel()
+
+
+def _trie_fold(rows: np.ndarray, codes: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Summed output law of the words with base-k `codes`, folded over the
+    prefixes present only (see `soft_covering_tv`)."""
     # the distinct words' codes in lexicographic order, and their counts
-    codes, counts = np.unique(cb.words @ place, return_counts=True)
+    codes, counts = np.unique(codes, return_counts=True)
     law = counts.astype(float)[:, None]
-    rows = channel_out.matrix
     opens = np.empty(len(codes), dtype=bool)
     opens[0] = True
-    for _ in range(cb.n):
+    for _ in range(n):
         # codes of the current (j+1)-prefixes -> their j-prefixes and letter j
         letter = (codes % k).astype(np.intp)
         codes = codes // k
@@ -840,9 +884,7 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
         np.not_equal(codes[1:], codes[:-1], out=new[1:])
         law = np.add.reduceat(law, np.flatnonzero(new))
         codes = codes[new]
-    p_out = law[0] / len(cb)
-    prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
-    return float(0.5 * np.abs(p_out - prod).sum())
+    return law[0]
 
 
 def empirical_perception_check(

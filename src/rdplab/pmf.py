@@ -290,14 +290,20 @@ def _typical_counts(counts: np.ndarray, n: int, probs: np.ndarray, delta: float)
     return np.all(np.abs(np.asarray(counts) / n - probs) <= delta * probs, axis=-1)
 
 
+def _check_slack(delta: float) -> None:
+    """Raise ValueError unless `delta` is a typicality slack: positive, +inf
+    included (every sequence is typical), NaN not."""
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+
+
 def is_delta_typical(seq: Sequence[Label], p: Pmf, delta: float) -> bool:
     """Relative-deviation typicality: |gamma(x) - p(x)| <= delta * p(x) for all x.
 
     Symbols outside the support of `p` make the sequence atypical rather than
     raising.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_slack(delta)
     if len(seq) == 0:
         raise ValueError("empty sequence")
     index = {a: i for i, (a, q) in enumerate(p.atoms) if q > 0.0}

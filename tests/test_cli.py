@@ -409,6 +409,12 @@ SOFT_SPEC = {
     "channel": {"inputs": [0, 1], "rows": [[0.89, 0.11], [0.11, 0.89]]},
     "reference": {"atoms": [{"label": 0, "prob": 0.5}, {"label": 1, "prob": 0.5}]},
 }
+# three inputs and three outputs: the dense soft-covering fold at k_in = 3
+TERNARY_SOFT_SPEC = {
+    "target": {"atoms": [{"label": 0, "prob": 0.5}, {"label": 1, "prob": 0.3}, {"label": 2, "prob": 0.2}]},
+    "channel": {"inputs": [0, 1, 2], "rows": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]]},
+    "reference": {"atoms": [{"label": 0, "prob": 0.45}, {"label": 1, "prob": 0.3}, {"label": 2, "prob": 0.25}]},
+}
 SPEC_FLAGS = ["--n", "4", "--rate", "1.0", "--delta", "0.6"]
 
 
@@ -498,11 +504,12 @@ INFEASIBLE_PROBLEM = {
 
 
 def _with_input_files(argv, problem_file, tmp_path):
-    """`argv` with "{problem}", "{infeasible}", "{block}" and "{soft}"
-    replaced by the paths of those input files, written to `tmp_path`."""
+    """`argv` with "{problem}", "{infeasible}", "{block}", "{soft}" and
+    "{soft3}" replaced by the paths of those input files, written to
+    `tmp_path`."""
     files = {"problem": problem_file}
     for name, payload in (("infeasible", INFEASIBLE_PROBLEM), ("block", BLOCK_SPEC),
-                          ("soft", SOFT_SPEC)):
+                          ("soft", SOFT_SPEC), ("soft3", TERNARY_SOFT_SPEC)):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     return [a.format(**files) if a.startswith("{") else a for a in argv]
@@ -563,6 +570,11 @@ CLI_STDOUT_PINS = {
         ["simulate", "softcover", "--spec", "{soft}", "--n", "4", "6", "--rate", "1.0",
          "--delta", "0.6", "--codebooks", "2", "--seed", "1"],
         0, "b28d7604548d9b82f78b3fb403343396ffda08d2df5bbe11d7f0aac276a1bacf",
+    ),
+    "simulate-softcover-ternary": (
+        ["simulate", "softcover", "--spec", "{soft3}", "--n", "4", "6", "--rate", "0.8",
+         "--delta", "0.6", "--codebooks", "2", "--seed", "1"],
+        0, "3fc24a35c72f5c1017531c2ff733f153053322a19e7c35dac88a80ec4108d1c0",
     ),
     "verify-kkt": (
         ["verify", "kkt", "--rho", "0.3", "--D", "0.25", "--grid", "201"],

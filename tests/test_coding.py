@@ -955,13 +955,14 @@ def _soft_covering_lexsort_fold(channel_out, cb, p_x):
     return float(0.5 * np.abs(p_out - prod).sum())
 
 
-def _random_soft_covering_case(g, k_in, n_x, n, m):
+def _random_soft_covering_case(g, k_in, n_x, n, m, words=None):
     rows = g.random((k_in, n_x)) + 0.01
     ref = g.random(n_x) + 0.01
-    # about half as many distinct words as draws, in drawn order
-    base = g.integers(0, k_in, (max(1, m // 2), n))
-    words = base[g.integers(0, len(base), m)]
-    outputs = tuple("abc"[:n_x])
+    if words is None:
+        # about half as many distinct words as draws, in drawn order
+        base = g.integers(0, k_in, (max(1, m // 2), n))
+        words = base[g.integers(0, len(base), m)]
+    outputs = tuple("abcd"[:n_x])
     channel = Channel(tuple(range(k_in)), outputs, rows / rows.sum(axis=1, keepdims=True))
     p_x = Pmf.from_probs(outputs, ref / ref.sum())
     return channel, Codebook(n=n, words=words, target=Pmf.uniform(range(k_in))), p_x
@@ -977,6 +978,24 @@ def test_soft_covering_code_fold_matches_lexsort_fold_exactly():
     channel, cb, p_x = _random_soft_covering_case(g, 80, 2, 10, 300)
     assert len(cb.alphabet) ** cb.n >= 1 << 63
     assert soft_covering_tv(channel, cb, p_x) == _soft_covering_lexsort_fold(channel, cb, p_x)
+    # the dense fold (k_in <= min(3, |X|)): nodes (0,) and (2,) hold letters
+    # 1 and 2 but not 0; a single word; all words equal; one input
+    ternary = np.array([[0, 1, 0, 2], [0, 2, 1, 1], [1, 0, 0, 0], [2, 1, 2, 0], [2, 2, 2, 1], [0, 2, 1, 1]])
+    dense = [(3, 3, ternary), (3, 3, ternary[g.permutation(6)]), (2, 3, g.integers(0, 2, (1, 9))),
+             (3, 4, np.tile(g.integers(0, 3, (1, 7)), (5, 1))), (1, 2, np.zeros((4, 8), dtype=int))]
+    # the trie fold: more inputs than outputs; k_in = 4 with a root holding
+    # letters 1, 2 and 3 only, where a fixed-slot sum ((c1 + c2) + c3) + 0
+    # would differ from c1 + (c2 + c3); and int64 codes with 9+ children at a
+    # node, where reduceat's pairwise sum adds eight rows at a time.  An ulp
+    # in the law reaches the TV only over few outputs, so n = 2, 20 draws each
+    trie = [(3, 2, g.integers(0, 3, (200, 8)))]
+    for _ in range(20):
+        four = g.integers(0, 4, (30, 2))
+        four[:, 0] = g.integers(1, 4, 30)
+        trie += [(4, 4, four), (12, 2, g.integers(0, 12, (60, 2)))]
+    for k_in, n_x, words in dense + trie:
+        channel, cb, p_x = _random_soft_covering_case(g, k_in, n_x, words.shape[1], len(words), words)
+        assert soft_covering_tv(channel, cb, p_x) == _soft_covering_lexsort_fold(channel, cb, p_x)
 
 
 def test_soft_covering_peak_memory():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,8 @@ def _coupling(joint, right=(0, 1)):
                  "off-diagonal mass needs a shared alphabet", id="off-diagonal-alphabets"),
     pytest.param(lambda: is_delta_typical([], Pmf.bernoulli(0.5), 0.1), ValueError, "empty sequence",
                  id="typical-empty-sequence"),
+    pytest.param(lambda: is_delta_typical([0, 1, 0, 0], Pmf.bernoulli(0.25), math.nan), ValueError,
+                 "delta must be positive", id="typical-nan-slack"),
 ])
 def test_pmf_inputs_fail_fast(call, error, message):
     with pytest.raises(error, match=message):
