@@ -13,12 +13,13 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .closed_forms import circle_analytic
 from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
-from .pmf import AlphabetMismatchError, Channel, Pmf, _check_slack, _distortion_matrix, _typical_counts, empirical_pmf
+from .pmf import Channel, Pmf, _check_slack, _distortion_matrix, _typical_counts, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream, streams
 
 MAX_CODEBOOK_WORDS = 1 << 20
@@ -191,64 +192,49 @@ def random_typical_codebook(
     call, the counts of symbol j from one search of each state's block
     sizes for all the words that reached it, and the words from one
     `gen.permuted` call over the stacked sorted multisets; the stream
-    yields every rank first and then every permutation.  The ranks, block
-    sizes and C(m, c) are Python ints (object arrays) until every state a
-    symbol's step reaches has fewer than 2^63 completions, and int64 from
-    that step on: from the first when the set has fewer than 2^63 words,
-    and from the second for a ternary set of 2^91 words at n = 64, whose
-    states after the first symbol hold fewer than 2^30.  The search,
-    difference and floor division give the same integers in both.
+    yields every rank first and then every permutation.  Every word starts
+    at the root state, so the first symbol's step is one search over all
+    ranks, and the last symbol's step keeps no remainder (its one
+    completion has rank 0).  The block sizes of every state come from
+    `_rank_trie`, built once per (target, n, delta).  The ranks are int64
+    when the set has fewer than 2^63 words and Python ints (an object
+    array) otherwise, and go to int64 at the first step whose states all
+    have fewer than 2^63 completions: the second for a ternary set of 2^91
+    words at n = 64, whose states after the first symbol hold fewer than
+    2^30.  The search, difference and floor division give the same
+    integers in both.
     """
     check_typical_codebook(target, n, rate_bits, delta)
-    probs = target.probs
     n_words = max(1, int(2.0 ** (n * rate_bits)))
-    k = len(probs)
-    # the typicality test is per symbol, so it is the allowed counts of each
-    allowed = [
-        np.flatnonzero(_typical_counts(np.arange(n + 1)[:, None], n, probs[j : j + 1], delta))
-        for j in range(k)
-    ]
-    # (j, m) -> with m letters left for symbols j, ..., k - 1: the counts c
-    # of symbol j that have completions, and lists of python ints of the
-    # cumulative block sizes and C(m, c); only states a walk reaches are built.
-    states: dict[tuple[int, int], tuple] = {}
-
-    def walk_state(j: int, m: int) -> tuple:
-        if j == k:  # past the last symbol: one completion iff no letter is left
-            return (), [0, int(m == 0)], []
-        if (j, m) not in states:
-            counts, cum, combs = [], [0], []
-            for c in allowed[j][allowed[j] <= m].tolist():
-                completions = walk_state(j + 1, m - c)[1][-1]
-                if completions:
-                    counts.append(c)
-                    combs.append(math.comb(m, c))
-                    cum.append(cum[-1] + combs[-1] * completions)
-            states[j, m] = (np.array(counts, dtype=np.int64), cum, combs)
-        return states[j, m]
-
-    total = walk_state(0, n)[1][-1]
+    k = len(target.atoms)
+    total, states = _rank_trie(tuple(target.probs.tolist()), n, delta)
     if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
     gen = stream(seed, CODEBOOK_STREAM)
-    ranks = np.array(randint_below(gen, total, n_words), dtype=np.int64 if total < _INT64_RANKS else object)
+    ranks = np.asarray(randint_below(gen, total, n_words), dtype=np.int64 if total < _INT64_RANKS else object)
     comps = np.empty((n_words, k), dtype=np.int64)
     left = np.full(n_words, n, dtype=np.int64)
+    reached = [(n, slice(None))]  # (m, its words): every word starts at state (0, n)
     for j in range(k - 1):
-        # the words with m letters left are at state (j, m)
-        order = np.argsort(left, kind="stable")
-        ms, starts = np.unique(left[order], return_index=True)
-        # a rank, block size or C(m, c) at a state is at most its completion
-        # count, so int64 holds them all once every state reached has fewer
-        # than 2^63; until then the walk runs in python ints (object arrays)
-        if ranks.dtype == object and max(walk_state(j, m)[1][-1] for m in ms.tolist()) < _INT64_RANKS:
-            ranks = ranks.astype(np.int64)
-        for m, at in zip(ms.tolist(), np.split(order, starts[1:])):
-            counts, cum, combs = walk_state(j, m)
-            cum, combs = np.array(cum, dtype=ranks.dtype), np.array(combs, dtype=ranks.dtype)
-            t = np.searchsorted(cum, ranks[at], side="right") - 1
+        if j:
+            # the words with m letters left are at state (j, m)
+            order = np.argsort(left, kind="stable")
+            ms, starts = np.unique(left[order], return_index=True)
+            ms = ms.tolist()
+            # a rank, block size or C(m, c) at a state is at most its completion
+            # count, so int64 holds them all once every state reached has fewer
+            # than 2^63; until then the walk runs in python ints (object arrays)
+            if ranks.dtype == object and max(states[j, m][-1] for m in ms) < _INT64_RANKS:
+                ranks = ranks.astype(np.int64)
+            reached = zip(ms, np.split(order, starts[1:]))
+        for m, at in reached:
+            counts, cum, combs, _ = states[j, m]
+            cum = cum.astype(ranks.dtype, copy=False)
+            r = ranks[at]
+            t = np.searchsorted(cum, r, side="right") - 1
             comps[at, j] = counts[t]
-            ranks[at] = (ranks[at] - cum[t]) // combs[t]
+            if j < k - 2:  # after the last step the remainder is 0 and unread
+                ranks[at] = (r - cum[t]) // combs.astype(ranks.dtype, copy=False)[t]
         left -= comps[:, j]
     comps[:, -1] = left
     words = np.repeat(np.tile(np.arange(k), n_words), comps.ravel()).reshape(n_words, n)
@@ -262,31 +248,47 @@ def random_typical_codebook(
     )
 
 
-def encode_min_distortion(cb: Codebook, xn, dist, source_alphabet=None) -> int:
-    """Index of the codeword minimizing the blockwise distortion to `xn`.
+@functools.lru_cache(maxsize=8)
+def _rank_trie(probs: tuple, n: int, delta: float) -> tuple[int, MappingProxyType]:
+    """The size of the delta-typical set of `probs` at length n, and the
+    trie states of its enumerative code that a rank walk can reach.
 
-    The minimum is `_batch_encode`'s on a one-trial block: a word's total is
-    computed from its joint-type counts with `xn`, so words of equal joint
-    type tie exactly, and ties break toward the lowest index.  The working
-    set is the float32 word side (words x n per nonzero output column) and
-    a float32 buffer of at most 1 x words: one trial takes each run of up
-    to 786 432 words (a composition class, or all words for a cost of
-    several kappa groups) in one chunk of the sweep, and the float64 rule,
-    where it runs, that chunk's float64 totals.  A codebook with no words
-    and a symbol outside the source alphabet are rejected.
+    State (j, m), with m letters left for symbols j, ..., k - 1, is (the
+    counts c of symbol j that have completions, the cumulative block sizes
+    C(m, c) * (completions of the other m - c letters), C(m, c), the
+    state's completion count).  The block sizes and C(m, c) are int64 when
+    the state has fewer than `_INT64_RANKS` completions and Python ints (an
+    object array) otherwise; a walk casts them to its ranks' dtype.  Every
+    draw of the same (target, n, delta) shares the trie, so the map and its
+    arrays are read-only.
     """
-    src = tuple(source_alphabet) if source_alphabet is not None else cb.alphabet
-    mat = _distortion_matrix(dist, src, cb.alphabet)
-    index = {a: i for i, a in enumerate(src)}
-    try:
-        x_idx = np.array([index[s] for s in xn], dtype=np.int64)
-    except KeyError as err:
-        raise AlphabetMismatchError(f"symbol {err.args[0]!r} not in alphabet") from None
-    if len(x_idx) != cb.n:
-        raise ValueError(f"sequence length {len(x_idx)} != block length {cb.n}")
-    if len(cb) == 0:
-        raise ValueError("codebook has no words")
-    return int(_batch_encode(x_idx[None, :], cb.words, mat)[0][0])
+    k = len(probs)
+    # the typicality test is per symbol, so it is the allowed counts of each
+    ok = _typical_counts(np.arange(n + 1)[:, None, None], n, np.array(probs)[:, None], delta)
+    allowed = [np.flatnonzero(ok[:, j]).tolist() for j in range(k)]
+    states: dict[tuple[int, int], tuple] = {}
+
+    def completions(j: int, m: int) -> int:
+        if j == k:  # past the last symbol: one completion iff no letter is left
+            return int(m == 0)
+        if (j, m) not in states:
+            counts, cum, combs = [], [0], []
+            for c in allowed[j]:  # ascending
+                if c > m:
+                    break
+                rest = completions(j + 1, m - c)
+                if rest:
+                    counts.append(c)
+                    combs.append(math.comb(m, c))
+                    cum.append(cum[-1] + combs[-1] * rest)
+            dtype = np.int64 if cum[-1] < _INT64_RANKS else object
+            arrays = (np.array(counts, dtype=np.int64), np.array(cum, dtype=dtype), np.array(combs, dtype=dtype))
+            for a in arrays:
+                a.flags.writeable = False
+            states[j, m] = (*arrays, cum[-1])
+        return states[j, m][-1]
+
+    return completions(0, n), MappingProxyType(states)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +833,9 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     most min(M, k_in^j) * |X|^(n - j) floats, and the products that form
     them at most k_in times that.
 
-    No (M, n) copy of the words is made.  Equal to the per-word sum in
+    No (M, n) copy of the words is made.  The TV subtracts the i.i.d. law
+    from the mixture law and takes the absolute value in place, so it holds
+    one array of |X|^n floats besides the law.  Equal to the per-word sum in
     exact arithmetic; the float sums run in another order.
     """
     check_soft_covering(channel_out, cb.alphabet, p_x, cb.n)
@@ -843,8 +847,8 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     fold = _dense_fold if k <= min(3, len(p_x.atoms)) else _trie_fold
     p_out = fold(channel_out.matrix, cb.words @ place, k, cb.n)
     p_out /= len(cb)
-    prod = functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
-    return float(0.5 * np.abs(p_out - prod).sum())
+    p_out -= functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
+    return float(0.5 * np.abs(p_out, out=p_out).sum())
 
 
 def _dense_fold(rows: np.ndarray, codes: np.ndarray, k: int, n: int) -> np.ndarray:

@@ -50,46 +50,48 @@ def streams(seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
         yield gen
 
 
-def randint_below(gen: np.random.Generator, bound: int, size: int) -> list[int]:
-    """`size` independent exact uniform integers in [0, bound), as Python
-    ints, for arbitrary-precision bounds.
+def randint_below(gen: np.random.Generator, bound: int, size: int) -> np.ndarray:
+    """`size` independent exact uniform integers in [0, bound), for
+    arbitrary-precision bounds: an int64 array when bound <= 2^63, and an
+    object array of Python ints above that.
 
     Masked rejection: each candidate is the low bit_length(bound) bits of
     its own nbytes = ceil(bit_length / 8) little-endian bytes, kept when
     below `bound` (at least half are).  Each round draws the candidates for
     every rank still missing from one `gen.bytes` buffer, and the kept ones
-    are appended in buffer order.  A round is vectorized: limb i of a
-    candidate is the little-endian uint64 at byte 8i of it, read in place
-    from the buffer (a strided view), and the top limb is masked to the
-    candidate's remaining bits, which clears the bytes it reads past the
-    candidate's end.  Candidates are compared with `bound` limb by limb from
-    the most significant.  Python ints are built only for the kept
-    candidates: by `tolist` below 2^64, and above it from the top limb down,
-    by one object-array shift and or per further limb.
+    follow in buffer order.  A round is vectorized: limb i of a candidate is
+    the little-endian uint64 at byte 8i of it, read in place from the buffer
+    (a strided view), and the top limb is masked to the candidate's
+    remaining bits, which clears the bytes it reads past the candidate's
+    end.  Candidates are compared with `bound` limb by limb from the most
+    significant.  Below 2^63 the kept uint64 limbs are cast to int64, so no
+    Python int is built; up to 2^64 each kept one becomes a Python int, and
+    above it they are built from the top limb down, by one object-array
+    shift and or per further limb.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
+    dtype = np.int64 if bound <= 1 << 63 else object
     bits = bound.bit_length()
     nbytes = (bits + 7) // 8
     limbs = (nbytes + 7) // 8
     top_mask = np.uint64((1 << (bits - 64 * (limbs - 1))) - 1)
     bound_limbs = [np.uint64((bound >> (64 * i)) & _MASK64) for i in range(limbs)]
-    ranks: list[int] = []
-    while len(ranks) < size:
-        want = size - len(ranks)
+    rounds = [np.empty(0, dtype=dtype)]
+    missing = size
+    while missing > 0:
         # 8 zero bytes at the end keep the last top-limb read inside the buffer
-        buf = gen.bytes(want * nbytes) + bytes(8)
-        limb = np.ndarray((limbs, want), dtype="<u8", buffer=buf, strides=(8, nbytes))
+        buf = gen.bytes(missing * nbytes) + bytes(8)
+        limb = np.ndarray((limbs, missing), dtype="<u8", buffer=buf, strides=(8, nbytes))
         top = limb[-1] & top_mask
         below = top < bound_limbs[-1]
         equal = top == bound_limbs[-1]
         for i in reversed(range(limbs - 1)):
             below |= equal & (limb[i] < bound_limbs[i])
             equal &= limb[i] == bound_limbs[i]
-        value = top[below]
-        if limbs > 1:
-            value = value.astype(object)
-            for i in reversed(range(limbs - 1)):
-                value = (value << 64) | limb[i][below].astype(object)
-        ranks.extend(value.tolist())
-    return ranks
+        value = top[below].astype(dtype)
+        for i in reversed(range(limbs - 1)):
+            value = (value << 64) | limb[i][below].astype(object)
+        rounds.append(value)
+        missing -= len(value)
+    return np.concatenate(rounds)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdplab.pmf import AlphabetMismatchError, Channel, Pmf, is_delta_typical, mutual_information
+from rdplab.pmf import Channel, Pmf, is_delta_typical, mutual_information
 from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
 from rdplab.serialize import dumps, sim_report_from_dict, sim_report_to_dict
 from rdplab.closed_forms import binary_optimal_construction, mirror_construction
@@ -20,7 +20,6 @@ from rdplab.coding import (
     DERANDOMIZED,
     SHARED_SEED,
     empirical_perception_check,
-    encode_min_distortion,
     private_randomness_channel_sim,
     random_typical_codebook,
     shift_ensemble_sim,
@@ -112,9 +111,6 @@ def test_codebook_single_word_and_vacuous_delta():
     # 2^(n R) is past the float range at n R >= 1024
     pytest.param(lambda: random_typical_codebook(Pmf.bernoulli(0.3), 4, 300.0, 0.5),
                  ValueError, r"codebook larger than 2\^20 words", id="typical-rate-300"),
-    pytest.param(lambda: encode_min_distortion(Codebook(n=3, words=[[0, 1, 1]], target=Pmf.bernoulli(0.5)),
-                                               [0, 1], HAMMING),
-                 ValueError, "sequence length 2 != block length 3", id="encode-length"),
     pytest.param(lambda: private_randomness_channel_sim(Pmf.bernoulli(0.5), Channel.identity((1, 2)),
                                                         Channel.identity((1, 2)), trials=1),
                  ValueError, "channel inputs must match the source alphabet", id="private-channel-inputs"),
@@ -194,32 +190,22 @@ def test_codebook_determinism():
 
 
 def test_encode_min_distortion():
-    target = Pmf.bernoulli(0.5)
+    # the block encoder on one row: the word of least Hamming distance
     words = np.array([[0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1]])
-    cb = Codebook(n=4, words=words, target=target, delta=1.0, rate_bits=math.log2(3) / 4)
-    assert encode_min_distortion(cb, (1, 1, 0, 0), HAMMING) == 1
+
+    def encode(x):
+        return coding._batch_encode(np.array([x]), words, HAMMING)[0][0]
+
+    assert encode((1, 1, 0, 0)) == 1
     # equidistant from words 0 and 1: lowest index wins
-    assert encode_min_distortion(cb, (0, 1, 1, 0), HAMMING) == 0
+    assert encode((0, 1, 1, 0)) == 0
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = tuple(rng.integers(0, 2, size=4))
         best = min(
             range(3), key=lambda m: sum(HAMMING[a, b] for a, b in zip(x, words[m]))
         )
-        assert encode_min_distortion(cb, x, HAMMING) == best
-
-
-@pytest.mark.parametrize("kwargs", [{}], ids=["min_distortion"])
-def test_encode_rejects_an_empty_codebook(kwargs):
-    cb = Codebook(n=3, words=np.empty((0, 3), dtype=int), target=Pmf.bernoulli(0.5))
-    with pytest.raises(ValueError, match="codebook has no words"):
-        encode_min_distortion(cb, (0, 1, 0), HAMMING, **kwargs)
-
-
-def test_encode_rejects_a_symbol_outside_the_source_alphabet():
-    cb = Codebook(n=3, words=np.zeros((2, 3), dtype=int), target=Pmf.bernoulli(0.5))
-    with pytest.raises(AlphabetMismatchError, match="symbol 2 not in alphabet"):
-        encode_min_distortion(cb, (0, 2, 0), HAMMING)
+        assert encode(x) == best
 
 
 def test_seed_map_dyadic_exact():
@@ -673,6 +659,9 @@ def test_batch_encode_does_not_depend_on_the_block_size(case):
                 mp.setattr(coding, "_ENCODE_GROUP_ROWS", group)
                 mp.setattr(coding, "_ENCODE_BUFFER_FLOATS", floats)
                 results.append(coding._batch_encode(xs, words, mat))
+    # and each trial alone, as a one-row block
+    one_row = [coding._batch_encode(xs[t : t + 1], words, mat) for t in range(len(xs))]
+    results.append(tuple(np.concatenate(r) for r in zip(*one_row)))
     for m_star, best in results[1:]:
         assert np.array_equal(m_star, results[0][0])
         assert best.tobytes() == results[0][1].tobytes()
@@ -680,14 +669,6 @@ def test_batch_encode_does_not_depend_on_the_block_size(case):
         m_rule, best_rule = _float64_rule(xs, words, mat)
         assert np.array_equal(results[0][0], m_rule)
         assert results[0][1].tobytes() == best_rule.tobytes()
-        return
-    channel, p_x, dist, kw = SIM_CASES[case](SHARED_SEED)
-    pushed = channel.push(p_x)
-    target = Pmf.from_pairs([(a, pushed.prob(a)) for a in pushed.support()])
-    cb = Codebook(n=kw["n"], words=words, target=target)
-    for x, m in zip(xs.tolist(), results[0][0]):
-        xn = [p_x.labels[a] for a in x]
-        assert encode_min_distortion(cb, xn, dist, source_alphabet=p_x.labels) == m
 
 
 def _traced_peak_mib(f, *args):
@@ -1248,9 +1229,21 @@ def test_rank_walk_in_int64_draws_the_words_of_the_object_walk(target, n, rate, 
     # once every state a step reaches fits; a limit of 0 keeps them in
     # python ints throughout
     int64_walk = random_typical_codebook(target, n, rate, delta, seed=24).words
+    hits = coding._rank_trie.cache_info().hits
     monkeypatch.setattr(coding, "_INT64_RANKS", 0)
     object_walk = random_typical_codebook(target, n, rate, delta, seed=24).words
+    # the object walk read the trie the int64 walk left in the memo
+    assert coding._rank_trie.cache_info().hits == hits + 1
     assert np.array_equal(int64_walk, object_walk)
+
+
+@pytest.mark.parametrize("case", sorted(CODEBOOK_CASES))
+def test_codebook_words_do_not_depend_on_the_rank_trie_memo(case):
+    coding._rank_trie.cache_clear()
+    cold = CODEBOOK_CASES[case]().words
+    warm = CODEBOOK_CASES[case]().words
+    assert coding._rank_trie.cache_info().hits == 1
+    assert np.array_equal(cold, warm)
 
 
 def _compositions(n, k):

@@ -9,14 +9,15 @@ from rdplab.rng import randint_below, stream, streams
 )
 def test_randint_below_stays_below_the_bound(bound):
     ranks = randint_below(stream(5, 0), bound, 500)
-    assert len(ranks) == 500
-    assert all(type(r) is int and 0 <= r < bound for r in ranks)
+    assert ranks.shape == (500,)
+    assert all(type(r) is int and 0 <= r < bound for r in ranks.tolist())
 
 
 def test_randint_below_sizes_zero_and_one():
-    assert randint_below(stream(1, 0), 10, 0) == []
+    none = randint_below(stream(1, 0), 10, 0)
+    assert none.shape == (0,) and none.dtype == np.int64
     (r,) = randint_below(stream(1, 0), 2**100, 1)
-    assert 0 <= r < 2**100
+    assert type(r) is int and 0 <= r < 2**100
 
 
 def _scalar_randint_below(gen, bound, size):
@@ -43,9 +44,28 @@ def _scalar_randint_below(gen, bound, size):
 def test_randint_below_matches_the_scalar_rule(bound, size):
     gen, ref = stream(23, 4), stream(23, 4)
     got = randint_below(gen, bound, size)
-    assert got == _scalar_randint_below(ref, bound, size)
-    assert all(type(r) is int for r in got)
+    assert got.shape == (size,) and got.dtype == (np.int64 if bound <= 2**63 else object)
+    assert got.tolist() == _scalar_randint_below(ref, bound, size)
     # the same bytes were consumed: the next draw agrees
+    assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (2**63 - 1, np.int64),
+    (2**63, np.int64),
+    (2**63 + 1, object),
+    (2**64 - 1, object),
+    (2**64, object),
+    (2**100, object),
+])
+def test_randint_below_is_int64_up_to_two_to_the_63(bound, dtype):
+    # int64 holds every rank below a bound of at most 2^63; above it the
+    # ranks are Python ints in an object array
+    gen, ref = stream(29, 1), stream(29, 1)
+    got = randint_below(gen, bound, 300)
+    assert got.dtype == dtype
+    assert all(type(r) is int for r in (got if dtype is object else got.tolist()))
+    assert got.tolist() == _scalar_randint_below(ref, bound, 300)
     assert gen.random() == ref.random()
 
 
@@ -56,9 +76,9 @@ def test_randint_below_rejects_a_nonpositive_bound(bound):
 
 
 def test_randint_below_is_reproducible_per_stream():
-    a = randint_below(stream(7, 3), 3**50, 200)
-    assert a == randint_below(stream(7, 3), 3**50, 200)
-    assert a != randint_below(stream(7, 4), 3**50, 200)
+    a = randint_below(stream(7, 3), 3**50, 200).tolist()
+    assert a == randint_below(stream(7, 3), 3**50, 200).tolist()
+    assert a != randint_below(stream(7, 4), 3**50, 200).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3, 2**63 + 5, 2**64 - 1, -1])
