@@ -55,7 +55,6 @@ from .coding import (
     SeedMap,
     SimReport,
     empirical_perception_check,
-    private_randomness_channel_sim,
     random_typical_codebook,
     shift_ensemble_sim,
     simulate_circle,

@@ -55,7 +55,11 @@ class CliError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RDPLAB_SEED", "0"))
+    raw = os.environ.get("RDPLAB_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliError(f"RDPLAB_SEED={raw!r} is not an integer") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -246,21 +246,6 @@ class MirrorConstruction:
     def marginal_xhat(self) -> Pmf:
         return Pmf.from_probs(self.x_atoms, self.joint.sum(axis=(0, 1)))
 
-    def marginal_u(self) -> Pmf:
-        return Pmf.from_probs(self.u_atoms, self.joint.sum(axis=(0, 2)))
-
-    def u_channel(self) -> Channel:
-        """p_{U|X} as a channel with real-valued output labels."""
-        jxu = self.joint.sum(axis=2)
-        rows = jxu / jxu.sum(axis=1, keepdims=True)
-        return Channel(self.x_atoms, self.u_atoms, rows)
-
-    def decoder_channel(self) -> Channel:
-        """p_{Xhat|U} (equal to p_{X|U} by construction)."""
-        jux = self.joint.sum(axis=0)
-        rows = jux / jux.sum(axis=1, keepdims=True)
-        return Channel(self.u_atoms, self.x_atoms, rows)
-
     def expected_sq_distortion(self) -> float:
         x = np.array(self.x_atoms)
         return float(np.sum(self.joint * (x[:, None, None] - x[None, None, :]) ** 2))

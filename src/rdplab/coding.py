@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .closed_forms import circle_analytic
-from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, maximal_coupling, total_variation, wasserstein_sq
+from .divergences import WASSERSTEIN_SQ, DivergenceSpec, divergence, total_variation, wasserstein_sq
 from .pmf import Channel, Pmf, _check_slack, _distortion_matrix, _typical_counts, empirical_pmf
 from .rng import AUX_STREAM, CODEBOOK_STREAM, TRIAL_BASE, randint_below, stream, streams
 
@@ -57,7 +57,8 @@ class Codebook:
         w = np.asarray(w, dtype=np.int64)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise ValueError("words must be an (M, n) index array")
-        if w.size and (w.min() < 0 or w.max() >= len(self.target.atoms)):
+        # a negative int64 reads as >= 2^63 in uint64, so one max checks both ends
+        if w.size and w.view(np.uint64).max() >= len(self.target.atoms):
             raise ValueError("word symbol index out of range")
         object.__setattr__(self, "words", w)
 
@@ -902,84 +903,3 @@ def empirical_perception_check(
     else:
         gamma = empirical_pmf(xhat_seq, p_x.labels)
     return divergence(d, p_x, gamma) <= budget
-
-
-# ---------------------------------------------------------------------------
-# Per-letter private-randomness pipeline
-# ---------------------------------------------------------------------------
-
-
-def private_randomness_channel_sim(
-    p_x: Pmf,
-    channel: Channel,
-    decoder: Channel,
-    trials: int,
-    seed: int = 0,
-    dist=None,
-) -> SimReport:
-    """Simulate X -> V -> Xhat with independent private randomness per letter.
-
-    When the decoder mirrors the posterior (p_{Xhat|V} = p_{X|V}), the output
-    marginal reproduces the source.  Diagnostics sample, for each source
-    symbol, the maximal coupling of the encoder row against the V-marginal
-    and record the disagreement rate next to the exact total variation.
-    """
-    if channel.inputs != p_x.labels:
-        raise ValueError("channel inputs must match the source alphabet")
-    if decoder.inputs != channel.outputs:
-        raise ValueError("decoder inputs must match the channel outputs")
-    if dist is None:
-        try:
-            x_vals = p_x.real_values()
-            y_vals = np.array([float(a) for a in decoder.outputs])
-            mat = (x_vals[:, None] - y_vals[None, :]) ** 2
-        except (ValueError, TypeError):
-            if set(decoder.outputs) != set(p_x.labels):
-                raise ValueError("provide a distortion for non-real alphabets")
-            mat = np.array(
-                [[0.0 if a == b else 1.0 for b in decoder.outputs] for a in p_x.labels]
-            )
-    else:
-        mat = _distortion_matrix(dist, p_x.labels, decoder.outputs)
-    gen = stream(seed, AUX_STREAM)
-    x_idx = np.searchsorted(np.cumsum(p_x.probs), gen.random(trials), side="right")
-    cum_enc = np.cumsum(channel.matrix, axis=1)
-    v_idx = (gen.random(trials)[:, None] > cum_enc[x_idx]).sum(axis=1)
-    cum_dec = np.cumsum(decoder.matrix, axis=1)
-    xh_idx = (gen.random(trials)[:, None] > cum_dec[v_idx]).sum(axis=1)
-    avg_d = float(np.mean(mat[x_idx, xh_idx]))
-    counts = np.bincount(xh_idx, minlength=len(decoder.outputs))
-    marginal = Pmf.from_probs(decoder.outputs, counts / trials)
-    v_marginal = channel.push(p_x)
-    diagnostics = {}
-    diag_trials = min(trials, 200_000)
-    for i, lab in enumerate(p_x.labels):
-        row = channel.row(lab)
-        coup = maximal_coupling(row, v_marginal)
-        flat = coup.joint.ravel()
-        flat = flat / flat.sum()
-        draw = np.searchsorted(np.cumsum(flat), gen.random(diag_trials), side="right")
-        k_v = len(v_marginal.atoms)
-        mismatch = float(np.mean((draw // k_v) != (draw % k_v)))
-        diagnostics[str(lab)] = {
-            "tv": divergence(total_variation(), row, v_marginal),
-            "mismatch_rate": mismatch,
-            "pairs": diag_trials,
-        }
-    max_div = math.inf
-    if set(decoder.outputs) == set(p_x.labels):
-        reordered = Pmf.from_pairs(
-            [(a, marginal.prob(a)) for a in p_x.labels]
-        )
-        max_div = divergence(total_variation(), p_x, reordered)
-    return SimReport(
-        n=1,
-        trials=trials,
-        rate_bits=0.0,
-        avg_distortion=avg_d,
-        per_letter_marginals=[marginal],
-        max_perletter_divergence=float(max_div),
-        perception_violations=0,
-        seed=seed,
-        diagnostics=diagnostics,
-    )

@@ -104,14 +104,6 @@ class Pmf:
         """Atom labels as floats; raises if any label is not a real number."""
         return _real_values(self.labels)
 
-    def tensor(self, other: "Pmf") -> "Pmf":
-        """Product distribution; labels become (a, b) tuples."""
-        pairs = []
-        for a, pa in self.atoms:
-            for b, pb in other.atoms:
-                pairs.append(((a, b), pa * pb))
-        return Pmf.from_pairs(pairs)
-
 
 @dataclass(frozen=True, eq=False)
 class Channel:
@@ -142,10 +134,6 @@ class Channel:
         """Binary symmetric channel over {0, 1}."""
         e = float(crossover)
         return cls((0, 1), (0, 1), np.array([[1 - e, e], [e, 1 - e]]))
-
-    def row(self, label: Label) -> Pmf:
-        i = self.inputs.index(label)
-        return Pmf.from_probs(self.outputs, self.matrix[i])
 
     def push(self, p: Pmf) -> Pmf:
         """Output marginal of `p` through the channel."""

@@ -307,6 +307,22 @@ def test_simulate_circle_env_seed(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_simulate_env_seed_not_an_integer(tmp_path, monkeypatch, capsys, value):
+    import rdplab.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the simulation ran before the seed was checked")
+
+    monkeypatch.setattr(cli_mod, "simulate_circle", never)
+    monkeypatch.setenv("RDPLAB_SEED", value)
+    out = tmp_path / "a.json"
+    argv = ["simulate", "circle", "--scheme", "private", "--samples", "5000", "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"rdplab: RDPLAB_SEED='{value}' is not an integer\n")
+    assert not out.exists()
+
+
 def _block_argv(tmp_path):
     sol = binary_optimal_construction(0.25, 0.3)
     spec = {

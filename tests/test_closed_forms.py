@@ -213,18 +213,6 @@ def test_mirror_construction_random_binary():
         assert abs(mc.expected_sq_distortion() - 2 * mc.expected_sq_to_u()) < 1e-12
 
 
-def test_mirror_construction_u_marginal_is_the_pushed_source():
-    rng = np.random.default_rng(5)
-    p = Pmf.bernoulli(0.25)
-    channels = [binary_optimal_construction(0.25, 0.2).p_v_given_x]
-    channels += [Channel((0, 1), ("u", "v", "w"), rng.dirichlet(np.ones(3), size=2)) for _ in range(5)]
-    for ch in channels:
-        mc = mirror_construction(p, ch)
-        pushed = mc.u_channel().push(p)
-        assert mc.marginal_u().labels == pushed.labels == mc.u_atoms
-        assert np.max(np.abs(mc.marginal_u().probs - pushed.probs)) < 1e-15
-
-
 def test_circle_constants():
     table = circle_analytic()
     assert tuple(table) == ("private", "common", "antipodal", "unconstrained")

@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 from rdplab.pmf import Channel, Pmf, is_delta_typical, mutual_information
 from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
 from rdplab.serialize import dumps, sim_report_from_dict, sim_report_to_dict
-from rdplab.closed_forms import binary_optimal_construction, mirror_construction
+from rdplab.closed_forms import binary_optimal_construction
 from rdplab import coding
 from rdplab.coding import (
     Codebook,
     DERANDOMIZED,
     SHARED_SEED,
     empirical_perception_check,
-    private_randomness_channel_sim,
     random_typical_codebook,
     shift_ensemble_sim,
     simulate_circle,
@@ -98,6 +97,10 @@ def test_codebook_single_word_and_vacuous_delta():
                  ValueError, "word symbol index out of range", id="codebook-index-above"),
     pytest.param(lambda: Codebook(n=3, words=[[0, -1, 1]], target=Pmf.bernoulli(0.5)),
                  ValueError, "word symbol index out of range", id="codebook-index-below"),
+    # an int64 array is held as given, so a strided view is checked in place
+    pytest.param(lambda: Codebook(n=3, words=np.array([[0, 9, -1, 9, 1, 9], [1, 9, 0, 9, 0, 9]])[:, ::2],
+                                  target=Pmf.bernoulli(0.5)),
+                 ValueError, "word symbol index out of range", id="codebook-strided-index-below"),
     pytest.param(lambda: simulate_circle("private", samples=0), ValueError, "samples must be >= 1",
                  id="circle-no-samples"),
     pytest.param(lambda: coding.check_typical_codebook(Pmf.bernoulli(0.3), 8, 0.5, 0.0),
@@ -111,12 +114,6 @@ def test_codebook_single_word_and_vacuous_delta():
     # 2^(n R) is past the float range at n R >= 1024
     pytest.param(lambda: random_typical_codebook(Pmf.bernoulli(0.3), 4, 300.0, 0.5),
                  ValueError, r"codebook larger than 2\^20 words", id="typical-rate-300"),
-    pytest.param(lambda: private_randomness_channel_sim(Pmf.bernoulli(0.5), Channel.identity((1, 2)),
-                                                        Channel.identity((1, 2)), trials=1),
-                 ValueError, "channel inputs must match the source alphabet", id="private-channel-inputs"),
-    pytest.param(lambda: private_randomness_channel_sim(Pmf.bernoulli(0.5), Channel.identity((0, 1)),
-                                                        Channel.identity((1, 2)), trials=1),
-                 ValueError, "decoder inputs must match the channel outputs", id="private-decoder-inputs"),
 ])
 def test_coding_inputs_fail_fast(call, error, message):
     with pytest.raises(error, match=message):
@@ -1042,65 +1039,6 @@ def test_empirical_perception_check():
     ba = Pmf.from_probs(("b", "a"), (0.75, 0.25))
     asymmetric = coupling_cost(np.array([[0.0, 1.0], [5.0, 0.0]]))
     assert empirical_perception_check(("a", "b", "b", "b"), ba, asymmetric, 0.0)
-
-
-def test_private_randomness_identity():
-    p = Pmf.bernoulli(0.25)
-    rep = private_randomness_channel_sim(
-        p, Channel.identity((0, 1)), Channel.identity((0, 1)), trials=2000, seed=5
-    )
-    assert rep.avg_distortion == 0.0
-    assert rep.per_letter_marginals[0].prob(1) == pytest.approx(0.25, abs=0.05)
-
-
-def test_private_randomness_mirror():
-    p = Pmf.bernoulli(0.25)
-    sol = binary_optimal_construction(0.25, 0.2)
-    mc = mirror_construction(p, sol.p_v_given_x)
-    trials = 200_000
-    rep = private_randomness_channel_sim(
-        p, mc.u_channel(), mc.decoder_channel(), trials=trials, seed=12
-    )
-    sigma = math.sqrt(0.25 * 0.75 / trials)
-    assert abs(rep.per_letter_marginals[0].prob(1.0) - 0.25) <= 4 * sigma
-    expect = mc.expected_sq_distortion()
-    assert abs(rep.avg_distortion - expect) <= 5 * sigma
-    for info in rep.diagnostics.values():
-        mc_err = 3 / math.sqrt(info["pairs"])
-        assert abs(info["mismatch_rate"] - info["tv"]) <= mc_err + 1e-12
-
-
-def test_private_randomness_explicit_distortion():
-    p = Pmf.bernoulli(0.25)
-    noisy = Channel((0, 1), (0, 1), np.array([[0.8, 0.2], [0.3, 0.7]]))
-    args = (p, Channel.identity((0, 1)), noisy)
-    default = private_randomness_channel_sim(*args, trials=5000, seed=4)
-    # the draws do not depend on the distortion: a doubled Hamming matrix,
-    # as an array or a callable, doubles the squared-error default exactly
-    for dist in (2.0 * HAMMING, lambda x, y: 2.0 * (x != y)):
-        rep = private_randomness_channel_sim(*args, trials=5000, seed=4, dist=dist)
-        assert rep.avg_distortion == 2 * default.avg_distortion > 0.0
-        assert rep.per_letter_marginals[0].probs.tolist() == default.per_letter_marginals[0].probs.tolist()
-
-
-def test_private_randomness_hamming_for_non_real_labels():
-    p = Pmf.from_probs(("a", "b"), (0.3, 0.7))
-    encoder = Channel.identity(("a", "b"))
-    # the decoder lists the same labels in another order: Hamming distortion
-    # is taken by label, not by position
-    relabel = Channel(("a", "b"), ("b", "a"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    rep = private_randomness_channel_sim(p, encoder, relabel, trials=2000, seed=6)
-    assert rep.avg_distortion == 0.0
-    assert rep.max_perletter_divergence < 0.05
-    flip = Channel(("a", "b"), ("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert private_randomness_channel_sim(p, encoder, flip, trials=2000, seed=6).avg_distortion == 1.0
-
-
-def test_private_randomness_needs_a_distortion_for_other_non_real_labels():
-    p = Pmf.from_probs(("a", "b"), (0.3, 0.7))
-    other = Channel(("a", "b"), ("x", "y"), np.eye(2))
-    with pytest.raises(ValueError, match="provide a distortion for non-real alphabets"):
-        private_randomness_channel_sim(p, Channel.identity(("a", "b")), other, trials=10)
 
 
 def _words_digest(cb):

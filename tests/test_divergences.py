@@ -301,6 +301,11 @@ def test_identity_of_indiscernibles():
                 assert divergence(spec, p, q) > 0.0
 
 
+def _product_pmf(p, q):
+    """Product law of p and q; labels become (a, b) tuples."""
+    return Pmf.from_pairs([((a, b), pa * pb) for a, pa in p.atoms for b, pb in q.atoms])
+
+
 def test_tensorization_kl_and_w2():
     rng = np.random.default_rng(29)
     for _ in range(10):
@@ -310,8 +315,8 @@ def test_tensorization_kl_and_w2():
             labels = tuple(float(v) for v in np.sort(rng.uniform(-1, 1, k)))
             parts_p.append(random_pmf(rng, labels))
             parts_q.append(random_pmf(rng, labels))
-        prod_p = parts_p[0].tensor(parts_p[1]).tensor(parts_p[2])
-        prod_q = parts_q[0].tensor(parts_q[1]).tensor(parts_q[2])
+        prod_p = _product_pmf(_product_pmf(parts_p[0], parts_p[1]), parts_p[2])
+        prod_q = _product_pmf(_product_pmf(parts_q[0], parts_q[1]), parts_q[2])
         kl_sum = sum(divergence(kullback_leibler(), a, b) for a, b in zip(parts_p, parts_q))
         assert divergence(kullback_leibler(), prod_p, prod_q) == pytest.approx(kl_sum, abs=1e-9)
         # W2^2 on the product space as a coupling-cost with additive squared cost
