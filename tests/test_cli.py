@@ -558,11 +558,11 @@ CLI_STDOUT_PINS = {
     "curve-solve-json": (
         ["curve", "solve", "--problem", "{problem}", "--D-grid", "0.1:0.3:2",
          "--P-grid", "0:0.1:2", "--format", "json"],
-        0, "3f2a56734aebde7f9245bcfa857961e94c24e3c0548f7d54085daa58ce9d4ec2",
+        0, "e1705b3df56ec891a83341564b721b2e6102855bc2834572876196796b34e11e",
     ),
     "solve": (
         ["solve", "--problem", "{problem}", "--D", "0.2", "--P", "0.05"],
-        0, "c77f6033d2ef69b9d9f8b380f746197b67ab774ce951f99f18ee48a87142f323",
+        0, "41c692140569aa401d15cf8a525250c2b79fbf64f46020f9bec0d11b22ddcd8b",
     ),
     "solve-infeasible": (
         ["solve", "--problem", "{infeasible}", "--D", "0.5", "--P", "0.5"],

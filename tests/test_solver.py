@@ -642,15 +642,15 @@ PINNED_SOLVES = {
     ),
     "tv-slack": (
         binary_problem(0.25, 0.1, 0.05),
-        0, "d2ca630fdcc81ce7059556dcc534fe833eacd2ead3bccee4996e9ba8b1087ed7",
+        0, "ace5f582d931d71a00c6269c6c082a3013f63c6d6472ef9f8655d03125254d07",
     ),
     "w2-coupling": (
         binary_problem(0.3, 0.15, 0.2, div=wasserstein_sq()),
-        0, "221c45db3a7b9c3598eaac678ffcee3603e4273024f1b345a9c3d3dfda7d54b3",
+        0, "b722f0fc7e76f3f312cae4e1f501d4ba5b8440d091827fdb2d79ee98433f0ef2",
     ),
     "cc-coupling": (
         binary_problem(0.3, 0.1, 0.1, div=_CC),
-        0, "df291e66bb62da55ca6fc9bfcb8ca1aa5703c9e4a01a5e94817fd3ec292720c5",
+        0, "934bc8d00efb321fa18dc326c8fe25eefbb641796e4cc0f4dd35936ae11e2d15",
     ),
     "w2-three-outputs": (
         RdpProblem(
@@ -661,15 +661,15 @@ PINNED_SOLVES = {
             perc_budget=0.2,
             output_alphabet=(0, 1, 2),
         ),
-        1, "b9ac2d975df61e33983b494b5b8db1a510eac8b6dc409367aae638f32f29a89f",
+        1, "d916e65b76e39ab8547c56d10cae43faf867add8e90e6ec69c35ee79a6af2eea",
     ),
     "kl-dual-inactive": (
         binary_problem(0.3, 0.15, 0.05, div=kullback_leibler()),
-        0, "495fa4df0acb194da9f116f7ad51e522a9daa7a771affe98375cb79aa231ed5d",
+        0, "4083bc00079d721ecc231405c7f8f315dc3dcc0278f84266f108b14e37c6df6f",
     ),
     "kl-dual-bisection": (
         binary_problem(0.3, 0.2, 0.01, div=kullback_leibler()),
-        0, "e837fecb866234462ef80642f668185009a52e64a956d94a43f309047ae38071",
+        0, "513622fbbd6ea47096611c21f2c54c3f49e3a8aeaea9a0dc3c5a13ce159a6d8f",
     ),
     "zero-rate-equality": (
         binary_problem(0.25, 0.375, 0.0),
@@ -764,7 +764,106 @@ def test_engine_outputs_are_pinned():
         digest(sol for _, _, sol in sweep_curve(ternary, [0.1, 0.2, 0.3, 0.4, 0.5], [0.05, 0.2])),
     )
     assert got == (
-        "8c423ef128194c12fcbd5d14a2b0919abd9b04db3ef3a4c1a588174fea0c5b70",
-        ["0x1.9ceb902a14dccp-2", "0x1.368bd09ab1745p-2", "0x1.aee74cbc267f7p-3"],
-        "819ff741375268e425f80eba1af225dff4435f9242f5938befffaf5c72ba0726",
+        "0375047b9a2d6bb44ae10fd155c21fbb954e665efc07f3864ad291e664b65ebf",
+        ["0x1.9ceb901722268p-2", "0x1.368bd09d0530ap-2", "0x1.aee74ca952828p-3"],
+        "100753f351b7623611459459949d918557e5405180f94c4b508cc5eb90e60158",
     )
+
+
+# (rate, certified gap) of every `_engine_pool()` solve and of the ternary
+# sweep that `test_engine_outputs_are_pinned` hashes, all `optimal`, and its
+# three grid rates, each certified within `_CERT_BITS`.  The optimum lies in
+# both [rate - gap, rate] brackets, so an engine change that moves those
+# digests keeps each rate within the larger of the two gaps.
+_ENGINE_POOL_ANSWERS = (
+    (0.05938800319573938, 2.9522911892954085e-13),
+    (0.1623086339660051, 6.378231276471524e-14),
+    (0.1774943693338326, 3.9335201762469296e-13),
+    (0.06946285995974573, 2.885193491897198e-07),
+    (0.34106464264128317, 3.107692873038914e-07),
+    (0.0, 0.0),
+    (0.0011338070648000032, 2.886973565338277e-07),
+    (0.42144502560786196, 2.9862205996877833e-07),
+    (0.0630127636738933, 2.981241316868388e-07),
+    (0.657273401185008, 3.016139914491234e-07),
+    (0.10783144126138824, 2.883598938518972e-07),
+    (0.10695615663132892, 3.122737941702036e-07),
+    (0.0, 0.0),
+    (0.0006078651902793782, 2.885404775908318e-07),
+    (0.14457990662640077, 2.8858908929230154e-07),
+    (0.0801529052281085, 1.999650445227985e-13),
+    (0.5565786354208535, 5.941913627793838e-13),
+    (0.182792144306055, 5.261069357942461e-13),
+    (0.0, 0.0),
+    (0.0, 0.0),
+    (0.1002420964537773, 2.885315765893681e-07),
+    (0.2915478310811458, 2.8850915106959363e-07),
+    (0.47340449312678984, 2.8854193123706295e-07),
+    (0.04276790942770637, 2.885444382733082e-07),
+    (0.02214207867466325, 2.8853430937558766e-07),
+    (0.4518144666644053, 2.8850293037896435e-07),
+    (0.0027108103415839115, 2.885334893574891e-07),
+    (0.0, 0.0),
+    (0.18218320423162157, 2.872241173512702e-07),
+    (1.3974906766074484e-17, 0.0),
+    (0.686336808080705, 6.306066779870889e-13),
+    (0.5017952970902512, 5.364597654988756e-13),
+    (0.3116593099874486, 4.932720898409571e-13),
+    (0.027149054919847353, 2.88407562748505e-07),
+    (0.26799836696272367, 2.9106103455189825e-07),
+    (1.1719407482981484e-16, 0.0),
+    (0.36864604905440085, 2.883946358389622e-07),
+    (1.1072002329363688, 3.0412553542191745e-07),
+    (0.08179260206448222, 2.8854869187078247e-07),
+    (0.08921236761833021, 2.8855763867241535e-07),
+    (8.06944234599462e-17, 0.0),
+    (0.11556752628311658, 2.8848331758146717e-07),
+    (1.6740509462943514e-16, 0.0),
+    (0.35008929060778504, 2.885884755610135e-07),
+    (0.006607200671289917, 2.885207377387178e-07),
+    (1.0151810571178947, 7.063238882665246e-13),
+    (0.23336340963397872, 4.219125049331751e-13),
+    (0.8065704596640803, 7.736034035588091e-13),
+    (0.0, 0.0),
+    (0.18667499156962672, 2.885624744985993e-07),
+    (0.04232317726021783, 2.884963988952771e-07),
+    (0.010324840044405037, 2.885150571351608e-07),
+    (0.13306767137016187, 2.8850310337946716e-07),
+    (0.808157955999287, 2.886040524341382e-07),
+    (0.9289121646828328, 2.99292769789794e-07),
+    (0.46122048374682645, 2.8881127300817155e-07),
+    (0.00014249834932160755, 2.885437684674091e-07),
+    (0.40607595661761614, 2.8867215723371586e-07),
+    (0.0011196652960915373, 2.885381847558561e-07),
+    (0.9897564908147367, 2.8862896694903384e-07),
+    (0.46263477461188407, 2.8738746288281547e-07),
+)
+_ENGINE_GRID_RATES = (0.4032423520740991, 0.3032677263657784, 0.21040210675420187)
+_ENGINE_SWEEP_ANSWERS = (
+    (0.9739704330890229, 2.9359767739212117e-07),
+    (0.6672106260158994, 2.9115410205005077e-07),
+    (0.439907187992383, 2.8865759649221445e-07),
+    (0.2709510128819256, 2.885722522050216e-07),
+    (0.14790568693776698, 2.8818856684376115e-07),
+    (0.9739704329707618, 3.153210332840217e-07),
+    (0.6672106260812705, 3.130985165578082e-07),
+    (0.4390360967819811, 3.077369042370215e-07),
+    (0.2609641918213423, 2.9946922419643585e-07),
+    (0.1187092450418776, 2.885428371374177e-07),
+)
+
+
+def test_engine_answers_hold_within_their_gaps():
+    ternary = RdpProblem(
+        Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)),
+        np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float))
+    sols = [solve_rdp(prob) for prob in _engine_pool()]
+    sols += [sol for _, _, sol in sweep_curve(ternary, [0.1, 0.2, 0.3, 0.4, 0.5], [0.05, 0.2])]
+    assert len(sols) == len(_ENGINE_POOL_ANSWERS) + len(_ENGINE_SWEEP_ANSWERS)
+    for sol, (rate, gap) in zip(sols, _ENGINE_POOL_ANSWERS + _ENGINE_SWEEP_ANSWERS):
+        assert sol.status == OPTIMAL
+        assert abs(sol.rate - rate) <= max(sol.primal_gap_estimate, gap)
+    grid = np.linspace(0.0, 1.0, 513)
+    for d, rate in zip((0.15, 0.2, 0.25), _ENGINE_GRID_RATES):
+        got = rd_function_grid(Pmf.bernoulli(0.25), grid, lambda x, v: (x - v) ** 2, d / 2.0)
+        assert abs(got - rate) <= rdplab.solver._CERT_BITS
