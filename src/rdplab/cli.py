@@ -215,19 +215,11 @@ def _run_curve(args) -> int:
         # the file needs neither; 0.0 only stands in until the first point
         budgets = {"D": 0.0} if p_grid is None else {"D": 0.0, "P": 0.0}
         prob = _load_problem(args.problem, **budgets)
-        opts = SolverOptions(tol=args.tol)
-        rows = [
-            {
-                "D": dist,
-                "P": perc,
-                "rate_bits": sol.rate,
-                "achieved_D": sol.achieved_dist,
-                "achieved_P": sol.achieved_perc,
-                "status": sol.status,
-            }
-            for dist, perc, sol in sweep_curve(prob, d_grid, p_grid, opts)
-        ]
         cols = ["D", "P", "rate_bits", "achieved_D", "achieved_P", "status"]
+        rows = []
+        for dist, perc, sol in sweep_curve(prob, d_grid, p_grid, SolverOptions(tol=args.tol)):
+            row = {"D": dist, "P": perc, **serialize.solution_to_dict(sol)}
+            rows.append({c: row[c] for c in cols})
     if args.format == "csv":
         _emit(serialize.curve_csv(rows, cols), args.output)
     else:

@@ -6,6 +6,18 @@ Channel:  {"inputs": [...], "outputs": [...], "rows": [[...], ...]}
 Problem:  {"source": Pmf, "distortion": [[...]], "divergence":
            {"kind": ..., "cost": [[...]]?}, "D": ..., "P": ...,
            "output_alphabet": [...]?}
+Reports:  RdpSolution, SimReport, CircleEstimate and KktReport, one key per
+          field as `_FIELDS` names it; a solution's "channel" is a Channel,
+          a SimReport's "per_letter_marginals" a list of Pmf and its
+          "diagnostics"? a free-form object
+
+The problem and the four reports are each written and read through one
+table, `_FIELDS`.  A key marked ? may be absent, and its field then keeps
+the dataclass default.  The report readers are strict: a float field takes
+a number or "inf" / "-inf", an int field an int, a bool field a bool and a
+str field a str, never a bool for a number, and any other value raises a
+ValueError naming the key.  Problem files are written by hand, so the
+problem reader casts its budgets with float() instead.
 
 CSV files use '.' decimals and 12 significant digits so identical runs diff
 byte-identically across platforms.  Both formats follow one non-finite rule:
@@ -64,118 +76,126 @@ def divergence_from_dict(d: dict) -> DivergenceSpec:
     return DivergenceSpec(d["kind"], cost=d.get("cost"))
 
 
+def _as_is(value):
+    return value
+
+
+def _scalar(key: str, kind: type, attr: str | None = None) -> tuple:
+    """The entry of a report field written as it is and read strictly: its
+    reader takes only the JSON type that `dumps` writes for `kind` and
+    raises a ValueError naming `key` for any other value."""
+    types = (int, float) if kind is float else kind
+
+    def read(value):
+        # bool is a subclass of int, but never stands for a number
+        if (isinstance(value, types) and isinstance(value, bool) == (kind is bool)
+                or kind is float and value in ("inf", "-inf")):
+            return kind(value)
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, not {value!r}")
+
+    return key, attr or key, _as_is, read
+
+
+# (JSON key, attribute, writer, reader) for each field of a tabled type.
+# Nested formats are called through their module-level names, so that a
+# wrapper bound to one of those names (perfbench's tracer) sees the call.
+_FIELDS = {
+    RdpProblem: (
+        ("source", "source", lambda p: pmf_to_dict(p), lambda d: pmf_from_dict(d)),
+        ("distortion", "distortion", np.ndarray.tolist, lambda rows: np.array(rows, dtype=float)),
+        ("divergence", "divergence", lambda s: divergence_to_dict(s), lambda d: divergence_from_dict(d)),
+        ("D", "dist_budget", _as_is, float),
+        ("P", "perc_budget", _as_is, float),
+        ("output_alphabet", "output_alphabet", list, tuple),
+    ),
+    RdpSolution: (
+        _scalar("rate_bits", float, "rate"),
+        ("channel", "channel", lambda ch: channel_to_dict(ch), lambda d: channel_from_dict(d)),
+        _scalar("achieved_D", float, "achieved_dist"),
+        _scalar("achieved_P", float, "achieved_perc"),
+        _scalar("status", str),
+        _scalar("primal_gap_estimate", float),
+        _scalar("iterations", int),
+    ),
+    SimReport: (
+        _scalar("n", int),
+        _scalar("trials", int),
+        _scalar("rate_bits", float),
+        _scalar("avg_distortion", float),
+        ("per_letter_marginals", "per_letter_marginals",
+         lambda ms: [pmf_to_dict(m) for m in ms], lambda ds: [pmf_from_dict(d) for d in ds]),
+        _scalar("max_perletter_divergence", float),
+        _scalar("perception_violations", int),
+        _scalar("seed", int),
+        ("diagnostics", "diagnostics", _as_is, _as_is),
+    ),
+    CircleEstimate: (
+        _scalar("scheme", str),
+        _scalar("samples", int),
+        _scalar("mean", float),
+        _scalar("std_error", float),
+        _scalar("analytic", float),
+    ),
+    KktReport: (
+        _scalar("equality_residual", float),
+        _scalar("inequality_margin", float),
+        _scalar("distortion_residual", float),
+        _scalar("passed", bool),
+        _scalar("tol", float),
+    ),
+}
+
+# keys a file may leave out; the field then keeps its dataclass default
+_OPTIONAL = {"divergence", "output_alphabet", "diagnostics"}
+
+
+def _to_dict(obj) -> dict:
+    return {key: write(getattr(obj, attr)) for key, attr, write, _ in _FIELDS[type(obj)]}
+
+
+def _from_dict(cls, d: dict):
+    return cls(**{attr: read(d[key]) for key, attr, _, read in _FIELDS[cls]
+                  if key in d or key not in _OPTIONAL})
+
+
 def problem_to_dict(prob: RdpProblem) -> dict:
-    return {
-        "source": pmf_to_dict(prob.source),
-        "distortion": prob.distortion.tolist(),
-        "divergence": divergence_to_dict(prob.divergence),
-        "D": prob.dist_budget,
-        "P": prob.perc_budget,
-        "output_alphabet": list(prob.output_alphabet),
-    }
+    return _to_dict(prob)
 
 
 def problem_from_dict(d: dict) -> RdpProblem:
-    return RdpProblem(
-        source=pmf_from_dict(d["source"]),
-        distortion=np.array(d["distortion"], dtype=float),
-        divergence=divergence_from_dict(d.get("divergence", {"kind": "total_variation"})),
-        dist_budget=float(d["D"]),
-        perc_budget=float(d["P"]),
-        output_alphabet=tuple(d["output_alphabet"]) if "output_alphabet" in d else None,
-    )
+    return _from_dict(RdpProblem, d)
 
 
 def solution_to_dict(sol: RdpSolution) -> dict:
-    return {
-        "rate_bits": sol.rate,
-        "channel": channel_to_dict(sol.channel),
-        "achieved_D": sol.achieved_dist,
-        "achieved_P": sol.achieved_perc,
-        "status": sol.status,
-        "primal_gap_estimate": sol.primal_gap_estimate,
-        "iterations": sol.iterations,
-    }
+    return _to_dict(sol)
 
 
 def solution_from_dict(d: dict) -> RdpSolution:
-    return RdpSolution(
-        rate=float(d["rate_bits"]),
-        channel=channel_from_dict(d["channel"]),
-        achieved_dist=float(d["achieved_D"]),
-        achieved_perc=float(d["achieved_P"]),
-        status=d["status"],
-        primal_gap_estimate=float(d["primal_gap_estimate"]),
-        iterations=int(d["iterations"]),
-    )
+    return _from_dict(RdpSolution, d)
 
 
 def sim_report_to_dict(rep: SimReport) -> dict:
-    return {
-        "n": rep.n,
-        "trials": rep.trials,
-        "rate_bits": rep.rate_bits,
-        "avg_distortion": rep.avg_distortion,
-        "per_letter_marginals": [pmf_to_dict(m) for m in rep.per_letter_marginals],
-        "max_perletter_divergence": rep.max_perletter_divergence,
-        "perception_violations": rep.perception_violations,
-        "seed": rep.seed,
-        "diagnostics": rep.diagnostics,
-    }
+    return _to_dict(rep)
 
 
 def sim_report_from_dict(d: dict) -> SimReport:
-    return SimReport(
-        n=int(d["n"]),
-        trials=int(d["trials"]),
-        rate_bits=float(d["rate_bits"]),
-        avg_distortion=float(d["avg_distortion"]),
-        per_letter_marginals=[pmf_from_dict(m) for m in d["per_letter_marginals"]],
-        max_perletter_divergence=float(d["max_perletter_divergence"]),
-        perception_violations=int(d["perception_violations"]),
-        seed=int(d["seed"]),
-        diagnostics=d.get("diagnostics"),
-    )
+    return _from_dict(SimReport, d)
 
 
 def circle_estimate_to_dict(est: CircleEstimate) -> dict:
-    return {
-        "scheme": est.scheme,
-        "samples": est.samples,
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "analytic": est.analytic,
-    }
+    return _to_dict(est)
 
 
 def circle_estimate_from_dict(d: dict) -> CircleEstimate:
-    return CircleEstimate(
-        scheme=d["scheme"],
-        samples=int(d["samples"]),
-        mean=float(d["mean"]),
-        std_error=float(d["std_error"]),
-        analytic=float(d["analytic"]),
-    )
+    return _from_dict(CircleEstimate, d)
 
 
 def kkt_report_to_dict(rep: KktReport) -> dict:
-    return {
-        "equality_residual": rep.equality_residual,
-        "inequality_margin": rep.inequality_margin,
-        "distortion_residual": rep.distortion_residual,
-        "passed": rep.passed,
-        "tol": rep.tol,
-    }
+    return _to_dict(rep)
 
 
 def kkt_report_from_dict(d: dict) -> KktReport:
-    return KktReport(
-        equality_residual=float(d["equality_residual"]),
-        inequality_margin=float(d["inequality_margin"]),
-        distortion_residual=float(d["distortion_residual"]),
-        passed=bool(d["passed"]),
-        tol=float(d["tol"]),
-    )
+    return _from_dict(KktReport, d)
 
 
 def _spell(value):

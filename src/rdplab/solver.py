@@ -27,14 +27,16 @@ Vandenberghe, Convex Optimization, 11.3).
 
 A solve returns the rate of an explicit channel, the centre's joint law
 repaired with a reference channel until both budgets hold, and a dual lower
-bound from the same point: their difference is the certified gap.  The
-reference is the identity when the output alphabet is the source's.  A
-product channel (rate zero) is tried first, in closed form: the output law
-of least expected distortion in the ball (for KL, on the support of p_X:
-q proportional to p_X / (a + c), a = p_X Delta, c by bisection).  scipy is
-imported lazily and for one job: when the output alphabet differs from the
-source labels, one HiGHS LP finds the least-distortion channel within the
-perception budget, which decides feasibility and is the reference.
+bound from the same point: their difference is the certified gap, never
+negative, since the optimum lies between them and only round-off can put the
+bound above the rate.  The reference is the identity when the output
+alphabet is the source's.  A product channel (rate zero) is tried first, in
+closed form: the output law of least expected distortion in the ball (for
+KL, on the support of p_X: q proportional to p_X / (a + c), a = p_X Delta,
+c by bisection).  scipy is imported lazily and for one job: when the output
+alphabet differs from the source labels, one HiGHS LP finds the
+least-distortion channel within the perception budget, which decides
+feasibility and is the reference.
 """
 
 from __future__ import annotations
@@ -207,7 +209,8 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
     w = ref.copy()
     w[keep] = 0.0
     w[np.ix_(keep, cols)] = chan
-    gap = rate - lower
+    # the optimum lies in [lower, rate]: a negative difference is round-off
+    gap = max(rate - lower, 0.0)
     return _finish(prob, w, gap, steps, OPTIMAL if gap <= opts.tol else ITER_LIMIT)
 
 
@@ -571,7 +574,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     def out_mult(z):
         return z[o:o + k] if nz > o else np.zeros(k)
 
-    def newton_step(z, g, pi, r, rl, w, wl, t, val):
+    def newton_step(z, pi, r, rl, w, wl, t, val):
         """Newton direction and decrement of the centring objective."""
         c1 = t * ball.law if elim else w / r
         c2 = 0.0 if elim else c1 * c1 / w
@@ -690,7 +693,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         prev_dec = math.inf
         for _ in range(_MAX_STEPS):
             kl_val = ball.support(out_mult(z)) if kl_idx is not None else 0.0
-            dz, dec = newton_step(z, g, pi, r, rl, w, wl, t, -kl_val)
+            dz, dec = newton_step(z, pi, r, rl, w, wl, t, -kl_val)
             # a certifying round centres until the decrement is at round-off,
             # once it stops falling; the others only approximately
             if (dec < 1e-20 or (dec >= prev_dec and dec < 1e-8)) if certify else dec < _ROUGH_DECREMENT:

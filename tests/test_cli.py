@@ -13,8 +13,8 @@ from rdplab.cli import main
 from rdplab.coding import SimReport
 from rdplab.divergences import coupling_cost, total_variation, wasserstein_sq
 from rdplab.pmf import Channel, Pmf
-from rdplab.solver import RdpProblem, solve_rdp
-from rdplab.closed_forms import binary_optimal_construction
+from rdplab.solver import RdpProblem, RdpSolution, solve_rdp
+from rdplab.closed_forms import KktReport, binary_optimal_construction
 
 
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]
@@ -133,6 +133,38 @@ def test_csv_and_json_share_the_nonfinite_rule():
             serialize.curve_csv([{"D": 0.1, "phi": value}], ["D", "phi"])
         with pytest.raises(ValueError, match="NaN cannot be written"):
             serialize.dumps({"rows": [{"phi": value}]})
+
+
+# one report of each type whose reader is strict, with its writer and reader
+STRICT_REPORTS = {
+    "kkt": (KktReport(0.0, 0.1, 0.0, True), serialize.kkt_report_to_dict, serialize.kkt_report_from_dict),
+    "sim": (
+        SimReport(n=1, trials=10, rate_bits=0.0, avg_distortion=0.5, per_letter_marginals=[Pmf.bernoulli(0.5)],
+                  max_perletter_divergence=0.0, perception_violations=0, seed=3),
+        serialize.sim_report_to_dict, serialize.sim_report_from_dict,
+    ),
+    "solution": (
+        RdpSolution(0.1, Channel.identity((0, 1)), 0.0, 0.0, "optimal", 0.0, 53),
+        serialize.solution_to_dict, serialize.solution_from_dict,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("kkt", "passed", "false"),
+    ("sim", "n", 2.7),
+    ("sim", "trials", True),
+    ("sim", "perception_violations", "3"),
+    ("solution", "rate_bits", "0.1"),
+    ("solution", "iterations", 53.9),
+], ids=lambda v: str(v))
+def test_report_readers_take_only_the_json_type_that_dumps_writes(kind, key, value):
+    report, to_dict, from_dict = STRICT_REPORTS[kind]
+    text = serialize.dumps(to_dict(report))
+    payload = json.loads(text)
+    assert serialize.dumps(to_dict(from_dict(payload))) == text
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        from_dict({**payload, key: value})
 
 
 def test_channel_outputs_default_to_inputs():
@@ -606,6 +638,30 @@ def test_cli_stdout_is_pinned(case, problem_file, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the pins whose JSON has a typed reader, with its writer and reader
+TYPED_PINS = {
+    "solve": (serialize.solution_to_dict, serialize.solution_from_dict),
+    "solve-infeasible": (serialize.solution_to_dict, serialize.solution_from_dict),
+    "simulate-block": (serialize.sim_report_to_dict, serialize.sim_report_from_dict),
+    "simulate-circle-exact": (serialize.circle_estimate_to_dict, serialize.circle_estimate_from_dict),
+    "simulate-circle-sampled": (serialize.circle_estimate_to_dict, serialize.circle_estimate_from_dict),
+    "verify-kkt": (serialize.kkt_report_to_dict, serialize.kkt_report_from_dict),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_STDOUT_PINS))
+def test_cli_output_file_holds_the_pinned_bytes(case, problem_file, tmp_path, capsys):
+    argv, code, digest = CLI_STDOUT_PINS[case]
+    out = tmp_path / "out"
+    assert main([*_with_input_files(argv, problem_file, tmp_path), "--output", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if case in TYPED_PINS:
+        to_dict, from_dict = TYPED_PINS[case]
+        text = out.read_text()
+        assert serialize.dumps(to_dict(from_dict(json.loads(text)))) == text
 
 
 # every float flag, set to NaN or +-inf in one pinned run above; only an

@@ -867,3 +867,15 @@ def test_engine_answers_hold_within_their_gaps():
     for d, rate in zip((0.15, 0.2, 0.25), _ENGINE_GRID_RATES):
         got = rd_function_grid(Pmf.bernoulli(0.25), grid, lambda x, v: (x - v) ** 2, d / 2.0)
         assert abs(got - rate) <= rdplab.solver._CERT_BITS
+
+
+def test_certified_gap_is_never_negative():
+    # at P = 0 the dual bound can exceed the rate by round-off (1e-16 to
+    # 2e-15 bits on 11 of these instances), which would make the bracket
+    # [rate - gap, rate] empty
+    from extreme_pool import extreme_pool  # tests/, on the path pytest gives test modules
+
+    pool = extreme_pool()
+    gaps = {i: solve_rdp(pool[i]).primal_gap_estimate for i in range(0, 300, 3)}
+    assert all(pool[i].perc_budget == 0.0 for i in gaps)
+    assert [i for i, gap in gaps.items() if gap < 0.0] == []
