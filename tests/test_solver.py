@@ -770,6 +770,34 @@ def test_engine_outputs_are_pinned():
     )
 
 
+def test_engine_paths_without_a_digest_are_pinned():
+    """A massless source atom, which drops a row of the dual and leaves the KL
+    ball on a subset of the outputs, under every ball kind; and the grid R(D)
+    at its floor, where the slope s is fixed (0.25 ties two outputs there)."""
+    source = Pmf.from_probs((0, 1, 2), (0.6, 0.4, 0.0))
+    delta = np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float)
+    cases = (
+        (kullback_leibler(), 0.02), (total_variation(), 0.05), (wasserstein_sq(), 0.05),
+        (coupling_cost(delta ** 2), 0.05), (total_variation(), 0.0),
+    )
+    got = []
+    for div, perc in cases:
+        sol = solve_rdp(RdpProblem(source, delta, div, 0.15, perc))
+        assert sol.status == OPTIMAL
+        text = serialize.dumps(serialize.solution_to_dict(sol))
+        got.append(hashlib.sha256(text.encode()).hexdigest())
+    assert got == [
+        "04629fb22d08304e46bff4642b18a5729edef9fe5b3e882ee6c9acb0fd9ae1aa",
+        "979ad06a5c4a7039afef4621a36386fc4fba04cdf8534e28b665ed003f6a96c2",
+        "4d6f02b8d98bfd0a9bf91c5988108d1d4e571832f87ec20732a7090c5d36672e",
+        "4d6f02b8d98bfd0a9bf91c5988108d1d4e571832f87ec20732a7090c5d36672e",
+        "5ed19ef525bf9f73bb4b8935cbf8b970238b1465c908458cd380b5235f5ca230",
+    ]
+    floor = rd_function_grid(
+        Pmf.from_probs((0, 0.25, 1), (0.5, 0.2, 0.3)), (0, 0.5, 1), lambda x, y: (x - y) ** 2, 0.0125)
+    assert floor.hex() == "0x1.c3388f8ceaa8cp-1"
+
+
 # (rate, certified gap) of every `_engine_pool()` solve and of the ternary
 # sweep that `test_engine_outputs_are_pinned` hashes, all `optimal`, and its
 # three grid rates, each certified within `_CERT_BITS`.  The optimum lies in
