@@ -16,8 +16,11 @@ table, `_FIELDS`.  A key marked ? may be absent, and its field then keeps
 the dataclass default.  The report readers are strict: a float field takes
 a number or "inf" / "-inf", an int field an int, a bool field a bool and a
 str field a str, never a bool for a number, and any other value raises a
-ValueError naming the key.  Problem files are written by hand, so the
-problem reader casts its budgets with float() instead.
+ValueError naming the key.  So are the nested readers: a law's "prob" and
+each entry of a channel's "rows" must be a JSON number, in every file that
+holds them.  Problem files are written by hand, so the problem's budgets
+and distortion entries may also be numeric strings such as "0.2", but never
+bools.
 
 CSV files use '.' decimals and 12 significant digits so identical runs diff
 byte-identically across platforms.  Both formats follow one non-finite rule:
@@ -48,7 +51,7 @@ def pmf_to_dict(p: Pmf) -> dict:
 
 
 def pmf_from_dict(d: dict) -> Pmf:
-    return Pmf.from_pairs((atom["label"], atom["prob"]) for atom in d["atoms"])
+    return Pmf.from_pairs((atom["label"], _number("prob", atom["prob"])) for atom in d["atoms"])
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -62,7 +65,7 @@ def channel_to_dict(ch: Channel) -> dict:
 def channel_from_dict(d: dict) -> Channel:
     inputs = tuple(d["inputs"])
     outputs = tuple(d.get("outputs", d["inputs"]))
-    return Channel(inputs, outputs, np.array(d["rows"], dtype=float))
+    return Channel(inputs, outputs, _matrix("rows", d["rows"]))
 
 
 def divergence_to_dict(spec: DivergenceSpec) -> dict:
@@ -78,6 +81,27 @@ def divergence_from_dict(d: dict) -> DivergenceSpec:
 
 def _as_is(value):
     return value
+
+
+def _number(key: str, value, strings: bool = False) -> float:
+    """`value` as a float when it is a JSON number, or with `strings` a
+    numeric string, and never a bool; any other value raises a ValueError
+    naming `key`."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, str) if strings else (int, float)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    kind = "a JSON number or a numeric string" if strings else "a JSON number"
+    raise ValueError(f"{key!r} must be {kind}, not {value!r}")
+
+
+def _matrix(key: str, rows, strings: bool = False) -> np.ndarray:
+    """The float matrix of `rows`, each entry checked by `_number`."""
+    for row in rows:
+        for value in row:
+            _number(key, value, strings)
+    return np.array(rows, dtype=float)
 
 
 def _scalar(key: str, kind: type, attr: str | None = None) -> tuple:
@@ -102,10 +126,10 @@ def _scalar(key: str, kind: type, attr: str | None = None) -> tuple:
 _FIELDS = {
     RdpProblem: (
         ("source", "source", lambda p: pmf_to_dict(p), lambda d: pmf_from_dict(d)),
-        ("distortion", "distortion", np.ndarray.tolist, lambda rows: np.array(rows, dtype=float)),
+        ("distortion", "distortion", np.ndarray.tolist, lambda rows: _matrix("distortion", rows, True)),
         ("divergence", "divergence", lambda s: divergence_to_dict(s), lambda d: divergence_from_dict(d)),
-        ("D", "dist_budget", _as_is, float),
-        ("P", "perc_budget", _as_is, float),
+        ("D", "dist_budget", _as_is, lambda value: _number("D", value, True)),
+        ("P", "perc_budget", _as_is, lambda value: _number("P", value, True)),
         ("output_alphabet", "output_alphabet", list, tuple),
     ),
     RdpSolution: (

@@ -18,6 +18,14 @@ lam P + sum_x p_x max_y (v_y - lam C(x, y)), carried by lam and one epigraph
 variable per x.  Kullback-Leibler gives sigma(v) <= -exp(-P) prod_x
 (-v_x)^p_x for v < 0, the budget's multiplier eliminated.
 
+The engine sees the ball as an object, one class per kind: `_Ball` has no
+variables (the grid R(D), or with `law` the fixed law of P = 0),
+`_CouplingBall` serves TV, W2 and coupling costs, and `_KlBall` KL.  Each
+gives its variables' start, cost and gauge, its slacks with its barrier's
+gradient and Hessian, its smooth term (KL's), support(v) and perception(q).
+The engine tests no kind.  It has two modes, and both change the (u, s)
+block: the fixed law removes v, and the grid's floor fixes the slope s.
+
 Each barrier round centres the weighted barrier problem at a larger t.  A
 round whose barrier gap bound is already at most the target (or the last
 round, or any round at P = 0) centres until the Newton decrement is at
@@ -44,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -186,11 +194,11 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
         q, ball = law, partial(_Ball, law=law[cols])
     elif prob.divergence.kind == KL:
         q = _kl_least_law(prob, a)
-        ball = partial(_kl_ball, pk, np.flatnonzero(keep), len(a), perc, perception)
+        ball = partial(_KlBall, pk, np.flatnonzero(keep), len(a), perc, perception)
     else:
         cost = prob.perception_cost_matrix()[keep]
         q = _coupling_support(pk, cost, perc, -a)[1]
-        ball = partial(_coupling_ball, pk, cost, perc, perception)
+        ball = partial(_CouplingBall, pk, cost, perc, perception)
     # the product channel of that law has rate zero
     if q is not None and a @ q <= dist:
         return _finish(prob, np.tile(q, (len(p), 1)), 0.0, 0, OPTIMAL)
@@ -429,63 +437,94 @@ def _coupling_support(p, cost, budget, v):
     return lam * budget + p @ np.max(v - lam * cost, axis=1), q
 
 
-@dataclass
 class _Ball:
-    """The perception ball as the dual engine sees it.
+    """The perception ball as the dual engine sees it; this one has no variables.
 
-    Variables e start at `e0`, v = e[:k] (v = 0 without variables); the
-    objective gains -cost @ e, and rows @ e > 0, with multipliers guessed at
-    `mult0`, keeps e inside sigma's epigraph.  `pin` is held at its start
-    (the gauge), `kl` gives the output of each source atom in the smooth KL
-    term -support(v), and `law` a fixed output law that eliminates v.
-    `support` bounds sigma(v) from above, and `perception` is the exact
-    divergence of an output law, against `budget`.
+    Alone it is no ball (the grid R(D), v = 0), or with `law` the fixed output
+    law of P = 0, which eliminates v.  A subclass has variables e, v = e[:k],
+    starting at `e0`: the objective gains cost.e + smooth(e), and slacks(e) =
+    rows @ e > 0, in a barrier with weights guessed at mult0 * slacks, keeps e
+    inside sigma's epigraph; the entries `gauge` of e are held at their start.
+    `support(v)` bounds sigma(v) from above, and `perception(q)` is the exact
+    divergence of an output law, against `budget` (none here: it reads 0).
     """
 
-    e0: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    rows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    mult0: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    cost: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    support: Callable = lambda v: 0.0
-    perception: Callable | None = None
-    budget: float = 0.0
-    pin: int | None = None
-    kl: np.ndarray | None = None
-    law: np.ndarray | None = None
+    e0 = mult0 = cost = np.zeros(0)
+    gauge = np.zeros(0, dtype=int)
+    rows = np.zeros((0, 0))
+    budget = 0.0
+    law = None
+
+    def __init__(self, law=None):
+        self.law = law
+
+    def slacks(self, e):
+        return self.rows @ e
+
+    def barrier(self, w, r):
+        """Gradient and Hessian of -sum_i w_i log slacks_i(e) at r = slacks(e)."""
+        return -(self.rows.T @ (w / r)), (self.rows.T * (w / (r * r))) @ self.rows
+
+    def smooth(self, e):
+        return 0.0
+
+    def add_smooth(self, grad, hess, e, t, value):
+        """Add t times the smooth term's gradient and Hessian at e, where it is `value`."""
+
+    def support(self, v):
+        return 0.0
+
+    def perception(self, q):
+        return 0.0
 
 
-def _coupling_ball(p, cost, budget, perception) -> _Ball:
-    """Variables (v, lam, t): t_x >= v_y - lam C(x, y) and lam >= 0."""
-    m, k = cost.shape
-    rows = np.zeros((m * k + 1, k + 1 + m))
-    rows[:-1, :k] = -np.tile(np.eye(k), (m, 1))
-    rows[:-1, k] = cost.ravel()
-    rows[:-1, k + 1:] = np.repeat(np.eye(m), k, axis=0)
-    rows[-1, k] = 1.0
-    return _Ball(
-        e0=np.concatenate([np.full(k, -0.5), [1.0], np.zeros(m)]),
-        rows=rows,
-        mult0=np.concatenate([np.repeat(p / k, k), [1.0]]),
-        cost=np.concatenate([np.zeros(k), [budget], p]),
-        support=lambda v: _coupling_support(p, cost, budget, v)[0],
-        perception=perception,
-        budget=budget,
-        pin=0,
-    )
+class _CouplingBall(_Ball):
+    """Variables e = (v, lam, t): t_x >= v_y - lam C(x, y) and lam >= 0, with
+    v_0 the gauge (sigma(v + c) = sigma(v) + c)."""
+
+    gauge = np.zeros(1, dtype=int)
+
+    def __init__(self, p, cost, budget, perception):
+        m, k = cost.shape
+        self.rows = np.zeros((m * k + 1, k + 1 + m))
+        self.rows[:-1, :k] = -np.tile(np.eye(k), (m, 1))
+        self.rows[:-1, k] = cost.ravel()
+        self.rows[:-1, k + 1:] = np.repeat(np.eye(m), k, axis=0)
+        self.rows[-1, k] = 1.0
+        self.e0 = np.concatenate([np.full(k, -0.5), [1.0], np.zeros(m)])
+        self.mult0 = np.concatenate([np.repeat(p / k, k), [1.0]])
+        self.cost = np.concatenate([np.zeros(k), [budget], p])
+        self.p, self.coupling_cost, self.budget, self.perception = p, cost, budget, perception
+
+    def support(self, v):
+        return _coupling_support(self.p, self.coupling_cost, self.budget, v)[0]
 
 
-def _kl_ball(p, idx, k, budget, perception) -> _Ball:
-    """Variables v < 0, the gauge c = 0 of sigma's minimization over c > max v."""
-    return _Ball(
-        e0=np.full(k, -0.5),
-        rows=-np.eye(k),
-        mult0=np.full(k, _WEIGHT_FLOOR),
-        cost=np.zeros(k),
-        support=lambda v: -math.exp(p @ np.log(-v[idx]) - budget * _LOG2),
-        perception=perception,
-        budget=budget,
-        kl=idx,
-    )
+class _KlBall(_Ball):
+    """Variables v < 0, the gauge c = 0 of sigma's minimization over c > max v;
+    the smooth term is support(v), on the outputs `idx` of the source atoms."""
+
+    def __init__(self, p, idx, k, budget, perception):
+        self.rows = -np.eye(k)
+        self.e0 = np.full(k, -0.5)
+        self.mult0 = np.full(k, _WEIGHT_FLOOR)
+        self.cost = np.zeros(k)
+        self.p, self.idx, self.budget, self.perception = p, idx, budget, perception
+
+    def smooth(self, e):
+        return self.support(e)
+
+    def add_smooth(self, grad, hess, e, t, value):
+        # the smooth term is -val, val = exp(-budget) prod_x (-v_x)^p_x
+        val = -value
+        ratio = self.p / e[self.idx]
+        grad[self.idx] -= t * val * ratio
+        curv = ratio[:, None] * ratio  # then minus diag(ratio / v)
+        curv.reshape(-1)[:: len(ratio) + 1] -= ratio / e[self.idx]
+        hess[self.idx[:, None], self.idx] -= t * val * curv
+
+    def support(self, v):
+        return -math.exp(self.p @ np.log(-v[self.idx]) - self.budget * _LOG2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,22 +553,25 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     """(channel, rate, lower bound, Newton steps), in bits, on Csiszar's dual.
 
     `cmat` has a zero in every row; `ref` is a channel within both budgets.
-    `dist=None` is the floor: `cmat` is zero on the pairs the channel may
-    use, infinite elsewhere, and s is fixed at one.  Centring minimizes
-    t (s D - p.u + cost.e) - sum_y w_y log(v_y - g_y) - sum_i w_i log(row_i.e)
-    - log s over z = (u, s, e) by damped Newton steps, with g_y the log-sum-exp
-    constraint.  At a centre nu_y = w_y / (t (v_y - g_y)) is the output law
-    and J = pi diag(nu), pi_.y the softmax inside g_y, the primal joint law.
-    The weights start at (v_y - g_y) q_y, q one alternating-minimization step
-    from the uniform law, which centres u at t = 1, then follow nu (and the
-    rows' their multipliers) so that massless outputs stop costing 1/t each
-    in the gap.  t grows by `_T_GROWTH` a round.  A round certifies when,
-    at its start, the barrier's gap bound (its weights over t, in bits) is
-    at most `tol`, or it is the last round: only such a round centres until
-    the decrement is at round-off and builds a certificate, and the solve
-    ends once the certified gap is at most `tol` bits.  Every other round
-    stops at a decrement below `_ROUGH_DECREMENT`.  A fixed law has no
-    barrier and one round, which certifies.
+    The engine has two modes, and neither depends on the ball's kind: a
+    ball with a fixed `law` eliminates v, and `dist=None`, the floor, fixes
+    s at one (`cmat` is zero on the pairs the channel may use, infinite
+    elsewhere).  Centring minimizes t (s D - p.u + cost.e + smooth(e)) -
+    sum_y w_y log(v_y - g_y) - sum_i w_i log slacks_i(e) - log s over z =
+    (u, s, e) by damped Newton steps, with g_y the log-sum-exp constraint and
+    cost, smooth and slacks the ball's.  At a centre nu_y = w_y / (t (v_y -
+    g_y)) is the output law and J = pi diag(nu), pi_.y the softmax inside
+    g_y, the primal joint law.  The weights start at (v_y - g_y) q_y, q one
+    alternating-minimization step from the uniform law, which centres u at
+    t = 1, then follow nu (and the slacks' weights their multipliers) so that
+    massless outputs stop costing 1/t each in the gap.  Each round
+    multiplies t by `_T_GROWTH`.  A round certifies when, at its start, the
+    barrier's gap bound (its weights over t, in bits) is at most `tol`, or
+    it is the last round: only such a round centres until the decrement is
+    at round-off and builds a certificate, and the solve ends once the
+    certified gap is at most `tol` bits.  Every other round stops at a
+    decrement below `_ROUGH_DECREMENT`.  A fixed law has no barrier and one
+    round, which certifies.
     """
     ball = ball or _Ball()
     cmat = cmat[:, np.isfinite(cmat).any(axis=0)]
@@ -537,21 +579,17 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     free_s = dist is not None
     elim = ball.law is not None
     barrier_s = free_s and not elim  # the weight-one barrier -log s
-    rows = ball.rows
     o = m + free_s  # where e starts in z
     nz = o + len(ball.e0)
     log_p = np.log(p)[:, None]
     free = np.ones(nz, dtype=bool)
-    if ball.pin is not None:
-        free[o + ball.pin] = False
+    free[o + ball.gauge] = False
     if elim:
         free[0] = False  # the gauge: a fixed law sums to one, so u + c changes nothing
     pot = free.copy()  # everything but s, which a step at most doubles
     pot[m:o] = False
     fixed = not free.all()
     free_idx = np.flatnonzero(free)
-    rows_t = rows.T
-    kl_idx = None if ball.kl is None else o + ball.kl
     # the Newton system's buffers: entries no step writes stay zero
     grad = np.zeros(nz)
     hess = np.zeros((nz, nz))
@@ -574,7 +612,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     def out_mult(z):
         return z[o:o + k] if nz > o else np.zeros(k)
 
-    def newton_step(z, pi, r, rl, w, wl, t, val):
+    def newton_step(z, pi, r, rl, w, wl, t, f):
         """Newton direction and decrement of the centring objective."""
         c1 = t * ball.law if elim else w / r
         c2 = 0.0 if elim else c1 * c1 / w
@@ -594,22 +632,16 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
             hess[m, :m] -= cross
             hess[m, m] += np.add.reduce(pc * cmat, axis=0) @ c1 + (1.0 / (z[m] * z[m]) if barrier_s else 0.0)
         if nz > o:
+            grad_e, hess[o:, o:] = ball.barrier(wl, rl)
+            grad[o:] = t * ball.cost + grad_e
             # v_y enters g_y - v_y with slope -1
-            grad[o:] = t * ball.cost - rows_t @ (wl / rl)
             grad[o:o + k] -= c1
             hess[o:o + k, :o] = -(cols * c2).T
             hess[:o, o:o + k] = hess[o:o + k, :o].T
-            hess[o:, o:] = (rows_t * (wl / (rl * rl))) @ rows
             diag[o:o + k] += c2
-        if kl_idx is not None:
-            # the smooth KL term val = exp(-budget) prod_x (-v_x)^p_x is -support(v)
-            ratio = p / z[kl_idx]
-            grad[kl_idx] -= t * val * ratio
-            curv = ratio[:, None] * ratio  # then minus diag(ratio / z)
-            curv.reshape(-1)[:: len(ratio) + 1] -= ratio / z[kl_idx]
-            hess[kl_idx[:, None], kl_idx] -= t * val * curv
+            ball.add_smooth(grad[o:], hess[o:, o:], z[o:], t, f)
         gf, hf = (grad[free_idx], hess.take(free_idx, 0).take(free_idx, 1)) if fixed else (grad, hess)
-        # the ball's rows span many scales: solve the diagonally scaled system
+        # the ball's barrier spans many scales: solve the diagonally scaled system
         scale = np.sqrt(np.maximum(hf.diagonal(), 1e-300)) if nz > o else 1.0
         try:
             step = -np.linalg.solve(hf / scale / scale[:, None] if nz > o else hf, gf / scale) / scale
@@ -634,19 +666,16 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
             tot = joint.sum(axis=1, keepdims=True)
             return np.divide(joint, tot, out=ref.copy(), where=tot > 0.0)
 
-        law = ball.law
         lower = p @ z[:m] - (z[m] * dist if free_s else 0.0)
         if elim:
-            lower -= law @ g
+            lower -= ball.law @ g
         else:
             v = out_mult(z)
             lower -= max(0.0, float((g - v).max())) + ball.support(v)
         joint = pi * nu
-        if ball.perception is not None:
-            q = p @ normalized(joint)
-            theta = _mix_weight(ball.perception(q), ref_perc, ball.budget)
-            if theta > 0.0:
-                law = (1.0 - theta) * q + theta * (p @ ref)
+        q = p @ normalized(joint)
+        theta = _mix_weight(ball.perception(q), ref_perc, ball.budget)
+        law = (1.0 - theta) * q + theta * (p @ ref) if theta > 0.0 else ball.law
         if law is not None:
             joint *= np.minimum(1.0, p / joint.sum(axis=1))[:, None]
             joint *= np.minimum(1.0, law / joint.sum(axis=0))
@@ -675,7 +704,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     z = np.concatenate([u - 1.0, [s] if free_s else [], ball.e0])
     g, pi = constraints(z)
     r = out_mult(z) - g
-    rl = rows @ z[o:]
+    rl = ball.slacks(z[o:])
     chan = np.exp(-s * cmat)
     w = np.maximum(r * (p @ (chan / chan.sum(axis=1, keepdims=True))), _WEIGHT_FLOOR)
     wl = np.maximum(ball.mult0 * rl, _WEIGHT_FLOOR)
@@ -692,8 +721,8 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
         centred = False
         prev_dec = math.inf
         for _ in range(_MAX_STEPS):
-            kl_val = ball.support(out_mult(z)) if kl_idx is not None else 0.0
-            dz, dec = newton_step(z, pi, r, rl, w, wl, t, -kl_val)
+            f = ball.smooth(z[o:])
+            dz, dec = newton_step(z, pi, r, rl, w, wl, t, f)
             # a certifying round centres until the decrement is at round-off,
             # once it stops falling; the others only approximately
             if (dec < 1e-20 or (dec >= prev_dec and dec < 1e-8)) if certify else dec < _ROUGH_DECREMENT:
@@ -711,7 +740,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
                 if not free_s or z_new[m] > 0.0:
                     g_new, pi_new = constraints(z_new)
                     r_new = out_mult(z_new) - g_new
-                    rl_new = rows @ z_new[o:]
+                    rl_new = ball.slacks(z_new[o:])
                     # a NaN fails both tests
                     if (elim or np.minimum.reduce(r_new) > 0.0) and (nz == o or np.minimum.reduce(rl_new) > 0.0):
                         # barrier change over t, from ratios so that it stays exact at large t
@@ -724,8 +753,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
                             df += a * dz[m] * dist - (math.log(z_new[m] / z[m]) / t if barrier_s else 0.0)
                         if nz > o:
                             df += a * lin_e - (wl @ np.log(rl_new / rl)) / t
-                        if kl_idx is not None:
-                            df += ball.support(out_mult(z_new)) - kl_val
+                            df += ball.smooth(z_new[o:]) - f
                         # a round-off-sized decrement takes the full step
                         if dec < 1e-6 or df <= -0.25 * a * dec / t:
                             break

@@ -7,7 +7,9 @@ mass 1e-300, which overflow at the engine's Hessian line with a
     PYTHONPATH=src python3 tests/extreme_pool.py
 
 to print the status counts, the indices that end `iter_limit`, the worst
-certified gap and the total Newton steps.
+certified gap, the total Newton steps and the sha256 of every solution,
+serialized and concatenated in pool order: a change that leaves the engine's
+floats alone leaves that line as it was.
 
 Instances 0-299 come from `default_rng(2026)`: k in 2-5, a source from
 Dirichlet(0.05) or Dirichlet(1) with masses floored at 1e-300, off-diagonal
@@ -23,9 +25,11 @@ at P = 1e-12 and at P = 0.
 from __future__ import annotations
 
 import collections
+import hashlib
 
 import numpy as np
 
+from rdplab import serialize
 from rdplab.divergences import coupling_cost, kullback_leibler, total_variation
 from rdplab.pmf import Pmf
 from rdplab.solver import INFEASIBLE, ITER_LIMIT, RdpProblem, solve_rdp
@@ -65,6 +69,8 @@ def main() -> None:
     gap, worst = max((sol.primal_gap_estimate, i) for i, sol in enumerate(sols) if sol.status != INFEASIBLE)
     print(f"worst gap: {gap:.3g} bits (index {worst})")
     print("Newton steps:", sum(sol.iterations for sol in sols))
+    text = "".join(serialize.dumps(serialize.solution_to_dict(sol)) for sol in sols)
+    print("solutions sha256:", hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":

@@ -167,6 +167,32 @@ def test_report_readers_take_only_the_json_type_that_dumps_writes(kind, key, val
         from_dict({**payload, key: value})
 
 
+_PROBLEM = {
+    "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
+    "distortion": HAMMING, "D": 0.2, "P": 0.0,
+}
+
+
+@pytest.mark.parametrize("reader, payload, key", [
+    (serialize.channel_from_dict, {"inputs": [0, 1], "rows": [["1", "0"], [False, True]]}, "rows"),
+    (serialize.channel_from_dict, {"inputs": [0, 1], "rows": [[1.0, 0.0], [False, True]]}, "rows"),
+    (serialize.pmf_from_dict, {"atoms": [{"label": 0, "prob": "0.75"}, {"label": 1, "prob": 0.25}]}, "prob"),
+    (serialize.problem_from_dict, {**_PROBLEM, "D": True}, "D"),
+    (serialize.problem_from_dict, {**_PROBLEM, "P": "none"}, "P"),
+    (serialize.problem_from_dict, {**_PROBLEM, "distortion": [[0.0, True], [1.0, 0.0]]}, "distortion"),
+], ids=["channel-strings", "channel-bools", "pmf-string", "problem-budget", "problem-text-budget",
+        "problem-distortion"])
+def test_nested_readers_take_only_json_numbers(reader, payload, key):
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        reader(payload)
+
+
+def test_problem_files_keep_numeric_strings():
+    prob = serialize.problem_from_dict({**_PROBLEM, "distortion": [["0", "1"], ["1", "0"]], "D": "0.2"})
+    assert prob.dist_budget == 0.2
+    assert prob.distortion.tolist() == HAMMING
+
+
 def test_channel_outputs_default_to_inputs():
     ch = serialize.channel_from_dict({"inputs": [0, 1], "rows": [[0.7, 0.3], [0.1, 0.9]]})
     assert ch.outputs == (0, 1)

@@ -907,3 +907,62 @@ def test_certified_gap_is_never_negative():
     gaps = {i: solve_rdp(pool[i]).primal_gap_estimate for i in range(0, 300, 3)}
     assert all(pool[i].perc_budget == 0.0 for i in gaps)
     assert [i for i, gap in gaps.items() if gap < 0.0] == []
+
+
+def _central_differences(f, e, h=1e-6):
+    """The derivative of f along each coordinate of e, by central differences:
+    a vector for a scalar f, a matrix with one column per coordinate for a
+    vector-valued f."""
+    steps = h * np.eye(len(e))
+    return np.stack([(np.asarray(f(e + d)) - np.asarray(f(e - d))) / (2.0 * h) for d in steps], axis=-1)
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def _seeded_balls(k):
+    """Each ball kind on k outputs, at a seeded interior point with positive
+    weights: the coupling ball under TV, W2 and a random coupling cost, and
+    the KL ball on every output and, for k > 2, on all but the last (on one
+    output its smooth term is linear)."""
+    rng = np.random.default_rng(2100 + k)
+    p = rng.dirichlet(np.ones(k))
+    labels = np.sort(rng.uniform(0.0, 2.0, k))
+    balls = []
+    for cost in (1.0 - np.eye(k), np.subtract.outer(labels, labels) ** 2, rng.uniform(0.0, 1.0, (k, k))):
+        v, lam = rng.uniform(-1.0, 0.0, k), rng.uniform(0.5, 2.0)
+        t = np.max(v - lam * cost, axis=1) + rng.uniform(0.2, 1.0, k)
+        balls.append((rdplab.solver._CouplingBall(p, cost, 0.1, None), np.concatenate([v, [lam], t])))
+    for on in sorted({k, max(k - 1, 2)}):
+        ball = rdplab.solver._KlBall(rng.dirichlet(np.ones(on)), np.arange(on), k, 0.5, None)
+        balls.append((ball, rng.uniform(-2.0, -0.2, k)))
+    return [(ball, e, rng.uniform(0.5, 2.0, len(ball.mult0))) for ball, e in balls]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ball_derivatives_match_central_differences(k):
+    for ball, e, w in _seeded_balls(k):
+        assert np.all(ball.slacks(e) > 0.0)
+
+        def barrier_value(e):
+            return -w @ np.log(ball.slacks(e))
+
+        def barrier_grad(e):
+            return ball.barrier(w, ball.slacks(e))[0]
+
+        grad, hess = ball.barrier(w, ball.slacks(e))
+        _assert_close(grad, _central_differences(barrier_value, e))
+        _assert_close(hess, _central_differences(barrier_grad, e))
+
+        def smooth_derivatives(e):
+            grad, hess = np.zeros(len(e)), np.zeros((len(e), len(e)))
+            ball.add_smooth(grad, hess, e, 1.0, ball.smooth(e))
+            return grad, hess
+
+        grad, hess = smooth_derivatives(e)
+        if isinstance(ball, rdplab.solver._KlBall):
+            _assert_close(grad, _central_differences(ball.smooth, e))
+            _assert_close(hess, _central_differences(lambda e: smooth_derivatives(e)[0], e))
+        else:
+            assert ball.smooth(e) == 0.0 and not grad.any() and not hess.any()
