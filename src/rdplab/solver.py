@@ -516,11 +516,11 @@ class _KlBall(_Ball):
 
     def add_smooth(self, grad, hess, e, t, value):
         # the smooth term is -val, val = exp(-budget) prod_x (-v_x)^p_x
-        val = -value
-        ratio = self.p / e[self.idx]
+        val, v = -value, e[self.idx]
+        ratio = self.p / v
         grad[self.idx] -= t * val * ratio
         curv = ratio[:, None] * ratio  # then minus diag(ratio / v)
-        curv.reshape(-1)[:: len(ratio) + 1] -= ratio / e[self.idx]
+        curv.reshape(-1)[:: len(ratio) + 1] -= ratio / v
         hess[self.idx[:, None], self.idx] -= t * val * curv
 
     def support(self, v):
