@@ -245,7 +245,7 @@ def _run_simulate(args) -> int:
         with _malformed(args.spec):
             source = serialize.pmf_from_dict(spec["source"])
             channel = serialize.channel_from_dict(spec["channel"])
-            distortion = np.array(spec["distortion"], dtype=float)
+            distortion = serialize._matrix("distortion", spec["distortion"], True)
         rep = shift_ensemble_sim(
             channel,
             source,

@@ -234,6 +234,8 @@ def _real_values(labels: Iterable[Label]) -> np.ndarray:
 
 def _distortion_matrix(dist, source_labels, target_labels) -> np.ndarray:
     """The matrix d(x, y) from a callable or an array, finite and nonnegative."""
+    if not len(target_labels):
+        raise ValueError("the output alphabet is empty")
     if callable(dist):
         mat = np.array(
             [[float(dist(x, y)) for y in target_labels] for x in source_labels]

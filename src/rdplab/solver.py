@@ -24,7 +24,15 @@ variables (the grid R(D), or with `law` the fixed law of P = 0),
 gives its variables' start, cost and gauge, its slacks with its barrier's
 gradient and Hessian, its smooth term (KL's), support(v) and perception(q).
 The engine tests no kind.  It has two modes, and both change the (u, s)
-block: the fixed law removes v, and the grid's floor fixes the slope s.
+block: the fixed law removes v, and the floor fixes the slope s.
+
+Every solve, `solve_rdp`'s and `rd_function_grid`'s, enters the engine
+through one reduction, `_reduced_dual`: atoms without mass and outputs a
+fixed law leaves empty drop out, and the costs become each row's excess over
+its least, scaled by the zero-rate distortion.  One floor rule holds for
+both: within 1e-12 of D_min = sum_x p_x min_y Delta(x, y) the slope is fixed
+and each atom keeps only its least-cost outputs.  (With matching alphabets
+D_min = 0, and `solve_rdp` answers there with the identity channel.)
 
 Each barrier round centres the weighted barrier problem at a larger t.  A
 round whose barrier gap bound is already at most the target (or the last
@@ -99,6 +107,8 @@ class RdpProblem:
         if out is None:
             out = self.source.labels
         out = tuple(out)
+        if len(set(out)) != len(out):
+            raise ValueError(f"the output alphabet {out} repeats a label")
         object.__setattr__(self, "output_alphabet", out)
         m, k = len(self.source.atoms), len(out)
         if m > 256 or k > 256:
@@ -178,12 +188,10 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
         ref = _least_distortion_channel(prob)
         if ref is None or p @ np.sum(ref * delta, axis=1) > dist + opts.feas_tol:
             return _finish(prob, _least_cost(delta) if ref is None else ref, math.inf, 0, INFEASIBLE)
-    keep = p > 0.0  # atoms without mass have no dual variable (log 0)
+    keep = p > 0.0  # the ball's atoms: those with mass
     pk = p[keep]
     a = p @ delta
     law = _target_law(prob) if perc == 0.0 else None
-    # outputs the fixed law leaves without mass have free v_y: drop them
-    cols = law > 0.0 if law is not None else np.ones(len(a), dtype=bool)
 
     def perception(q):
         return divergence(prob.divergence, prob.source, Pmf.from_probs(prob.output_alphabet, q))
@@ -191,7 +199,7 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
     # the ball's output law q of least distortion (None: none is tried), and
     # the ball, built only once the zero-rate answers below are passed
     if law is not None:
-        q, ball = law, partial(_Ball, law=law[cols])
+        q, ball = law, partial(_Ball, law)
     elif prob.divergence.kind == KL:
         q = _kl_least_law(prob, a)
         ball = partial(_KlBall, pk, np.flatnonzero(keep), len(a), perc, perception)
@@ -203,22 +211,9 @@ def solve_rdp(prob: RdpProblem, opts: SolverOptions | None = None) -> RdpSolutio
     if q is not None and a @ q <= dist:
         return _finish(prob, np.tile(q, (len(p), 1)), 0.0, 0, OPTIMAL)
     if matching and dist <= 1e-12:
-        # at the floor (to 1e-12, as for the grid) only the identity is left
+        # at the floor (to 1e-12, as for every solve) only the identity is left
         return _finish(prob, ref, 0.0, 0, OPTIMAL)
-    # costs above each row's least, in units of the zero-rate distortion
-    sub = delta[keep][:, cols]
-    floor = sub.min(axis=1, keepdims=True)
-    excess = sub - floor
-    scale = float(np.min(pk @ excess)) or 1.0
-    ref_k = ref[keep][:, cols]
-    chan, rate, lower, steps = _csiszar_dual(
-        pk, excess / scale, (dist - float(pk @ floor[:, 0])) / scale,
-        ref_k / ref_k.sum(axis=1, keepdims=True), opts.tol, ball())
-    w = ref.copy()
-    w[keep] = 0.0
-    w[np.ix_(keep, cols)] = chan
-    # the optimum lies in [lower, rate]: a negative difference is round-off
-    gap = max(rate - lower, 0.0)
+    w, _, gap, steps = _reduced_dual(p, delta, dist, ref, opts.tol, ball())
     return _finish(prob, w, gap, steps, OPTIMAL if gap <= opts.tol else ITER_LIMIT)
 
 
@@ -282,26 +277,14 @@ def rd_function_grid(p_x: Pmf, output_atoms, cost, dist: float) -> float:
         raise ValueError("distortion budget must be a number, got nan")
     p = p_x.probs
     cmat = _distortion_matrix(cost, p_x.labels, list(output_atoms))
-    d_floor = float(np.sum(p * cmat.min(axis=1)))
+    d_floor = float(p @ cmat.min(axis=1))
     if dist < d_floor - 1e-12:
         raise GridInfeasibleError(f"target {dist} below grid floor {d_floor}")
     if dist >= float(np.min(p @ cmat)):
         return 0.0
-    keep = p > 0.0  # atoms without mass have no dual variable (log 0)
-    p = p[keep]
-    excess = cmat[keep] - cmat[keep].min(axis=1, keepdims=True)
-    if dist <= d_floor + 1e-12:
-        # the floor is the limit s -> inf: each x may use its least-cost points only
-        cmat = np.where(excess == 0.0, 0.0, np.inf)
-        dist = None
-    else:
-        # costs above each row's least, in units of the zero-rate distortion
-        scale = float(np.min(p @ excess))
-        cmat, dist = excess / scale, (dist - d_floor) / scale
-    least = _least_cost(cmat[:, np.isfinite(cmat).any(axis=0)])
-    _, rate, lower, _ = _csiszar_dual(p, cmat, dist, least, _CERT_BITS)
-    if rate - lower > _CERT_BITS:
-        raise RuntimeError(f"grid R(D) not certified: duality gap {rate - lower:.3g} bits")
+    _, rate, gap, _ = _reduced_dual(p, cmat, dist, _least_cost(cmat), _CERT_BITS, _Ball())
+    if gap > _CERT_BITS:
+        raise RuntimeError(f"grid R(D) not certified: duality gap {gap:.3g} bits")
     return rate
 
 
@@ -477,6 +460,11 @@ class _Ball:
     def perception(self, q):
         return 0.0
 
+    def outputs(self, cols):
+        """The ball on the outputs `cols` only.  KL's ball is never narrowed: it
+        needs matching alphabets, whose solves keep every output."""
+        return self if self.law is None else _Ball(self.law[cols])
+
 
 class _CouplingBall(_Ball):
     """Variables e = (v, lam, t): t_x >= v_y - lam C(x, y) and lam >= 0, with
@@ -498,6 +486,11 @@ class _CouplingBall(_Ball):
 
     def support(self, v):
         return _coupling_support(self.p, self.coupling_cost, self.budget, v)[0]
+
+    def outputs(self, cols):
+        idx, k = np.flatnonzero(cols), len(cols)
+        return _CouplingBall(self.p, self.coupling_cost[:, idx], self.budget,
+                             lambda q: self.perception(np.bincount(idx, q, k)))
 
 
 class _KlBall(_Ball):
@@ -549,10 +542,55 @@ _MAX_STEPS = 100  # Newton steps per barrier round
 _ROUGH_DECREMENT = 1e-7
 
 
-def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
+def _reduced_dual(p, delta, dist, ref, tol, ball):
+    """(channel, rate, gap, Newton steps) of one solve, the way into the engine.
+
+    `p`, `delta` and the reference channel `ref` are on the full alphabets,
+    the ball on the atoms with mass.  Atoms without mass have no dual
+    variable (log 0) and outputs a fixed law leaves empty have free v_y:
+    both drop out.  The costs become each row's excess over its least, in
+    units of the zero-rate distortion.  Within 1e-12 of the floor D_min =
+    sum_x p_x min_y Delta(x, y) the slope is fixed (s -> inf) and each atom
+    keeps only its least-cost outputs: an output no atom keeps leaves the
+    costs, the reference and the ball, and a reference row left with no mass
+    takes its least-cost output.  Off the floor a dual point (u', s') of the
+    reduced problem is (u' + s' f / sigma, s' / sigma) on the full one, f
+    the row floors and sigma the scale.  The channel comes back on the full
+    alphabets, rows without mass the reference's; the optimum lies in
+    [lower, rate], so a negative gap is round-off and reads zero.
+    """
+    keep = p > 0.0
+    cols = ball.law > 0.0 if ball.law is not None else np.ones(delta.shape[1], dtype=bool)
+    pk, sub = p[keep], delta[keep][:, cols]
+    floor = sub.min(axis=1, keepdims=True)
+    excess = sub - floor
+    d_floor = float(pk @ floor[:, 0])
+    if dist <= d_floor + 1e-12:
+        # the limit s -> inf: each x may use its least-cost outputs only
+        cmat, dist = np.where(excess == 0.0, 0.0, np.inf), None
+    else:
+        # costs above each row's least, in units of the zero-rate distortion
+        scale = float(np.min(pk @ excess)) or 1.0
+        cmat, dist = excess / scale, (dist - d_floor) / scale
+    used = np.isfinite(cmat).any(axis=0)  # outputs some atom may use
+    cmat = cmat[:, used]
+    cols[cols] = used
+    if not cols.all():
+        ball = ball.outputs(cols)
+    ref_k = ref[keep][:, cols]
+    empty = ref_k.sum(axis=1) == 0.0
+    ref_k[empty] = _least_cost(cmat[empty])
+    chan, rate, lower, steps = _csiszar_dual(pk, cmat, dist, ref_k / ref_k.sum(axis=1, keepdims=True), tol, ball)
+    w = np.where(keep[:, None], 0.0, ref)
+    w[np.ix_(keep, cols)] = chan
+    return w, rate, max(rate - lower, 0.0), steps
+
+
+def _csiszar_dual(p, cmat, dist, ref, tol, ball):
     """(channel, rate, lower bound, Newton steps), in bits, on Csiszar's dual.
 
-    `cmat` has a zero in every row; `ref` is a channel within both budgets.
+    `cmat` has a zero in every row and a finite entry in every column, and
+    `ref` is a channel within both budgets: `_reduced_dual` sees to both.
     The engine has two modes, and neither depends on the ball's kind: a
     ball with a fixed `law` eliminates v, and `dist=None`, the floor, fixes
     s at one (`cmat` is zero on the pairs the channel may use, infinite
@@ -573,8 +611,6 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball=None):
     decrement below `_ROUGH_DECREMENT`.  A fixed law has no barrier and one
     round, which certifies.
     """
-    ball = ball or _Ball()
-    cmat = cmat[:, np.isfinite(cmat).any(axis=0)]
     m, k = cmat.shape
     free_s = dist is not None
     elim = ball.law is not None
@@ -913,18 +949,13 @@ def _brute_ternary(prob, res):
     best = math.inf
     rows_arr = np.array(rows)
     for r0 in rows_arr:
-        w = np.empty((2, 3))
-        w[0] = r0
         e0 = p[0] * float(r0 @ delta[0])
         cand = p[1] * (rows_arr @ delta[1])
         e_d = e0 + cand
         q = p[0] * r0[None, :] + p[1] * rows_arr
         feasible = e_d <= prob.dist_budget + 1e-12
         if prob.perc_budget == 0.0:
-            target = np.array(
-                [dict(prob.source.atoms).get(lab, 0.0) for lab in prob.output_alphabet]
-            )
-            feasible &= np.max(np.abs(q - target[None, :]), axis=1) <= res
+            feasible &= np.max(np.abs(q - _target_law(prob)), axis=1) <= res
         else:
             pvals = np.array(
                 [

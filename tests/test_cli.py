@@ -411,6 +411,24 @@ def test_simulate_block(tmp_path):
     assert len(lines) == 1 + 16 * 2
 
 
+def test_simulate_block_reads_its_distortion_strictly(tmp_path, capsys):
+    """The spec's distortion follows the problem-file rule: numeric strings
+    read as numbers, and a bool stops the run with a message naming the key."""
+    argv = _block_argv(tmp_path)
+    spec_path = tmp_path / "block.json"
+    spec = json.loads(spec_path.read_text())
+    assert main(argv + ["--output", str(tmp_path / "numbers.json")]) == 0
+    spec_path.write_text(json.dumps({**spec, "distortion": [[repr(v) for v in row] for row in spec["distortion"]]}))
+    assert main(argv + ["--output", str(tmp_path / "strings.json")]) == 0
+    assert (tmp_path / "strings.json").read_text() == (tmp_path / "numbers.json").read_text()
+    spec_path.write_text(json.dumps({**spec, "distortion": [[0, True], ["1", 0]]}))
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'distortion' must be a JSON number or a numeric string, not True" in captured.err
+
+
 @pytest.mark.parametrize("output, csv", [
     pytest.param(None, "missing", id="stdout-and-unopenable-csv"),
     pytest.param("report.json", "missing", id="file-and-unopenable-csv"),

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rdplab.solver import (
     sweep_curve,
 )
 from rdplab.divergences import divergence
+from extreme_pool import floor_pool
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -89,6 +91,13 @@ def _other_outputs(div):
     pytest.param(lambda: brute_force_rdp(RdpProblem(Pmf.bernoulli(0.3), np.ones((2, 4)), wasserstein_sq(),
                                                     output_alphabet=(0, 1, 2, 3))),
                  "output alphabet too large for brute force", id="brute-force-four-outputs"),
+    pytest.param(lambda: RdpProblem(Pmf.bernoulli(0.3), np.ones((2, 3)), wasserstein_sq(),
+                                    output_alphabet=(0.0, 0.5, 0.5)),
+                 "output alphabet .* repeats a label", id="repeated-output-label"),
+    pytest.param(lambda: RdpProblem(Pmf.bernoulli(0.3), np.ones((2, 0)), wasserstein_sq(), output_alphabet=()),
+                 "output alphabet is empty", id="empty-output-alphabet"),
+    pytest.param(lambda: rd_function_grid(Pmf.bernoulli(0.3), [], lambda x, y: (x - y) ** 2, 0.1),
+                 "output alphabet is empty", id="empty-grid"),
 ])
 def test_solver_inputs_fail_fast(call, message):
     with pytest.raises(ValueError, match=message):
@@ -369,6 +378,12 @@ def test_rd_function_grid_edge_budgets():
     assert rd_function_grid(fair, (0, 1, 2), lambda x, v: float(x != v), 0.1) == pytest.approx(
         1.0 - binary_entropy(0.1), abs=1e-7
     )
+
+
+def test_rd_function_grid_takes_repeated_points():
+    p = Pmf.bernoulli(0.25)
+    once = rd_function_grid(p, (0, 1), HAMMING, 0.1)
+    assert rd_function_grid(p, (0, 1, 1), lambda x, y: float(x != y), 0.1) == pytest.approx(once, abs=1e-7)
 
 
 def test_rd_function_grid_rejects_nan_budget():
@@ -768,6 +783,29 @@ def test_engine_outputs_are_pinned():
         ["0x1.9ceb901722268p-2", "0x1.368bd09d0530ap-2", "0x1.aee74ca952828p-3"],
         "100753f351b7623611459459949d918557e5405180f94c4b508cc5eb90e60158",
     )
+
+
+def test_other_outputs_are_solved_at_the_distortion_floor():
+    """At D_min each atom may use its least-cost outputs only, and the slope
+    is fixed: every feasible solve is certified with no RuntimeWarning, and
+    R(D, P) >= R(D) on the same grid, up to both gaps.  Forty seeded
+    instances with massless atoms (see `floor_pool`), then Bernoulli(0.3)
+    onto {0.25, 1.25}."""
+    pool = floor_pool(40, 3801, 0.0) + [RdpProblem(
+        Pmf.bernoulli(0.3), lambda x, y: (x - y) ** 2, wasserstein_sq(), 0.0625, 0.1, (0.25, 1.25))]
+    sols = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for prob in pool:
+            sol = solve_rdp(prob)
+            if sol.status != INFEASIBLE:
+                assert sol.status == OPTIMAL
+                grid = rd_function_grid(prob.source, prob.output_alphabet, prob.distortion, prob.dist_budget)
+                assert sol.rate >= grid - sol.primal_gap_estimate - 1e-7
+                sols.append(sol)
+    assert len(sols) == 23
+    # Bernoulli(0.3): each atom has one least-cost output, so the channel is a relabelling
+    assert sols[-1].rate == pytest.approx(binary_entropy(0.3), abs=1e-6)
 
 
 def test_engine_paths_without_a_digest_are_pinned():
