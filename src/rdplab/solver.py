@@ -34,12 +34,16 @@ both: within 1e-12 of D_min = sum_x p_x min_y Delta(x, y) the slope is fixed
 and each atom keeps only its least-cost outputs.  (With matching alphabets
 D_min = 0, and `solve_rdp` answers there with the identity channel.)
 
-Each barrier round centres the weighted barrier problem at a larger t.  A
-round whose barrier gap bound is already at most the target (or the last
-round, or any round at P = 0) centres until the Newton decrement is at
-round-off and tries a certificate; every earlier round stops at a decrement
-of 1e-7, since its centre only starts the next round (Boyd and
-Vandenberghe, Convex Optimization, 11.3).
+Each barrier round centres the weighted barrier problem at a larger t: with
+a barrier the first at t = 10 and each next at a twentyfold larger t, and
+the one round of a fixed law at t = 1 (Boyd and Vandenberghe, Convex
+Optimization, 11.3, leave both free).  A round whose barrier gap bound is
+already at most the target (or the last round, or any round at P = 0)
+centres until the Newton decrement is at round-off and tries a
+certificate; every earlier round stops at a decrement of 1e-7, since its
+centre only starts the next round.  A Newton step whose cap would leave no
+trial step holds, for that step, the coordinates whose move alone forces
+it (u_x of a near-massless atom).
 
 A solve returns the rate of an explicit channel, the centre's joint law
 repaired with a reference channel until both budgets hold, and a dual lower
@@ -528,7 +532,13 @@ class _KlBall(_Ball):
 _CERT_BITS = 1e-7
 _WEIGHT_FLOOR = 1e-6  # least barrier weight of a row
 _WEIGHT_DECAY = 0.1  # a weight falls at most this factor per barrier round
-_T_GROWTH = 10.0  # barrier parameter growth per round
+# the barrier parameter of the first round with a barrier, and its growth per
+# round.  Costs are in units of the zero-rate distortion, so rounds below t =
+# 10 only carried the start to where a later round began anyway; a first
+# round at 30 left 5 more grid calls of `tests/extreme_pool.py` uncertified,
+# and one at 300 took a k = 32 W2 solve from 104 Newton steps to 780
+_T_START = 10.0
+_T_GROWTH = 20.0
 _STEP_CAP = 4.0  # first cap on one variable's move in a Newton step; doubles when a capped step holds
 _MAX_ROUNDS = 14
 _MAX_STEPS = 100  # Newton steps per barrier round
@@ -600,16 +610,21 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
     cost, smooth and slacks the ball's.  At a centre nu_y = w_y / (t (v_y -
     g_y)) is the output law and J = pi diag(nu), pi_.y the softmax inside
     g_y, the primal joint law.  The weights start at (v_y - g_y) q_y, q one
-    alternating-minimization step from the uniform law, which centres u at
-    t = 1, then follow nu (and the slacks' weights their multipliers) so that
-    massless outputs stop costing 1/t each in the gap.  Each round
+    alternating-minimization step from the uniform law, the weights that
+    centre u at t = 1, then follow nu (and the slacks' weights their
+    multipliers) so that massless outputs stop costing 1/t each in the gap.
+    A fixed law has no barrier and one round, at t = 1, which certifies.
+    With a barrier the first round is at t = `_T_START`, and each round
     multiplies t by `_T_GROWTH`.  A round certifies when, at its start, the
     barrier's gap bound (its weights over t, in bits) is at most `tol`, or
     it is the last round: only such a round centres until the decrement is
     at round-off and builds a certificate, and the solve ends once the
     certified gap is at most `tol` bits.  Every other round stops at a
-    decrement below `_ROUGH_DECREMENT`.  A fixed law has no barrier and one
-    round, which certifies.
+    decrement below `_ROUGH_DECREMENT`.  A step whose cap leaves no trial
+    step (a <= 1e-12) holds the coordinates of u and e whose move alone
+    forces that, and takes the Newton direction of the others.  A
+    line-search trial is tested against the ball's linear slacks before the
+    log-sum-exp constraints.
     """
     m, k = cmat.shape
     free_s = dist is not None
@@ -624,7 +639,6 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
         free[0] = False  # the gauge: a fixed law sums to one, so u + c changes nothing
     pot = free.copy()  # everything but s, which a step at most doubles
     pot[m:o] = False
-    fixed = not free.all()
     free_idx = np.flatnonzero(free)
     # the Newton system's buffers: entries no step writes stay zero
     grad = np.zeros(nz)
@@ -649,7 +663,8 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
         return z[o:o + k] if nz > o else np.zeros(k)
 
     def newton_step(z, pi, r, rl, w, wl, t, f):
-        """Newton direction and decrement of the centring objective."""
+        """Newton direction and decrement of the centring objective; its
+        gradient and Hessian stay in `grad` and `hess`."""
         c1 = t * ball.law if elim else w / r
         c2 = 0.0 if elim else c1 * c1 / w
         if free_s:  # cmat is finite whenever s is free
@@ -676,7 +691,11 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
             hess[:o, o:o + k] = hess[o:o + k, :o].T
             diag[o:o + k] += c2
             ball.add_smooth(grad[o:], hess[o:, o:], z[o:], t, f)
-        gf, hf = (grad[free_idx], hess.take(free_idx, 0).take(free_idx, 1)) if fixed else (grad, hess)
+        return direction(free_idx)
+
+    def direction(idx):
+        """Newton direction and decrement on the coordinates `idx`, the others held."""
+        gf, hf = (grad[idx], hess.take(idx, 0).take(idx, 1)) if len(idx) < nz else (grad, hess)
         # the ball's barrier spans many scales: solve the diagonally scaled system
         scale = np.sqrt(np.maximum(hf.diagonal(), 1e-300)) if nz > o else 1.0
         try:
@@ -684,8 +703,12 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
         except np.linalg.LinAlgError:
             step = -np.linalg.lstsq(hf, gf, rcond=None)[0]
         dz = np.zeros(nz)
-        dz[free_idx] = step
+        dz[idx] = step
         return dz, float(-gf @ step)
+
+    def step_bound(dz):
+        """The largest step along dz within the cap, and below doubling s."""
+        return 1.0 / max(1.0, float(np.abs(dz[pot]).max()) / cap, abs(dz[m]) / z[m] if free_s else 0.0)
 
     def certificate(z, g, pi, nu):
         """(channel within both budgets, its rate, dual lower bound), in bits.
@@ -747,7 +770,7 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
     # the reference's costs, measured at most once, and only if a certificate mixes
     ref_dist = cache(lambda: float(p @ np.sum(ref * cmat, axis=1)))
     ref_perc = cache(lambda: ball.perception(p @ ref))
-    t = 1.0
+    t = 1.0 if elim else _T_START
     steps = 0
     cap = _STEP_CAP
     for rnd in range(_MAX_ROUNDS):
@@ -767,18 +790,27 @@ def _csiszar_dual(p, cmat, dist, ref, tol, ball):
             prev_dec = dec
             steps += 1
             # exp(u) can be far from its quadratic model: cap the moves
-            a = a0 = 1.0 / max(1.0, float(np.abs(dz[pot]).max()) / cap, abs(dz[m]) / z[m] if free_s else 0.0)
+            a0 = step_bound(dz)
+            if a0 <= 1e-12:
+                # no trial would run.  A coordinate whose move alone forces
+                # that (u_x of a near-massless atom) is held for this step
+                held = pot & (np.abs(dz) > 1e12 * cap)
+                if held.any():
+                    dz, dec = direction(np.flatnonzero(free & ~held))
+                    a0 = step_bound(dz)
+            a = a0
             # the objective's linear terms along dz, per unit of a
             lin_u = p @ dz[:m]
             lin_e = ball.cost @ dz[o:]
             while a > 1e-12:
                 z_new = z + a * dz
-                if not free_s or z_new[m] > 0.0:
+                # the ball's slacks are linear, one product: a trial they
+                # refuse costs no log-sum-exp.  A NaN fails every test
+                rl_new = ball.slacks(z_new[o:])
+                if (not free_s or z_new[m] > 0.0) and (nz == o or np.minimum.reduce(rl_new) > 0.0):
                     g_new, pi_new = constraints(z_new)
                     r_new = out_mult(z_new) - g_new
-                    rl_new = ball.slacks(z_new[o:])
-                    # a NaN fails both tests
-                    if (elim or np.minimum.reduce(r_new) > 0.0) and (nz == o or np.minimum.reduce(rl_new) > 0.0):
+                    if elim or np.minimum.reduce(r_new) > 0.0:
                         # barrier change over t, from ratios so that it stays exact at large t
                         df = -a * lin_u
                         if elim:

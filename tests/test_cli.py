@@ -634,11 +634,11 @@ CLI_STDOUT_PINS = {
     "curve-solve-json": (
         ["curve", "solve", "--problem", "{problem}", "--D-grid", "0.1:0.3:2",
          "--P-grid", "0:0.1:2", "--format", "json"],
-        0, "e1705b3df56ec891a83341564b721b2e6102855bc2834572876196796b34e11e",
+        0, "1af112b7ca8f04be37e3fe6464f04906cf0f82a7b4c0e3bb19887c4e0e4ddee6",
     ),
     "solve": (
         ["solve", "--problem", "{problem}", "--D", "0.2", "--P", "0.05"],
-        0, "41c692140569aa401d15cf8a525250c2b79fbf64f46020f9bec0d11b22ddcd8b",
+        0, "02ce79b7eefaecdbdf7088a2ef2af55cee17414039ea5226ed43f839c46009db",
     ),
     "solve-infeasible": (
         ["solve", "--problem", "{infeasible}", "--D", "0.5", "--P", "0.5"],
