@@ -26,6 +26,7 @@ MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
 _INT64_RANKS = 1 << 63  # rank walks and soft-covering word codes run in int64 below this
+_TABLE_SEQUENCES = 1 << 16  # codebooks with at most this many sequences (k^n) are drawn from a table
 _ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
 _ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
 _SEED_MAP_CHUNK = 1 << 16  # atoms simulate_seed_map bins per step, in index order
@@ -182,37 +183,60 @@ def random_typical_codebook(
     """Draw floor(2^{n R}) words independently and uniformly from the
     delta-typical set of `target`, at every n.
 
-    A word is drawn by unranking (Cover's enumerative code inverted): a
-    uniform rank r below the size of the set picks the composition, in
-    lexicographic order of count vectors with blocks as large as the type
-    classes, and a uniform permutation of that composition is the word.
-    The count of symbol j is the block of r among C(m, c) * (completions
-    of the other m - c letters), and r // C(m, c) ranks those completions.
+    All ranks come from one `randint_below` call: a uniform rank r below the
+    size of the set, in Cover's enumerative code (inverted).  The code orders
+    count vectors lexicographically, with blocks as large as the type
+    classes: the count of symbol j is the block of r among C(m, c) *
+    (completions of the other m - c letters), r // C(m, c) ranks those
+    completions, and r mod C(m, c) picks the places of symbol j.  So r fixes
+    the word's composition, and with it the word.  Which of two draws reads
+    the words off the ranks depends on the number k^n of sequences of length
+    n over the target's k letters:
 
-    The codebook is drawn in bulk: all ranks come from one `randint_below`
-    call, the counts of symbol j from one search of each state's block
-    sizes for all the words that reached it, and the words from one
-    `gen.permuted` call over the stacked sorted multisets; the stream
-    yields every rank first and then every permutation.  Every word starts
-    at the root state, so the first symbol's step is one search over all
-    ranks, and the last symbol's step keeps no remainder (its one
-    completion has rank 0).  The block sizes of every state come from
-    `_rank_trie`, built once per (target, n, delta).  The ranks are int64
-    when the set has fewer than 2^63 words and Python ints (an object
-    array) otherwise, and go to int64 at the first step whose states all
-    have fewer than 2^63 completions: the second for a ternary set of 2^91
-    words at n = 64, whose states after the first symbol hold fewer than
-    2^30.  The search, difference and floor division give the same
-    integers in both.
+    - Up to `_TABLE_SEQUENCES` (2^16) the word of rank r is row r of
+      `_typical_table`, every typical word in rank order, built once per
+      (target, n, delta).  The stream yields the ranks and nothing else.
+    - Above it the ranks are unranked to compositions only, and each word is
+      a uniform permutation of its composition.  The counts of symbol j come
+      from one search of each state's block sizes for all the words that
+      reached it, and the words from one `gen.permuted` call over the
+      stacked sorted multisets, so the stream yields every rank first and
+      then every permutation.  Every word starts at the root state, so the
+      first symbol's step is one search over all ranks, and the last
+      symbol's step keeps no remainder (its one completion has rank 0).
+      The block sizes of every state come from `_rank_trie`, built once per
+      (target, n, delta).  The ranks are int64 when the set has fewer than
+      2^63 words and Python ints (an object array) otherwise, and go to
+      int64 at the first step whose states all have fewer than 2^63
+      completions: the second for a ternary set of 2^91 words at n = 64,
+      whose states after the first symbol hold fewer than 2^30.  The
+      search, difference and floor division give the same integers in
+      both.
+
+    Either way a rank gives a word of the composition the walk gives it.
     """
     check_typical_codebook(target, n, rate_bits, delta)
     n_words = max(1, int(2.0 ** (n * rate_bits)))
     k = len(target.atoms)
-    total, states = _rank_trie(tuple(target.probs.tolist()), n, delta)
+    key = (tuple(target.probs.tolist()), n, delta)
+    total, states = _rank_trie(*key)
     if total == 0:
         raise ValueError(f"delta-typical set empty for n={n}, delta={delta}")
     gen = stream(seed, CODEBOOK_STREAM)
     ranks = np.asarray(randint_below(gen, total, n_words), dtype=np.int64 if total < _INT64_RANKS else object)
+    return Codebook(
+        n=n,
+        words=_typical_table(*key)[ranks] if k**n <= _TABLE_SEQUENCES else _unrank(ranks, states, k, n, gen),
+        target=target,
+        delta=delta,
+        rate_bits=math.log2(n_words) / n,
+    )
+
+
+def _unrank(ranks: np.ndarray, states: MappingProxyType, k: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """The words of `ranks` by the rank walk over the trie `states`, each
+    arranged by one `gen.permuted` call (see `random_typical_codebook`)."""
+    n_words = len(ranks)
     comps = np.empty((n_words, k), dtype=np.int64)
     left = np.full(n_words, n, dtype=np.int64)
     reached = [(n, slice(None))]  # (m, its words): every word starts at state (0, n)
@@ -240,13 +264,53 @@ def random_typical_codebook(
     comps[:, -1] = left
     words = np.repeat(np.tile(np.arange(k), n_words), comps.ravel()).reshape(n_words, n)
     gen.permuted(words, axis=1, out=words)
-    return Codebook(
-        n=n,
-        words=words,
-        target=target,
-        delta=delta,
-        rate_bits=math.log2(n_words) / n,
-    )
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _typical_table(probs: tuple, n: int, delta: float) -> np.ndarray:
+    """The delta-typical words of `probs` at length n in rank order: row r
+    is the word of rank r in the enumerative code of `_rank_trie`, so it has
+    the composition the rank walk gives r, and r fixes its arrangement too.
+
+    At state (j, m) the rows of count c of symbol j form the block the walk
+    gives c, and within it row q * C(m, c) + a puts symbol j at the a-th
+    choice of c of the m places and fills the other places, in order, with
+    row q of state (j + 1, m - c).  Built once per (target, n, delta), for
+    sets of at most `_TABLE_SEQUENCES` sequences; every draw shares the
+    table, so it is read-only.
+    """
+    k = len(probs)
+    total, states = _rank_trie(probs, n, delta)
+
+    @functools.cache
+    def places(m: int, c: int) -> np.ndarray:
+        # the C(m, c) ways to take c of m places, one row each: a free place
+        # holds its rank among the free ones, a taken place -1
+        if c == 0 or c == m:
+            return np.arange(m)[None, :] if c == 0 else np.full((1, m), -1)
+        free, taken = places(m - 1, c), places(m - 1, c - 1)  # the last place free, then taken
+        out = np.empty((len(free) + len(taken), m), dtype=np.intp)
+        out[: len(free), :-1], out[: len(free), -1] = free, m - 1 - c
+        out[len(free) :, :-1], out[len(free) :, -1] = taken, -1
+        return out
+
+    @functools.cache
+    def rows(j: int, m: int) -> np.ndarray:
+        if j == k - 1:  # the last symbol takes every place left
+            return np.full((1, m), j, dtype=np.int64)
+        blocks = []
+        for c in states[j, m][0].tolist():
+            rest = rows(j + 1, m - c)
+            at = places(m, c)
+            # each place reads its letter from the row of rest with j appended:
+            # a free place at its rank, a taken one at -1
+            blocks.append(np.column_stack([rest, np.full(len(rest), j)])[:, at].reshape(len(rest) * len(at), m))
+        return np.concatenate(blocks)
+
+    table = rows(0, n) if total else np.empty((0, n), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=8)

@@ -33,7 +33,11 @@ _KINDS = (TV, KL, COUPLING_COST, WASSERSTEIN_SQ)
 
 @dataclass(frozen=True, eq=False)
 class DivergenceSpec:
-    """A named divergence; `cost` is only used by the coupling-cost kind."""
+    """A named divergence; `cost` is only used by the coupling-cost kind.
+
+    A cost is any finite nonnegative matrix: whether its diagonal must
+    vanish depends on the alphabets, which `RdpProblem` checks.
+    """
 
     kind: str
     cost: np.ndarray | None = field(default=None, repr=False)
@@ -49,8 +53,6 @@ class DivergenceSpec:
                 raise ValueError("cost matrix must be 2-D")
             if np.any(c < 0.0) or not np.all(np.isfinite(c)):
                 raise ValueError("cost matrix must be finite and nonnegative")
-            if c.shape[0] == c.shape[1] and np.any(np.diag(c) != 0.0):
-                raise ValueError("square cost matrix must vanish on the diagonal")
             object.__setattr__(self, "cost", c)
         elif self.cost is not None:
             raise ValueError(f"{self.kind} takes no cost matrix")

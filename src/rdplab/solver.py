@@ -130,8 +130,11 @@ class RdpProblem:
             raise ValueError("budgets must be finite and nonnegative")
         if self.divergence.kind in (TV, KL) and out != self.source.labels:
             raise ValueError(f"{self.divergence.kind} needs matching alphabets")
-        if self.divergence.kind == COUPLING_COST and self.divergence.cost.shape != (m, k):
-            raise ValueError("perception cost matrix shape does not match alphabets")
+        if self.divergence.kind == COUPLING_COST:
+            if self.divergence.cost.shape != (m, k):
+                raise ValueError("perception cost matrix shape does not match alphabets")
+            if out == self.source.labels and np.any(np.diag(self.divergence.cost) != 0.0):
+                raise ValueError("the coupling cost of (x, x) must vanish when alphabets coincide")
         if self.divergence.kind == WASSERSTEIN_SQ:
             self.source.real_values()
             _real_values(out)

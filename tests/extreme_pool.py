@@ -93,7 +93,8 @@ def floor_pool(count: int = 120, seed: int = 2038, light: float = 1e-300) -> lis
             y[1] = 2.0 * np.round(np.clip(y[0], 0.0, m - 1.0)) - y[0]
         gap = np.abs(np.arange(m)[:, None] - y)
         delta = gap ** 2 if i % 2 == 0 else gap
-        # a square coupling cost must vanish on its diagonal
+        # W2 whenever k == m: the pool was drawn when a square coupling cost
+        # had to vanish on its diagonal, and it stays as drawn
         div = wasserstein_sq() if k == m or rng.random() < 0.5 else coupling_cost(gap)
         perc = (0.0, 0.1, 0.5, 2.0, 10.0)[i % 5]
         probs.append(RdpProblem(Pmf.from_probs(tuple(range(m)), p), delta, div, float(p @ delta.min(axis=1)), perc,

@@ -360,10 +360,12 @@ SIM_CASES = {"binary": _binary_case, "ternary": _ternary_case}
 # integers, and the float sums before broke exact ties between words of one
 # joint type by rounding noise instead of toward the lowest index.  The
 # chosen words moved, not the streams; the ternary costs are integers and
-# their pins held.
+# their pins held.  The two binary ones were recorded again when their set
+# (2^16 sequences at n = 16) came to be drawn from a table of its words,
+# which keeps each word's composition and moves its arrangement.
 GOLDEN_REPORTS = {
-    ("binary", SHARED_SEED): "f130eb27f34bc2ef611760eb6f6374677bd170b4dcdf4743195eb192bf5f681f",
-    ("binary", DERANDOMIZED): "85edb01250f30e80db263f4b38c02f394284d172246a384614102d938bc31a6c",
+    ("binary", SHARED_SEED): "b3e5c9bd3dd7ac68272540d7b11a270cf0fe154119e4a26bc25491947c1f1ef4",
+    ("binary", DERANDOMIZED): "f381c75271345f498f659b8aeeeba31977c5776881fedc4de703d3f72abe970e",
     ("ternary", SHARED_SEED): "a104d2be0a193b4ed8846f33c53b8f825752e67bc4d7125201138ba0db81e56c",
     ("ternary", DERANDOMIZED): "25655a9f4cfedba9624bef5e63f894c39e4972caed356f2f4b6b37d01477dfef",
 }
@@ -1130,17 +1132,19 @@ PINNED_CODING = {
 # bulk (every rank, then every permutation), which changes the words a seed
 # gives.  The three bernoulli-n62..64 pins and seed-map-equal-totals were
 # recorded before the rank walk went to int64 and equal bin totals to round
-# robin.
+# robin.  binary-n12 and soft-covering-tv were recorded again when sets of at
+# most 2^16 sequences came to be drawn from a table of their words: each
+# word kept its composition and only its arrangement moved.
 CODING_DIGESTS = {
     "bernoulli-n2000": "9cbc22974f98558f389c90903b17089dfcf9b13a3dd404d5bebf922270ecd84a",
     "bernoulli-n62": "b866895abee8c384bb00ac2356e7335213fe545d111aac587afe6c6ff906d903",
     "bernoulli-n63": "fcbdca3f74f2c2dfea7851d7af21a4fb646c186d84240c7e77becd9242272295",
     "bernoulli-n64": "5e72b66782650aacf67af661cab8e199deb4f102a4e10afd1517717a16b3fbe5",
-    "binary-n12": "3e6889187c620445ca4226c4917c51236f2e68b5f4f6dc81dbd7c5c9f80b9017",
+    "binary-n12": "64c0451fb84c4e3ee236aac8748fb22c500d2d12425a7e1bdf474d7e9bf392e2",
     "quaternary-n24": "5024ac6841876ce677145bade62182fef18cad54e8778c2001dd1554c2e6652c",
     "seed-map": "7084c07dfcc3ffe7f35893ac9edc3153cde0c3da28f169955ba2c84a137ac7ec",
     "seed-map-equal-totals": "fc6d496246e29f1440f7ee52a59fe4c202d6fa4098eef01e3c0c8329e93e9f9c",
-    "soft-covering-tv": "88682c1e4770c94bf58afcb585de2bd4161da5454869442848f567a4457152d9",
+    "soft-covering-tv": "276fa39bd09cf752cf640a6fa9f9ee53663f0e2bca4fc9c05a3a3a7c51afe65b",
     "ternary-n64": "5b717d0ba8eb45d5a291599fa627d19792945af5ce1b4bf6a6056eb8d23a7fce",
 }
 
@@ -1177,10 +1181,15 @@ def test_rank_walk_in_int64_draws_the_words_of_the_object_walk(target, n, rate, 
 
 @pytest.mark.parametrize("case", sorted(CODEBOOK_CASES))
 def test_codebook_words_do_not_depend_on_the_rank_trie_memo(case):
-    coding._rank_trie.cache_clear()
+    # the cold draw builds the rank trie (and the table of a small set), and
+    # the warm draw reads them from the memos
+    memos = (coding._rank_trie, coding._typical_table)
+    for memo in memos:
+        memo.cache_clear()
     cold = CODEBOOK_CASES[case]().words
+    built = [memo.cache_info().misses for memo in memos]
     warm = CODEBOOK_CASES[case]().words
-    assert coding._rank_trie.cache_info().hits == 1
+    assert [memo.cache_info().misses for memo in memos] == built and built[0] == 1
     assert np.array_equal(cold, warm)
 
 
@@ -1191,17 +1200,8 @@ def _compositions(n, k):
     return [(c,) + rest for c in range(n + 1) for rest in _compositions(n - c, k - 1)]
 
 
-def test_codebook_ranks_cover_the_typical_compositions(monkeypatch):
-    # the rank bound is the size of the typical set that is_delta_typical
-    # defines, boundary cases included, and the first rank of each
-    # composition's block (lexicographic order) draws a word of it
-    bounds, ranks = [], []
-
-    def scripted(gen, bound, size):
-        bounds.extend([bound] * size)
-        return [ranks.pop(0) for _ in range(size)]
-
-    monkeypatch.setattr(coding, "randint_below", scripted)
+def _typical_grid():
+    """(probs, n, deltas) cases of typical sets, with boundary cases."""
     targets = [
         (0.5, 0.5),
         (0.75, 0.25),
@@ -1219,7 +1219,21 @@ def test_codebook_ranks_cover_the_typical_compositions(monkeypatch):
     # every word is typical, and the per-symbol count ranges span 27^4
     # count vectors
     grid.append(((0.25,) * 4, 21, (4.0,)))
-    for probs, n, deltas in grid:
+    return grid
+
+
+def test_codebook_ranks_cover_the_typical_compositions(monkeypatch):
+    # the rank bound is the size of the typical set that is_delta_typical
+    # defines, boundary cases included, and the first rank of each
+    # composition's block (lexicographic order) draws a word of it
+    bounds, ranks = [], []
+
+    def scripted(gen, bound, size):
+        bounds.extend([bound] * size)
+        return [ranks.pop(0) for _ in range(size)]
+
+    monkeypatch.setattr(coding, "randint_below", scripted)
+    for probs, n, deltas in _typical_grid():
         k = len(probs)
         target = Pmf.from_probs(tuple(range(k)), probs)
         comps = _compositions(n, k)
@@ -1243,6 +1257,74 @@ def test_codebook_ranks_cover_the_typical_compositions(monkeypatch):
                 assert bounds == [sum(sizes)] * len(typical), (probs, n, delta)
                 drawn = [tuple(np.bincount(w, minlength=k)) for w in cb.words]
                 assert drawn == typical, (probs, n, delta)
+
+
+def test_typical_table_lists_the_typical_set():
+    # every set of the grid small enough for a table: as many rows as the
+    # rank trie counts, each a distinct typical word, sorted by count vector
+    # in the walk's lexicographic order
+    for probs, n, deltas in _typical_grid():
+        k = len(probs)
+        if k**n > coding._TABLE_SEQUENCES:
+            continue
+        target = Pmf.from_probs(tuple(range(k)), probs)
+        for delta in deltas:
+            table = coding._typical_table(probs, n, delta)
+            total, _ = coding._rank_trie(probs, n, delta)
+            assert table.shape == (total, n) and not table.flags.writeable, (probs, n, delta)
+            assert len(np.unique(table, axis=0)) == total, (probs, n, delta)
+            counts = (table[:, :, None] == np.arange(k)).sum(axis=1)
+            keys = counts @ (n + 1) ** np.arange(k - 1, -1, -1)
+            assert np.all(np.diff(keys) >= 0), (probs, n, delta)
+            # typicality is a function of the counts: test the first word of
+            # each count vector's block
+            firsts = np.flatnonzero(np.diff(keys, prepend=-1))
+            assert all(is_delta_typical(table[i].tolist(), target, delta) for i in firsts), (probs, n, delta)
+
+
+@pytest.mark.parametrize("probs, n, delta", [
+    ((0.5, 0.5), 12, 0.6),
+    ((0.5, 0.3, 0.2), 8, 0.9),
+    ((0.375, 0.25, 0.125, 0.25), 8, 1 / 3),
+    ((0.6, 0.3, 0.1), 5, 2.0),
+])
+def test_table_and_walk_give_a_rank_the_same_composition(probs, n, delta, monkeypatch):
+    # every rank of the set, shuffled: the table draws its own rows, and the
+    # walk (a table limit of 0) words of the same count vectors
+    k = len(probs)
+    target = Pmf.from_probs(tuple(range(k)), probs)
+    total, _ = coding._rank_trie(probs, n, delta)
+    order = np.random.default_rng(40).permutation(total).tolist()
+    monkeypatch.setattr(coding, "randint_below", lambda gen, bound, size: order[:size])
+    rate = math.log2(total + 0.5) / n  # floor(2^{nR}) = total
+    by_table = random_typical_codebook(target, n, rate, delta).words
+    assert np.array_equal(by_table, coding._typical_table(probs, n, delta)[order])
+    monkeypatch.setattr(coding, "_TABLE_SEQUENCES", 0)
+    by_walk = random_typical_codebook(target, n, rate, delta).words
+    assert not np.array_equal(by_table, by_walk)
+
+    def counts(words):
+        return (words[:, :, None] == np.arange(k)).sum(axis=1)
+
+    assert np.array_equal(counts(by_table), counts(by_walk))
+
+
+def test_table_words_are_uniform_on_a_ternary_typical_set():
+    # (0.5, 0.3, 0.2) at n = 4, delta = 0.9: the compositions (2, 1, 1) and
+    # (1, 2, 1), 24 words; Pearson's statistic over 2^12 draws, at the 0.999
+    # quantile
+    from scipy.stats import chi2
+
+    target = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
+    table = coding._typical_table(tuple(target.probs.tolist()), 4, 0.9)
+    cb = random_typical_codebook(target, 4, 3.0, 0.9, seed=40)
+    assert len(table) == 24 and len(cb) == 2**12
+    drawn = Counter(map(tuple, cb.words.tolist()))
+    assert set(drawn) <= set(map(tuple, table.tolist()))
+    observed = np.array([drawn[tuple(w)] for w in table.tolist()])
+    expected = len(cb) / len(table)
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert stat <= chi2.ppf(0.999, len(table) - 1)
 
 
 def test_codebook_is_uniform_on_the_typical_set():

@@ -16,6 +16,7 @@ from rdplab.divergences import (
     total_variation,
     wasserstein_sq,
 )
+from rdplab.solver import RdpProblem
 
 
 def random_pmf(rng, labels):
@@ -52,10 +53,13 @@ def test_coupling_cost_spec_validation():
         DivergenceSpec("coupling_cost")
     with pytest.raises(ValueError):
         coupling_cost(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        coupling_cost(np.array([[0.5, 1.0], [1.0, 0.0]]))
     spec = coupling_cost(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert spec.kind == "coupling_cost"
+    # a diagonal means something only where the two alphabets coincide, which
+    # the problem knows and the spec does not
+    shifted = coupling_cost(np.array([[0.5, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="must vanish when alphabets coincide"):
+        RdpProblem(Pmf.bernoulli(0.3), 1.0 - np.eye(2), shifted, 0.1)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -279,6 +279,23 @@ def test_solver_vs_brute_force_random():
             assert divergence(div, prob.source, q) <= perc + 1e-6
 
 
+def test_coupling_cost_onto_shifted_outputs_is_solved():
+    # |x - y| from {0, 1} onto {0.25, 1.25}: a square cost whose diagonal is
+    # 0.25, since no output is a source label
+    y = (0.25, 1.25)
+    gap = np.abs(np.arange(2)[:, None] - np.array(y))
+    prob = RdpProblem(Pmf.bernoulli(0.3), gap, coupling_cost(gap), 0.35, 0.27, y)
+    sol = solve_rdp(prob)
+    assert sol.status == OPTIMAL
+    assert sol.rate == pytest.approx(brute_force_rdp(prob, resolution=1e-3), abs=1e-3)
+    q = Pmf.from_probs(y, prob.source.probs @ sol.channel.matrix)
+    assert float(np.sum(prob.source.probs[:, None] * sol.channel.matrix * gap)) <= 0.35 + 1e-6
+    assert divergence(prob.divergence, prob.source, q) <= 0.27 + 1e-6
+    # the perception budget binds: without it the rate is lower
+    loose = RdpProblem(Pmf.bernoulli(0.3), gap, coupling_cost(gap), 0.35, 1.0, y)
+    assert solve_rdp(loose).rate < sol.rate - 1e-3
+
+
 def test_kl_perception_vs_brute_force():
     prob = binary_problem(0.3, 0.15, 0.05, div=kullback_leibler())
     sol = solve_rdp(prob)
