@@ -26,7 +26,7 @@ MAX_CODEBOOK_WORDS = 1 << 20
 MAX_ENUMERATION = 1 << 24
 MAX_SEED_ATOMS = 1 << 22
 _INT64_RANKS = 1 << 63  # rank walks and soft-covering word codes run in int64 below this
-_TABLE_SEQUENCES = 1 << 16  # codebooks with at most this many sequences (k^n) are drawn from a table
+_TABLE_SEQUENCES = 1 << 12  # codebooks with at most this many sequences (k^n) are drawn from a table
 _ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
 _ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
 _SEED_MAP_CHUNK = 1 << 16  # atoms simulate_seed_map bins per step, in index order
@@ -193,7 +193,7 @@ def random_typical_codebook(
     the words off the ranks depends on the number k^n of sequences of length
     n over the target's k letters:
 
-    - Up to `_TABLE_SEQUENCES` (2^16) the word of rank r is row r of
+    - Up to `_TABLE_SEQUENCES` (2^12) the word of rank r is row r of
       `_typical_table`, every typical word in rank order, built once per
       (target, n, delta).  The stream yields the ranks and nothing else.
     - Above it the ranks are unranked to compositions only, and each word is
@@ -278,7 +278,12 @@ def _typical_table(probs: tuple, n: int, delta: float) -> np.ndarray:
     choice of c of the m places and fills the other places, in order, with
     row q of state (j + 1, m - c).  Built once per (target, n, delta), for
     sets of at most `_TABLE_SEQUENCES` sequences; every draw shares the
-    table, so it is read-only.
+    table, so it is read-only.  Such a set has n <= 12 letters unless k = 1
+    (one row), so a table holds at most 2^12 * 12 int64 (384 KiB) and the
+    memo of eight at most 3 MiB.  At that limit a binary set at n = 12
+    builds in about 0.6 ms, about as long as one rank walk and permutation
+    of its 2^12 words; at 2^16 it took about 7 ms, which a one-off draw
+    does not win back.
     """
     k = len(probs)
     total, states = _rank_trie(probs, n, delta)
@@ -309,6 +314,10 @@ def _typical_table(probs: tuple, n: int, delta: float) -> np.ndarray:
         return np.concatenate(blocks)
 
     table = rows(0, n) if total else np.empty((0, n), dtype=np.int64)
+    # the recursive memos are a reference cycle: free their arrays now, not
+    # at the next garbage collection
+    rows.cache_clear()
+    places.cache_clear()
     table.flags.writeable = False
     return table
 

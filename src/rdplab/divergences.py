@@ -36,7 +36,8 @@ class DivergenceSpec:
     """A named divergence; `cost` is only used by the coupling-cost kind.
 
     A cost is any finite nonnegative matrix: whether its diagonal must
-    vanish depends on the alphabets, which `RdpProblem` checks.
+    vanish depends on the alphabets, so `divergence` and `RdpProblem`
+    check it (`require_vanishing_diagonal`).
     """
 
     kind: str
@@ -79,6 +80,14 @@ def _require_shared_alphabet(p: Pmf, q: Pmf) -> None:
         raise AlphabetMismatchError(f"alphabets differ: {p.labels} vs {q.labels}")
 
 
+def require_vanishing_diagonal(d: DivergenceSpec, p_labels: tuple, q_labels: tuple) -> None:
+    """Refuse a coupling cost with c(x, x) != 0 between laws on the same
+    labels, where it would make d(p, p) positive."""
+    c = d.cost
+    if p_labels == q_labels and c.shape[0] == c.shape[1] and np.any(np.diag(c) != 0.0):
+        raise ValueError("the coupling cost of (x, x) must vanish when alphabets coincide")
+
+
 def divergence(d: DivergenceSpec, p: Pmf, q: Pmf) -> float:
     """Evaluate d(p, q).  KL returns +inf when support(p) is not in support(q)."""
     if d.kind == TV:
@@ -92,6 +101,7 @@ def divergence(d: DivergenceSpec, p: Pmf, q: Pmf) -> float:
         mask = pv > 0.0
         return float(np.sum(pv[mask] * np.log2(pv[mask] / qv[mask])))
     if d.kind == COUPLING_COST:
+        require_vanishing_diagonal(d, p.labels, q.labels)
         return min_cost_coupling(p, q, d.cost)[1]
     if d.kind == WASSERSTEIN_SQ:
         return wasserstein_sq_1d(p, q)

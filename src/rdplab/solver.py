@@ -75,6 +75,7 @@ from .divergences import (
     WASSERSTEIN_SQ,
     DivergenceSpec,
     divergence,
+    require_vanishing_diagonal,
 )
 from .pmf import Channel, Pmf, _distortion_matrix, _real_values, mutual_information_matrix
 
@@ -133,8 +134,7 @@ class RdpProblem:
         if self.divergence.kind == COUPLING_COST:
             if self.divergence.cost.shape != (m, k):
                 raise ValueError("perception cost matrix shape does not match alphabets")
-            if out == self.source.labels and np.any(np.diag(self.divergence.cost) != 0.0):
-                raise ValueError("the coupling cost of (x, x) must vanish when alphabets coincide")
+            require_vanishing_diagonal(self.divergence, self.source.labels, out)
         if self.divergence.kind == WASSERSTEIN_SQ:
             self.source.real_values()
             _real_values(out)

@@ -7,7 +7,7 @@ root as
     PYTHONPATH=src python3 tests/codebook_pool.py
 
 A codebook whose k letters and block length n give at most
-`coding._TABLE_SEQUENCES` (2^16) sequences is read from a table of the
+`coding._TABLE_SEQUENCES` (2^12) sequences is read from a table of the
 typical words; a larger one is unranked by the rank walk and arranged by
 one permutation per word.  For each pool and side the script prints one
 line: the number of codebooks and words, the sha256 of every word and the
@@ -24,7 +24,7 @@ shows as a new words digest beside an unchanged counts digest.
    runs of `CLI_STDOUT_PINS` in `tests/test_cli.py`.
 2. `random`: 300 draws from `default_rng(4040)`, drawn in this order for
    each: k in 1-4; probabilities from Dirichlet(1); n in 1-24 for k <= 2,
-   1-16 for k = 3 and 1-12 for k = 4, so that about half fall on each
+   1-14 for k = 3 and 1-12 for k = 4, so that about half fall on each
    side; delta from (0.25, 0.5, 1.0, 2.0); at most 2^10 words; a seed below
    2^32.  Draws whose typical set is empty are skipped and counted.
 """
@@ -78,7 +78,7 @@ def random_pool(count: int = 300, seed: int = 4040) -> list[tuple[Pmf, int, floa
     for _ in range(count):
         k = int(rng.integers(1, 5))
         probs = rng.dirichlet(np.ones(k))
-        n = int(rng.integers(1, (25, 25, 17, 13)[k - 1]))
+        n = int(rng.integers(1, (25, 25, 15, 13)[k - 1]))
         delta = (0.25, 0.5, 1.0, 2.0)[int(rng.integers(4))]
         rate = float(rng.uniform(0.0, 10.0 / n))
         draws.append((Pmf.from_probs(tuple(range(k)), probs), n, rate, delta, int(rng.integers(2**32))))

@@ -610,7 +610,7 @@ def _with_input_files(argv, problem_file, tmp_path):
 # exit code and sha256 of stdout for one small run of every command,
 # recorded before `--format` was dropped from the commands that always
 # write JSON; the three block and soft-covering runs were recorded again
-# when codebooks of at most 2^16 sequences came to be drawn from a table of
+# when codebooks of at most 2^12 sequences came to be drawn from a table of
 # their words (same compositions, other arrangements)
 CLI_STDOUT_PINS = {
     "curve-binary-csv": (

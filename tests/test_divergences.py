@@ -62,6 +62,19 @@ def test_coupling_cost_spec_validation():
         RdpProblem(Pmf.bernoulli(0.3), 1.0 - np.eye(2), shifted, 0.1)
 
 
+def test_coupling_cost_diagonal_counts_only_between_like_labels():
+    # under c(x, x) = 0.5 a law would be 0.5 from itself: refused between
+    # laws on the same labels, and an ordinary cost onto other labels
+    spec = coupling_cost(np.array([[0.5, 1.0], [1.0, 0.0]]))
+    p = Pmf.bernoulli(0.3)
+    with pytest.raises(ValueError, match="must vanish when alphabets coincide"):
+        divergence(spec, p, p)
+    # the most mass from 0 to 0.25 (0.4 at 0.5), the rest of 0 to 1.25 (0.3
+    # at 1), 1 to 1.25 free
+    shifted = Pmf.from_probs((0.25, 1.25), (0.4, 0.6))
+    assert divergence(spec, p, shifted) == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: DivergenceSpec("hellinger"), ValueError, "unknown divergence kind", id="unknown-kind"),
     pytest.param(lambda: coupling_cost(np.zeros(3)), ValueError, "must be 2-D", id="1-D-cost"),
