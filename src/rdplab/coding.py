@@ -29,7 +29,21 @@ _INT64_RANKS = 1 << 63  # rank walks and soft-covering word codes run in int64 b
 _TABLE_SEQUENCES = 1 << 12  # codebooks with at most this many sequences (k^n) are drawn from a table
 _ENCODE_GROUP_ROWS = 2048  # trials per sweep over the word side
 _ENCODE_BUFFER_FLOATS = 3 << 18  # float32 S values of a sweep's chunk buffer (3 MiB)
-_SEED_MAP_CHUNK = 1 << 16  # atoms simulate_seed_map bins per step, in index order
+
+
+def _index_rows(a, width: int, k: int, what: str, shape: str) -> np.ndarray:
+    """`a` as an int64 array of rows of `width` symbol indices in [0, k),
+    or ValueError; an int64 array is returned as given, not copied."""
+    a = np.asarray(a)
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (np.trunc(a) == a)):
+        raise ValueError(f"{what} symbol indices must be integers")
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{what}s must be {shape} index array")
+    # a negative int64 reads as >= 2^63 in uint64, so one max checks both ends
+    if a.size and a.view(np.uint64).max() >= k:
+        raise ValueError(f"{what} symbol index out of range")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,16 +66,7 @@ class Codebook:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        w = np.asarray(self.words)
-        if w.dtype.kind == "f" and not np.all(np.isfinite(w) & (np.trunc(w) == w)):
-            raise ValueError("word symbol indices must be integers")
-        w = np.asarray(w, dtype=np.int64)
-        if w.ndim != 2 or w.shape[1] != self.n:
-            raise ValueError("words must be an (M, n) index array")
-        # a negative int64 reads as >= 2^63 in uint64, so one max checks both ends
-        if w.size and w.view(np.uint64).max() >= len(self.target.atoms):
-            raise ValueError("word symbol index out of range")
-        object.__setattr__(self, "words", w)
+        object.__setattr__(self, "words", _index_rows(self.words, self.n, len(self.target.atoms), "word", "an (M, n)"))
 
     @property
     def alphabet(self) -> tuple:
@@ -286,7 +291,7 @@ def _typical_table(probs: tuple, n: int, delta: float) -> np.ndarray:
     does not win back.
     """
     k = len(probs)
-    total, states = _rank_trie(probs, n, delta)
+    states = _rank_trie(probs, n, delta)[1]
 
     @functools.cache
     def places(m: int, c: int) -> np.ndarray:
@@ -300,23 +305,23 @@ def _typical_table(probs: tuple, n: int, delta: float) -> np.ndarray:
         out[len(free) :, :-1], out[len(free) :, -1] = taken, -1
         return out
 
-    @functools.cache
-    def rows(j: int, m: int) -> np.ndarray:
-        if j == k - 1:  # the last symbol takes every place left
-            return np.full((1, m), j, dtype=np.int64)
+    rows = {}  # each state's completions in rank order; the trie lists a state after its children
+    for (j, m), (counts, *_, size) in states.items():
+        # the last symbol takes every place left; a state with no completion has no row
+        if j == k - 1 or not size:
+            rows[j, m] = np.full((size, m), j, dtype=np.int64)
+            continue
         blocks = []
-        for c in states[j, m][0].tolist():
-            rest = rows(j + 1, m - c)
+        for c in counts.tolist():
+            rest = rows[j + 1, m - c]
             at = places(m, c)
             # each place reads its letter from the row of rest with j appended:
             # a free place at its rank, a taken one at -1
             blocks.append(np.column_stack([rest, np.full(len(rest), j)])[:, at].reshape(len(rest) * len(at), m))
-        return np.concatenate(blocks)
-
-    table = rows(0, n) if total else np.empty((0, n), dtype=np.int64)
-    # the recursive memos are a reference cycle: free their arrays now, not
-    # at the next garbage collection
-    rows.cache_clear()
+        rows[j, m] = np.concatenate(blocks)
+    table = rows[0, n]
+    # the recursive memo is a reference cycle: free its arrays now, not at
+    # the next garbage collection
     places.cache_clear()
     table.flags.writeable = False
     return table
@@ -335,22 +340,28 @@ def _rank_trie(probs: tuple, n: int, delta: float) -> tuple[int, MappingProxyTyp
     object array) otherwise; a walk casts them to its ranks' dtype.  Every
     draw of the same (target, n, delta) shares the trie, so the map and its
     arrays are read-only.
+
+    The states a walk reaches are found symbol by symbol from (0, n), and
+    their counts are filled in from the last symbol back, so no step
+    recurses (a target of thousands of letters builds) and the map lists
+    each state after the states it leads to.
     """
     k = len(probs)
     # the typicality test is per symbol, so it is the allowed counts of each
     ok = _typical_counts(np.arange(n + 1)[:, None, None], n, np.array(probs)[:, None], delta)
     allowed = [np.flatnonzero(ok[:, j]).tolist() for j in range(k)]
+    reached = [{n}]  # the m of the states (j, m) a walk reaches, symbol by symbol
+    for j in range(k - 1):
+        reached.append({m - c for m in reached[-1] for c in allowed[j] if c <= m})
     states: dict[tuple[int, int], tuple] = {}
-
-    def completions(j: int, m: int) -> int:
-        if j == k:  # past the last symbol: one completion iff no letter is left
-            return int(m == 0)
-        if (j, m) not in states:
+    below = {0: 1}  # past the last symbol: one completion iff no letter is left
+    for j in range(k - 1, -1, -1):
+        for m in reached[j]:
             counts, cum, combs = [], [0], []
             for c in allowed[j]:  # ascending
                 if c > m:
                     break
-                rest = completions(j + 1, m - c)
+                rest = below.get(m - c, 0)
                 if rest:
                     counts.append(c)
                     combs.append(math.comb(m, c))
@@ -360,9 +371,8 @@ def _rank_trie(probs: tuple, n: int, delta: float) -> tuple[int, MappingProxyTyp
             for a in arrays:
                 a.flags.writeable = False
             states[j, m] = (*arrays, cum[-1])
-        return states[j, m][-1]
-
-    return completions(0, n), MappingProxyType(states)
+        below = {m: states[j, m][-1] for m in reached[j]}
+    return below[n], MappingProxyType(states)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +382,77 @@ def _rank_trie(probs: tuple, n: int, delta: float) -> tuple[int, MappingProxyTyp
 
 @dataclass(frozen=True, eq=False)
 class SeedMap:
-    """Deterministic map from n0 source symbols to a near-uniform value in [0:n-1]."""
+    """Deterministic map from n0 source symbols to a near-uniform value in
+    [0:n-1], read through `assign`.
+
+    It holds no per-atom bin.  `steps[i]` takes each distinct float mass of
+    the i-letter prefixes and a letter to the distinct mass of the longer
+    prefix (state x letter -> next state), `start[v]` is where run v (the
+    atoms of the v-th smallest mass) begins in `placed`, and `placed` holds
+    every run's bins in placement order.  The atoms of one mass take their
+    run's placements in index order, so an atom's bin is placed[start[v] +
+    its rank among the atoms of mass v].
+    """
 
     n0: int
     n_bins: int
     alphabet: tuple
-    bins: np.ndarray = field(repr=False)
+    steps: tuple = field(repr=False)
+    start: np.ndarray = field(repr=False)
+    placed: np.ndarray = field(repr=False)
     tv_to_uniform: float = 0.0
     bound: float = 0.0
 
     def assign(self, idx: np.ndarray) -> np.ndarray:
-        """Bin of each row of an (T, n0) array of symbol indices."""
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.bins[np.ravel_multi_index(tuple(idx.T), (len(self.alphabet),) * self.n0)]
+        """Bin of each row of an (T, n0) array of symbol indices, as int64.
+
+        The walk takes each row's letters through `steps` to its mass v and
+        keeps its state after every prefix.  The row's rank among the atoms
+        of mass v, in index order, counts the atoms of mass v that share its
+        first i letters and have a smaller letter at position i, summed over
+        the positions i.  At the last position each such atom is a letter
+        whose step lands on v.  Before it they are the completions of the
+        row's state at i that reach v, over the letters below the row's:
+        tables of completion counts (letters x states x masses), built
+        backward from the last position and summed over the letters in
+        place.  They are built for the rows' masses only, and in chunks of
+        masses, so that no table holds more entries than the map has atoms.
+        With one chunk every row takes part at once.
+
+        Raises ValueError for a shape other than (T, n0), non-integer
+        entries or a letter outside [0, k): a gather in the walk would read
+        a negative letter from the end of its row.
+        """
+        k = len(self.alphabet)
+        # letters[i]: every row's letter at position i, contiguous
+        letters = np.ascontiguousarray(_index_rows(idx, self.n0, k, "tail", "a (T, n0)").T)
+        path = [np.zeros(letters.shape[1], dtype=np.intp)]  # every row's state after i letters
+        for step, x in zip(self.steps, letters):
+            path.append(step[path[-1], x])
+        masses = np.flatnonzero(np.bincount(path[-1], minlength=len(self.start)))  # the rows' masses
+        col = np.searchsorted(masses, path[-1])
+        last = self.steps[-1]
+        # at the last position a letter leads to one mass
+        rank = ((np.arange(k) < letters[-1][:, None]) & (last[path[-2]] == path[-1][:, None])).sum(axis=1)
+        # masses a chunk: no table below holds more entries than the map has atoms
+        width = k ** (self.n0 - 1) // max(map(len, self.steps[:-1]), default=1)
+        for lo in range(0, len(masses) if self.n0 > 1 else 0, width):
+            cols = masses[lo : lo + width]
+            rows = np.flatnonzero((col >= lo) & (col < lo + width)) if len(masses) > width else slice(None)
+            # reach[s, c]: the letters that take state s at position n0 - 1 to mass cols[c]
+            pos = np.minimum(np.searchsorted(cols, last), len(cols) - 1)
+            flat = (np.arange(len(last))[:, None] * len(cols) + pos)[cols[pos] == last]
+            reach = np.bincount(flat, minlength=len(last) * len(cols)).reshape(len(last), len(cols))
+            for i in range(self.n0 - 2, -1, -1):
+                # upto[a, s, c]: the completions of state s at position i that
+                # reach mass cols[c], over the letters up to a at i
+                upto = reach[self.steps[i].T]
+                for a in range(1, k):
+                    upto[a] += upto[a - 1]
+                x = letters[i][rows]
+                rank[rows] += np.where(x > 0, upto[x - 1, path[i][rows], col[rows] - lo], 0)
+                reach = upto[-1]
+        return self.placed[self.start[path[-1]] + rank].astype(np.int64)
 
 
 def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
@@ -398,75 +466,50 @@ def simulate_seed_map(p_x: Pmf, n0: int, n: int) -> SeedMap:
     The greedy rule is evaluated per run of equal masses rather than per
     atom, with one cumulative sum over a grid of per-bin totals (see
     `_place_run`); the bins and float totals are exactly those of the
-    atom-by-atom rule.
+    atom-by-atom rule, and the TV is taken from those totals, summed in
+    placement order.
 
     An atom's mass is the left-to-right float product p(x_1) p(x_2) ...
     p(x_n0).  It is built one letter at a time over the distinct masses
     only: the products of the distinct prefix masses with each letter's
-    probability are made unique again, and every atom keeps just the index
-    of its float in that short sorted list (310 distinct masses for the
-    3^13 atoms of a ternary source).  The counts of those small integers
-    give the runs, largest mass first, and every run's placements go into
-    one array in run order.  Then the atoms are binned in index order,
-    `_SEED_MAP_CHUNK` at a time: a run's atoms take its placements in turn,
-    so a chunk's stable sort by mass index and a cursor per run give each
-    atom its placement, as a stable sort of all the masses would, largest
-    first and ties by atom index.  The bin totals are summed by `np.add.at`
-    in the same loop, in atom order: the additions, and their order, of
-    `np.bincount` with per-atom weights, without a float64 per-atom array.
+    probability are made unique again, which gives each position's table
+    of (prefix mass, letter) -> next prefix mass (310 distinct masses for
+    the 3^13 atoms of a ternary source).  The atom counts of each prefix
+    mass are carried forward with one `np.bincount` per position, and the
+    last position's counts are the runs' sizes.  The runs are placed
+    largest mass first, and every run's placements go into one array in
+    run order.  No atom is binned here: `SeedMap.assign` finds a tail's
+    place in its run by its enumerative rank (Cover, "Enumerative source
+    encoding", 1973), as `random_typical_codebook` ranks typical words.
 
-    Per atom the working set is the returned int64 `bins`, the mass index
-    (1 or 2 bytes while there are at most 65 536 distinct masses) and the
-    placement (1 byte up to n = 256 bins, 2 beyond); everything else is per
-    run, per chunk or the grid of the run being placed.
+    Per atom the map holds only the placement (1 byte up to n = 256 bins, 2
+    beyond); everything else is per mass, or the grid of the run being
+    placed.
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be positive")
     k = len(p_x.atoms)
     if k**n0 > MAX_SEED_ATOMS:
         raise ValueError(f"{k}^{n0} product atoms exceed the enumeration cap")
-    probs = p_x.probs
-    # distinct masses (ascending) and each atom's index among them, in the
-    # smallest unsigned type, for which numpy's stable sort is a radix sort;
-    # np.take gathers the rows of a small table faster than [idx] does
-    vals = np.ones(1)
-    idx = np.zeros(1, dtype=np.intp)
+    # distinct masses (ascending), each position's transition table in the
+    # smallest unsigned type, and the atom count of each prefix mass
+    vals, sizes, steps = np.ones(1), np.ones(1, dtype=np.int64), []
     for _ in range(n0):
-        vals, inv = np.unique(vals[:, None] * probs[None, :], return_inverse=True)
-        idx = np.take(inv.astype(np.min_scalar_type(len(vals) - 1)).reshape(-1, k), idx, axis=0).ravel()
-    # runs of equal mass, largest first; run v (the atoms whose idx is v)
-    # takes placed[start[v] : start[v] + sizes[v]], in placement order
-    sizes = np.bincount(idx, minlength=len(vals))
-    start = len(idx) - np.cumsum(sizes)
-    placed = np.empty(len(idx), dtype=np.min_scalar_type(n - 1))
+        vals, inv = np.unique(vals[:, None] * p_x.probs[None, :], return_inverse=True)
+        steps.append(inv.astype(np.min_scalar_type(len(vals) - 1)).reshape(-1, k))
+        sizes = np.bincount(steps[-1].ravel(), np.repeat(sizes, k), len(vals)).astype(np.int64)
+    # runs of equal mass, largest first; run v takes
+    # placed[start[v] : start[v] + sizes[v]], in placement order
+    start = k**n0 - np.cumsum(sizes)
+    placed = np.empty(k**n0, dtype=np.min_scalar_type(n - 1))
     totals = np.zeros(n)
     for v in range(len(vals) - 1, -1, -1):
         placed[start[v] : start[v] + sizes[v]] = _place_run(totals, float(vals[v]), int(sizes[v]))
-    # the atoms in index order: an atom's placement is its run's cursor
-    # (start) plus its rank among the chunk's atoms of that run; np.add.at
-    # adds unbuffered and in atom order, as the atom-by-atom rule would
-    bins = np.empty(len(idx), dtype=np.int64)
-    bin_totals = np.zeros(n)
-    for lo in range(0, len(idx), _SEED_MAP_CHUNK):
-        chunk = idx[lo : lo + _SEED_MAP_CHUNK]
-        counts = np.bincount(chunk, minlength=len(vals))
-        first = np.cumsum(counts) - counts  # of each run in the sorted chunk
-        pos = np.repeat(start - first, counts) + np.arange(len(chunk))
-        bins[lo : lo + len(chunk)][np.argsort(chunk, kind="stable")] = placed[pos]
-        start += counts
-        np.add.at(bin_totals, bins[lo : lo + len(chunk)], vals[chunk])
-    tv = float(0.5 * np.abs(bin_totals - 1.0 / n).sum())
-    bound = n * float(probs.max()) ** n0
+    tv = float(0.5 * np.abs(totals - 1.0 / n).sum())
+    bound = n * float(p_x.probs.max()) ** n0
     if tv > bound + 1e-12:
         raise RuntimeError(f"seed-map TV {tv} violates the bound {bound}")
-    return SeedMap(
-        n0=n0,
-        n_bins=n,
-        alphabet=p_x.labels,
-        bins=bins,
-        tv_to_uniform=tv,
-        bound=bound,
-    )
+    return SeedMap(n0, n, p_x.labels, tuple(steps), start, placed, tv, bound)
 
 
 def _place_run(totals: np.ndarray, mass: float, count: int) -> np.ndarray:
@@ -552,8 +595,8 @@ def shift_ensemble_sim(
     of n source symbols and a tail of n0 more; the mode fixes only n0, the
     seed map and where q comes from.  shared_seed has no tail (n0 = 0) and
     draws q uniformly from the trial's stream after its source block;
-    derandomized takes n0 = floor(alpha*n) (capped so the seed map stays
-    enumerable), computes q from the tail through a seed map and reuses the
+    derandomized takes n0 = floor(alpha*n) (capped at 2^22 atoms, the seed
+    map's limit), computes q from the tail through a seed map and reuses the
     first n0 reconstructions for the tail.  The average distortion is the
     mean over trials of (block + tail distortion) / (n + n0).
 
@@ -566,7 +609,8 @@ def shift_ensemble_sim(
     words only, one divergence per distinct composition.
     `diagnostics["seed_map_tv"]` is None in shared_seed mode; in
     derandomized mode the seed map is released once the shifts are
-    assigned, and only its TV is kept.
+    assigned (`SeedMap.assign` ranks each trial's tail, so no atom but the
+    trials' is binned), and only its TV is kept.
 
     The mode, trial count, tail length, distortion, perception divergence
     and codebook arguments are checked before any work.  The seed map is
@@ -611,8 +655,8 @@ def shift_ensemble_sim(
     x_head, x_tail = np.split(np.searchsorted(np.cumsum(p_x.probs), u, side="right"), [n], axis=1)
     seed_map_tv = None
     if seed_map is not None:
-        # the map's int64 bins are not needed past the shifts: drop them
-        # before the codebook is drawn
+        # the map's placements (a byte or two per atom) are not needed past
+        # the shifts: drop them before the codebook is drawn
         qs, seed_map_tv = seed_map.assign(x_tail), seed_map.tv_to_uniform
         del seed_map
     xs = np.take_along_axis(x_head, (np.arange(n) - qs[:, None]) % n, axis=1)

@@ -220,8 +220,10 @@ def test_seed_map_bound_and_assign():
     assert sm.tv_to_uniform < 0.2  # greedy does far better than the bound
     idx = np.array([[0] * 8, [1] * 8])
     ranks = sm.assign(idx)
-    assert ranks[0] == sm.bins[0]
-    assert ranks[1] == sm.bins[2**8 - 1]
+    bins = _seed_map_bins(sm)
+    assert ranks.dtype == np.int64
+    assert ranks[0] == bins[0]
+    assert ranks[1] == bins[2**8 - 1]
 
 
 def test_seed_map_errors():
@@ -229,6 +231,36 @@ def test_seed_map_errors():
         simulate_seed_map(Pmf.bernoulli(0.5), n0=0, n=4)
     with pytest.raises(ValueError):
         simulate_seed_map(Pmf.uniform(tuple(range(10))), n0=8, n=4)
+
+
+@pytest.mark.parametrize("tails, message", [
+    pytest.param(np.zeros((2, 4), dtype=np.int64), r"tails must be a \(T, n0\) index array", id="wide"),
+    pytest.param(np.zeros((2, 2), dtype=np.int64), r"tails must be a \(T, n0\) index array", id="narrow"),
+    pytest.param(np.zeros(3, dtype=np.int64), r"tails must be a \(T, n0\) index array", id="one-row-flat"),
+    pytest.param(np.zeros((1, 2, 3), dtype=np.int64), r"tails must be a \(T, n0\) index array", id="3-d"),
+    pytest.param([[0, 1.5, 2]], "tail symbol indices must be integers", id="fraction"),
+    pytest.param([[0, np.nan, 2]], "tail symbol indices must be integers", id="nan"),
+    pytest.param([[0, 1, 3]], "tail symbol index out of range", id="letter-above"),
+    pytest.param([[0, -1, 2]], "tail symbol index out of range", id="letter-below"),
+    # a gather in the rank walk would read letter -3 as letter 0
+    pytest.param([[0, 1, 2], [-3, 0, 0]], "tail symbol index out of range", id="letter-wraps"),
+])
+def test_seed_map_assign_fails_fast(tails, message):
+    sm = simulate_seed_map(Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 3, 5)
+    with pytest.raises(ValueError, match=message):
+        sm.assign(tails)
+
+
+def test_seed_map_assign_takes_integer_floats_and_no_rows():
+    sm = simulate_seed_map(Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 3, 5)
+    tails = np.array([[0, 1, 2], [2, 2, 0]])
+    assert np.array_equal(sm.assign(tails.astype(float)), sm.assign(tails))
+    assert sm.assign(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+
+
+def _seed_map_bins(sm):
+    """Every atom's bin, in atom index order, read through `assign`."""
+    return sm.assign(np.indices((len(sm.alphabet),) * sm.n0).reshape(sm.n0, -1).T)
 
 
 def _heap_seed_map_bins(p_x, n0, n):
@@ -279,19 +311,28 @@ def _heap_seed_map_bins(p_x, n0, n):
     ],
 )
 def test_seed_map_matches_atom_by_atom_rule(p, n0, n):
-    assert np.array_equal(simulate_seed_map(p, n0, n).bins, _heap_seed_map_bins(p, n0, n))
+    # Bernoulli(0.3) at n0 = 6 (15 masses), (0.6, 0.3, 0.1) at n0 = 7 and the
+    # five-letter source (435 masses) take their ranks in several chunks of masses
+    assert np.array_equal(_seed_map_bins(simulate_seed_map(p, n0, n)), _heap_seed_map_bins(p, n0, n))
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_seed_map_runs_straddle_chunks(chunk, monkeypatch):
-    # the atoms are binned in index order a chunk at a time, so a run's
-    # atoms spread over many chunks, and a chunk holds parts of many runs
-    p = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
-    whole = simulate_seed_map(p, 6, 10)
-    monkeypatch.setattr(coding, "_SEED_MAP_CHUNK", chunk)
-    sm = simulate_seed_map(p, 6, 10)
-    assert np.array_equal(sm.bins, _heap_seed_map_bins(p, 6, 10))
-    assert sm.tv_to_uniform == whole.tv_to_uniform
+# sha256 of the int64 bins of 2^16 seeded tails of block_code's ternary map
+# and of the largest map (2^22 atoms), recorded when the build binned every
+# atom; the heap rule is not run on the 2^22 atoms
+SAMPLED_SEED_MAPS = {
+    "ternary-n0-13": ((0.5, 0.3, 0.2), 13, 64, 0,
+                      "1549e5a3f1870a22e14021db2fb6dfb79811096bd3861675fd317cc7b3195a53"),
+    "bernoulli-n0-22": ((0.75, 0.25), 22, 96, 1,
+                        "87ce4145186e74fd4e082f2dcf92f03f421ad127308fcbede0427064bc31b535"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_SEED_MAPS))
+def test_large_seed_map_bins_are_pinned(case):
+    probs, n0, n, seed, digest = SAMPLED_SEED_MAPS[case]
+    sm = simulate_seed_map(Pmf.from_probs(tuple(range(len(probs))), probs), n0, n)
+    tails = np.random.default_rng(seed).integers(0, len(probs), (1 << 16, n0))
+    assert hashlib.sha256(sm.assign(tails).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -328,7 +369,7 @@ def test_place_run_matches_the_lightest_bin_rule(totals, mass, count):
 def test_seed_map_matches_atom_by_atom_rule_drawn(weights, n0, n):
     w = np.array(weights, dtype=float)
     p = Pmf.from_probs(tuple(range(len(w))), w / w.sum())
-    assert np.array_equal(simulate_seed_map(p, n0, n).bins, _heap_seed_map_bins(p, n0, n))
+    assert np.array_equal(_seed_map_bins(simulate_seed_map(p, n0, n)), _heap_seed_map_bins(p, n0, n))
 
 
 def _ternary_case(mode):
@@ -360,12 +401,15 @@ SIM_CASES = {"binary": _binary_case, "ternary": _ternary_case}
 # integers, and the float sums before broke exact ties between words of one
 # joint type by rounding noise instead of toward the lowest index.  The
 # chosen words moved, not the streams; the ternary costs are integers and
-# their pins held.
+# their pins held.  The ternary derandomized one was recorded again when
+# the seed map's TV came to be summed from the bin totals of the placement
+# (in placement order, not atom order): its seed_map_tv moved from
+# 0.00016300000000003118 to 0.00016300000000007975, and no other byte.
 GOLDEN_REPORTS = {
     ("binary", SHARED_SEED): "f130eb27f34bc2ef611760eb6f6374677bd170b4dcdf4743195eb192bf5f681f",
     ("binary", DERANDOMIZED): "85edb01250f30e80db263f4b38c02f394284d172246a384614102d938bc31a6c",
     ("ternary", SHARED_SEED): "a104d2be0a193b4ed8846f33c53b8f825752e67bc4d7125201138ba0db81e56c",
-    ("ternary", DERANDOMIZED): "25655a9f4cfedba9624bef5e63f894c39e4972caed356f2f4b6b37d01477dfef",
+    ("ternary", DERANDOMIZED): "e1bbdb478176763adcb54639cb3488f2ea2bb2a9bee56e1db30f7c58dac01c6f",
 }
 
 
@@ -688,20 +732,22 @@ def test_encoder_and_seed_map_peak_memory():
     # are per group of trials, so they do not grow with the trial count
     xs = np.random.default_rng(24).integers(0, 2, (10_000, 64))
     assert _traced_peak_mib(coding._batch_encode, xs, cb.words, HAMMING) < 12.0
-    # the seed maps measured 18.2 and 41.5 MiB: per atom the int64 bins, a
-    # mass index of 1 or 2 bytes and a 1-byte placement; int64 work arrays
-    # per atom (a sort order, picks and owners) read 32.0 and 88.2 MiB
+    # the seed maps measured 2.6 and 14.8 MiB: per atom only a 1-byte
+    # placement, and the grid of the largest run.  Binning every atom (int64
+    # bins and a mass index per atom) read 18.2 and 41.5 MiB, and int64 work
+    # arrays per atom (a sort order, picks and owners) 32.0 and 88.2 MiB
     p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
-    assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 24.0
-    assert _traced_peak_mib(simulate_seed_map, Pmf.bernoulli(0.25), 22, 96) < 50.0
+    assert _traced_peak_mib(simulate_seed_map, p3, 13, 64) < 9.0
+    assert _traced_peak_mib(simulate_seed_map, Pmf.bernoulli(0.25), 22, 96) < 20.0
 
 
 def test_derandomized_sim_peak_memory():
-    # block_code's ternary derandomized case at 200 trials, measured 20.2
-    # MiB: the seed map's build, before the codebook is drawn.  Building the
-    # map with the codebook alive read 25.6-26.4 MiB, keeping the map's 12.1
-    # MiB of bins through the encode 31.7 MiB, and int64 work arrays per
-    # atom in the map's build 39.4 MiB
+    # block_code's ternary derandomized case at 200 trials, measured 20.1
+    # MiB, as in shared-seed mode: the seed map (2.6 MiB) no longer sets the
+    # peak.  When the map binned every atom it read 20.2 MiB; building that
+    # map with the codebook alive read 25.6-26.4 MiB, keeping its 12.1 MiB
+    # of bins through the encode 31.7 MiB, and int64 work arrays per atom in
+    # its build 39.4 MiB
     p3 = Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2))
     ch3 = Channel((0, 1, 2), (0, 1, 2), 0.3 * np.eye(3) + 0.7 * np.tile(p3.probs, (3, 1)))
     lab = np.arange(3, dtype=float)
@@ -1103,7 +1149,7 @@ def _seed_map_digest():
         (Pmf.from_probs((0, 1, 2), (0.5, 0.3, 0.2)), 6, 64),
     ]:
         sm = simulate_seed_map(p, n0, n)
-        h.update(sm.bins.tobytes())
+        h.update(_seed_map_bins(sm).tobytes())
         h.update(repr(sm.tv_to_uniform).encode())
         h.update(sm.assign(np.indices((3,) * n0).reshape(n0, -1).T % len(p.atoms)).tobytes())
     return h.hexdigest()
@@ -1120,7 +1166,7 @@ def _equal_totals_seed_map_digest():
         (Pmf.from_probs((0, 1, 2), (0.5, 0.25, 0.25)), 2, 2),
     ]:
         sm = simulate_seed_map(p, n0, n)
-        h.update(sm.bins.tobytes())
+        h.update(_seed_map_bins(sm).tobytes())
         h.update(repr(sm.tv_to_uniform).encode())
     return h.hexdigest()
 
@@ -1144,7 +1190,11 @@ PINNED_CODING = {
 # recorded before the rank walk went to int64 and equal bin totals to round
 # robin.  binary-n12 and soft-covering-tv were recorded again when sets of at
 # most 2^12 sequences came to be drawn from a table of their words: each
-# word kept its composition and only its arrangement moved.
+# word kept its composition and only its arrangement moved.  seed-map was
+# recorded again when the TV came to be summed in placement order: every
+# bin held, and three of its four TVs moved in the last bits (Bernoulli(0.3)
+# at n0 = 6, n = 10: 0.017649000000000137 -> 0.017649000000000144).  The
+# masses of seed-map-equal-totals are dyadic, so its pin held.
 CODING_DIGESTS = {
     "bernoulli-n2000": "9cbc22974f98558f389c90903b17089dfcf9b13a3dd404d5bebf922270ecd84a",
     "bernoulli-n62": "b866895abee8c384bb00ac2356e7335213fe545d111aac587afe6c6ff906d903",
@@ -1152,7 +1202,7 @@ CODING_DIGESTS = {
     "bernoulli-n64": "5e72b66782650aacf67af661cab8e199deb4f102a4e10afd1517717a16b3fbe5",
     "binary-n12": "64c0451fb84c4e3ee236aac8748fb22c500d2d12425a7e1bdf474d7e9bf392e2",
     "quaternary-n24": "5024ac6841876ce677145bade62182fef18cad54e8778c2001dd1554c2e6652c",
-    "seed-map": "7084c07dfcc3ffe7f35893ac9edc3153cde0c3da28f169955ba2c84a137ac7ec",
+    "seed-map": "1f1db030d85d9e31e1e300027af4e1733e46b305be9d81dd02691167ce755d20",
     "seed-map-equal-totals": "fc6d496246e29f1440f7ee52a59fe4c202d6fa4098eef01e3c0c8329e93e9f9c",
     "soft-covering-tv": "276fa39bd09cf752cf640a6fa9f9ee53663f0e2bca4fc9c05a3a3a7c51afe65b",
     "ternary-n64": "5b717d0ba8eb45d5a291599fa627d19792945af5ce1b4bf6a6056eb8d23a7fce",
@@ -1187,6 +1237,22 @@ def test_rank_walk_in_int64_draws_the_words_of_the_object_walk(target, n, rate, 
     # the object walk read the trie the int64 walk left in the memo
     assert coding._rank_trie.cache_info().hits == hits + 1
     assert np.array_equal(int64_walk, object_walk)
+
+
+@pytest.mark.parametrize("n, rate, seed, digest", [
+    # 1 500 sequences: the table
+    (1, 10.0, 3, "d06eb169485d2abcae7a6e59ed68df98aeb6943567faddb11fec26f2c19c964b"),
+    # 2 250 000 sequences: the rank walk
+    (2, 5.0, 4, "3894d3ad9e8ce98ba6266e0b4639da6a3d799b2e0b37815b3e317bdd259fdb70"),
+])
+def test_codebook_draws_on_many_letters(n, rate, seed, digest):
+    # a uniform target on 1 500 letters: one trie state per letter left, and
+    # one table block per letter.  Both were built by recursion per letter
+    # and raised RecursionError; the digests are the words that recursion
+    # drew under a raised recursion limit
+    cb = random_typical_codebook(Pmf.uniform(tuple(range(1500))), n, rate, math.inf, seed=seed)
+    assert len(cb) == 1024
+    assert _words_digest(cb) == digest
 
 
 @pytest.mark.parametrize("case", sorted(CODEBOOK_CASES))
