@@ -200,7 +200,9 @@ def random_typical_codebook(
 
     - Up to `_TABLE_SEQUENCES` (2^12) the word of rank r is row r of
       `_typical_table`, every typical word in rank order, built once per
-      (target, n, delta).  The stream yields the ranks and nothing else.
+      (target, n, delta).  The rows are taken with one `np.take` along
+      axis 0, which gives the words of fancy indexing at less overhead.
+      The stream yields the ranks and nothing else.
     - Above it the ranks are unranked to compositions only, and each word is
       a uniform permutation of its composition.  The counts of symbol j come
       from one search of each state's block sizes for all the words that
@@ -231,7 +233,8 @@ def random_typical_codebook(
     ranks = np.asarray(randint_below(gen, total, n_words), dtype=np.int64 if total < _INT64_RANKS else object)
     return Codebook(
         n=n,
-        words=_typical_table(*key)[ranks] if k**n <= _TABLE_SEQUENCES else _unrank(ranks, states, k, n, gen),
+        words=np.take(_typical_table(*key), ranks, axis=0) if k**n <= _TABLE_SEQUENCES
+        else _unrank(ranks, states, k, n, gen),
         target=target,
         delta=delta,
         rate_bits=math.log2(n_words) / n,
@@ -952,8 +955,12 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     them at most k_in times that.
 
     No (M, n) copy of the words is made.  The TV subtracts the i.i.d. law
-    from the mixture law and takes the absolute value in place, so it holds
-    one array of |X|^n floats besides the law.  Equal to the per-word sum in
+    p_X^{⊗n} from the mixture law and takes the absolute value in place, so
+    it holds one array of |X|^n floats besides the law.  The i.i.d. law
+    depends on (p_X, n) only: up to `_TABLE_SEQUENCES` (2^12) output
+    sequences it comes from the memo `_product_law`, eight read-only laws of
+    at most 32 KiB each (256 KiB in all), and above that limit it is built
+    by the same outer products on every call.  Equal to the per-word sum in
     exact arithmetic; the float sums run in another order.
     """
     check_soft_covering(channel_out, cb.alphabet, p_x, cb.n)
@@ -965,8 +972,20 @@ def soft_covering_tv(channel_out: Channel, cb: Codebook, p_x: Pmf) -> float:
     fold = _dense_fold if k <= min(3, len(p_x.atoms)) else _trie_fold
     p_out = fold(channel_out.matrix, cb.words @ place, k, cb.n)
     p_out /= len(cb)
-    p_out -= functools.reduce(np.multiply.outer, [p_x.probs] * cb.n).ravel()
+    key = (tuple(p_x.probs.tolist()), cb.n)
+    iid = _product_law if len(p_x.atoms) ** cb.n <= _TABLE_SEQUENCES else _product_law.__wrapped__
+    p_out -= iid(*key)
     return float(0.5 * np.abs(p_out, out=p_out).sum())
+
+
+@functools.lru_cache(maxsize=8)
+def _product_law(probs: tuple, n: int) -> np.ndarray:
+    """The i.i.d. law of `probs` at length n, flattened in the order of the
+    output codes (the first letter most significant), read-only; memoized
+    only up to 2^12 sequences (see `soft_covering_tv`)."""
+    law = functools.reduce(np.multiply.outer, [np.array(probs)] * n).ravel()
+    law.flags.writeable = False
+    return law
 
 
 def _dense_fold(rows: np.ndarray, codes: np.ndarray, k: int, n: int) -> np.ndarray:

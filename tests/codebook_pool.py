@@ -1,5 +1,6 @@
 """Compositions, words and draw time of `random_typical_codebook` on a seeded
-pool, on both sides of its table limit.
+pool, on both sides of its table limit, and the soft-covering TVs of the
+benchmark's op mix.
 
 Not a test module (pytest does not collect it).  Run it from the repository
 root as
@@ -27,6 +28,15 @@ shows as a new words digest beside an unchanged counts digest.
    1-14 for k = 3 and 1-12 for k = 4, so that about half fall on each
    side; delta from (0.25, 0.5, 1.0, 2.0); at most 2^10 words; a seed below
    2^32.  Draws whose typical set is empty are skipped and counted.
+3. `softcover`: the op mix of the `softcover_scan` benchmark on fixed
+   seeds.  Each op draws a codebook of Bernoulli(0.5) at delta = 0.6 and
+   scores it with `soft_covering_tv` through BSC(0.11) against
+   Bernoulli(0.5), at n in (4, 8, 12) and R in (1, 0.1), with the
+   benchmark's codebooks per (R, n) cell; the pool repeats the mix for
+   seed bases 0, 1000, ..., 9000, so codebook c of a cell has seed base + c.
+   The line gives the number of ops, the sha256 of every TV's `float.hex()`
+   (newline-terminated, in pool order) and the wall time of the pool's ops,
+   best of three passes.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import time
 import numpy as np
 
 from rdplab import coding
-from rdplab.pmf import Pmf
+from rdplab.pmf import Channel, Pmf
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
@@ -114,9 +124,31 @@ def report(name: str, draws) -> None:
         print(f"{name}: {empty} draws skipped, their typical set empty")
 
 
+# codebooks per (R, n) cell in one pass of the softcover_scan benchmark
+SOFT_CODEBOOKS = {(1.0, 4): 5, (1.0, 8): 5, (1.0, 12): 16, (0.1, 4): 1, (0.1, 8): 1, (0.1, 12): 1}
+
+
+def softcover_pool() -> list[tuple[int, float, int]]:
+    return [(n, rate, base + c) for base in range(0, 10000, 1000)
+            for (rate, n), count in SOFT_CODEBOOKS.items() for c in range(count)]
+
+
+def report_softcover(name: str, ops) -> None:
+    p, bsc = Pmf.bernoulli(0.5), Channel.bsc(0.11)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        tvs = [coding.soft_covering_tv(bsc, coding.random_typical_codebook(p, n, rate, 0.6, seed), p)
+               for n, rate, seed in ops]
+        best = min(best, time.perf_counter() - start)
+    digest = hashlib.sha256("".join(tv.hex() + "\n" for tv in tvs).encode()).hexdigest()
+    print(f"{name}: {len(ops)} ops; TVs sha256 {digest}; ops {best * 1e3:.1f} ms")
+
+
 def main() -> None:
     report("pinned", pinned_pool())
     report("random", random_pool())
+    report_softcover("softcover", softcover_pool())
 
 
 if __name__ == "__main__":

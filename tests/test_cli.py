@@ -710,6 +710,25 @@ def test_cli_output_file_holds_the_pinned_bytes(case, problem_file, tmp_path, ca
         assert serialize.dumps(to_dict(from_dict(json.loads(text)))) == text
 
 
+@pytest.mark.parametrize("case", ["verify-kkt", "bad-rho", "solve-infeasible"])
+def test_module_entry_point_keeps_the_exit_code_and_stdout(case, problem_file, tmp_path):
+    # `python -m rdplab.cli` runs main() and freezes the heap before exit:
+    # a pinned run prints its pinned bytes and exits with its pinned code
+    # (0 and 3), and a bad value exits 1 with a message on stderr
+    import rdplab
+
+    argv, code, digest = CLI_STDOUT_PINS.get(case, (["curve", "binary", "--rho", "0.6"], 1, None))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rdplab.__file__)))
+    res = subprocess.run([sys.executable, "-m", "rdplab.cli", *_with_input_files(argv, problem_file, tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == code, res.stderr
+    if digest is None:
+        assert res.stdout == "" and "rho" in res.stderr
+    else:
+        assert res.stderr == ""
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 # every float flag, set to NaN or +-inf in one pinned run above; only an
 # infinite typicality slack is a valid input (every word is typical)
 NONFINITE_RUNS = [

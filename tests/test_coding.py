@@ -1045,6 +1045,22 @@ def test_soft_covering_peak_memory():
     assert _traced_peak_mib(soft_covering_tv, Channel.bsc(0.11), cb, p) < 6.0
 
 
+def test_soft_covering_iid_law_is_memoized_up_to_the_table_limit():
+    # the i.i.d. law comes from the memo up to 2^12 output sequences, read-only
+    # and equal to the outer products; above, it is built per call and not held
+    p, bsc = Pmf.from_probs((0, 1), (0.7, 0.3)), Channel.bsc(0.11)
+    coding._product_law.cache_clear()
+    for n in (12, 13):
+        cb = random_typical_codebook(Pmf.bernoulli(0.5), n, 0.5, 1.0, seed=5)
+        cold = soft_covering_tv(bsc, cb, p)
+        assert soft_covering_tv(bsc, cb, p) == cold
+    info = coding._product_law.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    law = coding._product_law(tuple(p.probs.tolist()), 12)
+    assert not law.flags.writeable
+    assert np.array_equal(law, functools.reduce(np.multiply.outer, [p.probs] * 12).ravel())
+
+
 @pytest.mark.parametrize(
     "channel, n, message",
     [

@@ -38,7 +38,9 @@ def _scalar_randint_below(gen, bound, size):
 @pytest.mark.parametrize(
     "bound",
     [1, 2, 255, 256, 257, 2**56 - 1, 2**56, 2**63 - 1, 2**63, 2**63 + 1]
-    + [2**64 - 1, 2**64, 2**64 + 1, 3**50, 2**1000 + 3],
+    + [2**64 - 1, 2**64, 2**64 + 1, 3**50, 2**1000 + 3]
+    # candidates 3, 4, 5, 6 and 7 bytes wide
+    + [2**16 + 1, 2**24 + 1, 2**32 + 1, 2**40 + 1, 2**48 + 1],
 )
 @pytest.mark.parametrize("size", [0, 1, 1000])
 def test_randint_below_matches_the_scalar_rule(bound, size):
