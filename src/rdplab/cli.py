@@ -178,7 +178,7 @@ def _load_problem(path: str, **budgets) -> RdpProblem:
     command line in place of the file's, which may then be absent."""
     payload = _load_json(path)
     with _malformed(path):
-        return serialize.problem_from_dict({**payload, **budgets})
+        return serialize.from_dict(RdpProblem, {**payload, **budgets})
 
 
 def _curve_rows(kind: str, args) -> list[dict]:
@@ -219,7 +219,7 @@ def _run_curve(args) -> int:
         cols = ["D", "P", "rate_bits", "achieved_D", "achieved_P", "status"]
         rows = []
         for dist, perc, sol in sweep_curve(prob, d_grid, p_grid, SolverOptions(tol=args.tol)):
-            row = {"D": dist, "P": perc, **serialize.solution_to_dict(sol)}
+            row = {"D": dist, "P": perc, **serialize.to_dict(sol)}
             rows.append({c: row[c] for c in cols})
     if args.format == "csv":
         _emit(serialize.curve_csv(rows, cols), args.output)
@@ -231,7 +231,7 @@ def _run_curve(args) -> int:
 def _run_solve(args) -> int:
     prob = _load_problem(args.problem, D=args.D, P=args.P)
     sol = solve_rdp(prob, SolverOptions(tol=args.tol))
-    _emit(serialize.dumps(serialize.solution_to_dict(sol)), args.output)
+    _emit(serialize.dumps(serialize.to_dict(sol)), args.output)
     return EXIT_INFEASIBLE if sol.status == INFEASIBLE else EXIT_OK
 
 
@@ -239,7 +239,7 @@ def _run_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.sim_kind == "circle":
         est = simulate_circle(args.scheme, args.samples, seed, exact=args.exact)
-        _emit(serialize.dumps(serialize.circle_estimate_to_dict(est)), args.output)
+        _emit(serialize.dumps(serialize.to_dict(est)), args.output)
         return EXIT_OK
     if args.sim_kind == "block":
         spec = _load_json(args.spec)
@@ -262,7 +262,7 @@ def _run_simulate(args) -> int:
         also = []
         if args.marginals_csv:
             also.append((serialize.marginals_csv(rep.per_letter_marginals), args.marginals_csv))
-        _emit(serialize.dumps(serialize.sim_report_to_dict(rep)), args.output, *also)
+        _emit(serialize.dumps(serialize.to_dict(rep)), args.output, *also)
         return EXIT_OK
     if args.codebooks < 1:
         raise CliError("--codebooks must be positive")
@@ -295,7 +295,7 @@ def _run_simulate(args) -> int:
 def _run_verify(args) -> int:
     sol = closed_forms.binary_optimal_construction(args.rho, args.D)
     report = closed_forms.kkt_verify(args.rho, args.D, sol, grid_size=args.grid)
-    _emit(serialize.dumps(serialize.kkt_report_to_dict(report)), args.output)
+    _emit(serialize.dumps(serialize.to_dict(report)), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -11,16 +11,19 @@ Reports:  RdpSolution, SimReport, CircleEstimate and KktReport, one key per
           a SimReport's "per_letter_marginals" a list of Pmf and its
           "diagnostics"? a free-form object
 
-The problem and the four reports are each written and read through one
-table, `_FIELDS`.  A key marked ? may be absent, and its field then keeps
-the dataclass default.  The report readers are strict: a float field takes
+The problem and the four reports are each written by `to_dict(obj)` and
+read by `from_dict(cls, d)` through one table, `_FIELDS`, so a new format is
+one more entry there.  A key marked ? may be absent, and its field then keeps
+the dataclass default.  Every reader refuses a key its format does not name,
+with a ValueError naming the key and the type, so a misspelled key is never
+read as an absent one.  The report readers are strict: a float field takes
 a number or "inf" / "-inf", an int field an int, a bool field a bool and a
 str field a str, never a bool for a number, and any other value raises a
 ValueError naming the key.  So are the nested readers: a law's "prob" and
 each entry of a channel's "rows" must be a JSON number, in every file that
-holds them.  Problem files are written by hand, so the problem's budgets
-and distortion entries may also be numeric strings such as "0.2", but never
-bools.
+holds them.  Problem files are written by hand, so the problem's budgets,
+distortion entries and coupling-cost entries may also be numeric strings
+such as "0.2", but never bools.
 
 CSV files use '.' decimals and 12 significant digits so identical runs diff
 byte-identically across platforms.  Both formats follow one non-finite rule:
@@ -51,7 +54,8 @@ def pmf_to_dict(p: Pmf) -> dict:
 
 
 def pmf_from_dict(d: dict) -> Pmf:
-    return Pmf.from_pairs((atom["label"], _number("prob", atom["prob"])) for atom in d["atoms"])
+    atoms = [_known("Pmf atom", atom, ("label", "prob")) for atom in _known("Pmf", d, ("atoms",))["atoms"]]
+    return Pmf.from_pairs((atom["label"], _number("prob", atom["prob"])) for atom in atoms)
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -63,6 +67,7 @@ def channel_to_dict(ch: Channel) -> dict:
 
 
 def channel_from_dict(d: dict) -> Channel:
+    _known("Channel", d, ("inputs", "outputs", "rows"))
     inputs = tuple(d["inputs"])
     outputs = tuple(d.get("outputs", d["inputs"]))
     return Channel(inputs, outputs, _matrix("rows", d["rows"]))
@@ -76,11 +81,22 @@ def divergence_to_dict(spec: DivergenceSpec) -> dict:
 
 
 def divergence_from_dict(d: dict) -> DivergenceSpec:
-    return DivergenceSpec(d["kind"], cost=d.get("cost"))
+    _known("DivergenceSpec", d, ("kind", "cost"))
+    return DivergenceSpec(d["kind"], cost=_matrix("cost", d["cost"], True) if "cost" in d else None)
 
 
 def _as_is(value):
     return value
+
+
+def _known(name: str, d: dict, keys) -> dict:
+    """`d` itself when each of its keys is one of `keys`; any other key
+    raises a ValueError naming it and `name`.  A value that is not an object
+    raises a TypeError."""
+    for key in dict.keys(d):
+        if key not in keys:
+            raise ValueError(f"{name} has no key {key!r}")
+    return d
 
 
 def _number(key: str, value, strings: bool = False) -> float:
@@ -173,53 +189,13 @@ _FIELDS = {
 _OPTIONAL = {"divergence", "output_alphabet", "diagnostics"}
 
 
-def _to_dict(obj) -> dict:
+def to_dict(obj) -> dict:
     return {key: write(getattr(obj, attr)) for key, attr, write, _ in _FIELDS[type(obj)]}
 
 
-def _from_dict(cls, d: dict):
-    return cls(**{attr: read(d[key]) for key, attr, _, read in _FIELDS[cls]
-                  if key in d or key not in _OPTIONAL})
-
-
-def problem_to_dict(prob: RdpProblem) -> dict:
-    return _to_dict(prob)
-
-
-def problem_from_dict(d: dict) -> RdpProblem:
-    return _from_dict(RdpProblem, d)
-
-
-def solution_to_dict(sol: RdpSolution) -> dict:
-    return _to_dict(sol)
-
-
-def solution_from_dict(d: dict) -> RdpSolution:
-    return _from_dict(RdpSolution, d)
-
-
-def sim_report_to_dict(rep: SimReport) -> dict:
-    return _to_dict(rep)
-
-
-def sim_report_from_dict(d: dict) -> SimReport:
-    return _from_dict(SimReport, d)
-
-
-def circle_estimate_to_dict(est: CircleEstimate) -> dict:
-    return _to_dict(est)
-
-
-def circle_estimate_from_dict(d: dict) -> CircleEstimate:
-    return _from_dict(CircleEstimate, d)
-
-
-def kkt_report_to_dict(rep: KktReport) -> dict:
-    return _to_dict(rep)
-
-
-def kkt_report_from_dict(d: dict) -> KktReport:
-    return _from_dict(KktReport, d)
+def from_dict(cls, d: dict):
+    _known(cls.__name__, d, [key for key, *_ in _FIELDS[cls]])
+    return cls(**{attr: read(d[key]) for key, attr, _, read in _FIELDS[cls] if key in d or key not in _OPTIONAL})
 
 
 def _spell(value):

@@ -127,7 +127,7 @@ def main() -> None:
     gap, worst = max((sol.primal_gap_estimate, i) for i, sol in enumerate(sols) if sol.status != INFEASIBLE)
     print(f"worst gap: {gap:.3g} bits (index {worst})")
     print("Newton steps:", sum(sol.iterations for sol in sols))
-    text = "".join(serialize.dumps(serialize.solution_to_dict(sol)) for sol in sols)
+    text = "".join(serialize.dumps(serialize.to_dict(sol)) for sol in sols)
     print("solutions sha256:", hashlib.sha256(text.encode()).hexdigest())
     sols = [solve_rdp(prob) for prob in floor_pool()]
     counts = collections.Counter(sol.status for sol in sols)

@@ -101,7 +101,7 @@ def report(name: str, sols) -> None:
     counts = collections.Counter(sol.status for sol in sols)
     steps = [sol.iterations for sol in sols]
     gap = max((sol.primal_gap_estimate for sol in sols if sol.status != INFEASIBLE), default=0.0)
-    text = "".join(serialize.dumps(serialize.solution_to_dict(sol)) for sol in sols)
+    text = "".join(serialize.dumps(serialize.to_dict(sol)) for sol in sols)
     print(f"{name}: " + ", ".join(f"{status} {n}" for status, n in sorted(counts.items()))
           + f"; Newton steps {sum(steps)} (max {max(steps)}); worst gap {gap:.3g} bits;"
           + f" sha256 {hashlib.sha256(text.encode()).hexdigest()}")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from rdplab import serialize
 from rdplab.cli import main
-from rdplab.coding import SimReport
+from rdplab.coding import CircleEstimate, SimReport
 from rdplab.divergences import coupling_cost, total_variation, wasserstein_sq
 from rdplab.pmf import Channel, Pmf
 from rdplab.solver import RdpProblem, RdpSolution, solve_rdp
@@ -55,7 +56,7 @@ def test_round_trip_pmf_channel_problem():
             dist_budget=0.1,
             perc_budget=0.2,
         )
-        back = serialize.problem_from_dict(serialize.problem_to_dict(prob))
+        back = serialize.from_dict(RdpProblem, serialize.to_dict(prob))
         assert back.divergence.kind == div.kind
         assert np.array_equal(back.distortion, prob.distortion)
         assert back.dist_budget == prob.dist_budget
@@ -70,7 +71,7 @@ def test_round_trip_solution_and_reports():
         perc_budget=0.1,
     )
     sol = solve_rdp(prob)
-    back = serialize.solution_from_dict(serialize.solution_to_dict(sol))
+    back = serialize.from_dict(RdpSolution, serialize.to_dict(sol))
     assert back.rate == sol.rate
     assert back.status == sol.status
     assert np.array_equal(back.channel.matrix, sol.channel.matrix)
@@ -95,9 +96,9 @@ def test_round_trip_infinities_through_strict_json():
     )
     sol = solve_rdp(prob)
     assert sol.status == "infeasible" and sol.rate == float("inf")
-    text = serialize.dumps(serialize.solution_to_dict(sol))
+    text = serialize.dumps(serialize.to_dict(sol))
     assert _strict_loads(text)["rate_bits"] == "inf"
-    back = serialize.solution_from_dict(_strict_loads(text))
+    back = serialize.from_dict(RdpSolution, _strict_loads(text))
     assert back.rate == float("inf")
     assert back.status == sol.status
 
@@ -112,11 +113,11 @@ def test_round_trip_infinities_through_strict_json():
         seed=3,
         diagnostics={"gap": float("-inf")},
     )
-    text = serialize.dumps(serialize.sim_report_to_dict(rep))
+    text = serialize.dumps(serialize.to_dict(rep))
     payload = _strict_loads(text)
     assert payload["max_perletter_divergence"] == "inf"
     assert payload["diagnostics"]["gap"] == "-inf"
-    back = serialize.sim_report_from_dict(payload)
+    back = serialize.from_dict(SimReport, payload)
     assert back.max_perletter_divergence == float("inf")
     assert back.per_letter_marginals[0].atoms == rep.per_letter_marginals[0].atoms
     with pytest.raises(ValueError):
@@ -135,23 +136,21 @@ def test_csv_and_json_share_the_nonfinite_rule():
             serialize.dumps({"rows": [{"phi": value}]})
 
 
-# one report of each type whose reader is strict, with its writer and reader
+# one value of each tabled type, all of whose readers are strict
 STRICT_REPORTS = {
-    "kkt": (KktReport(0.0, 0.1, 0.0, True), serialize.kkt_report_to_dict, serialize.kkt_report_from_dict),
-    "sim": (
-        SimReport(n=1, trials=10, rate_bits=0.0, avg_distortion=0.5, per_letter_marginals=[Pmf.bernoulli(0.5)],
-                  max_perletter_divergence=0.0, perception_violations=0, seed=3),
-        serialize.sim_report_to_dict, serialize.sim_report_from_dict,
-    ),
-    "solution": (
-        RdpSolution(0.1, Channel.identity((0, 1)), 0.0, 0.0, "optimal", 0.0, 53),
-        serialize.solution_to_dict, serialize.solution_from_dict,
-    ),
+    "circle": CircleEstimate("private", 10, 0.5, 0.01, 0.5),
+    "kkt": KktReport(0.0, 0.1, 0.0, True),
+    "problem": RdpProblem(Pmf.bernoulli(0.25), np.array(HAMMING), coupling_cost(np.array(HAMMING)), 0.2, 0.05),
+    "sim": SimReport(n=1, trials=10, rate_bits=0.0, avg_distortion=0.5, per_letter_marginals=[Pmf.bernoulli(0.5)],
+                     max_perletter_divergence=0.0, perception_violations=0, seed=3),
+    "solution": RdpSolution(0.1, Channel.identity((0, 1)), 0.0, 0.0, "optimal", 0.0, 53),
 }
 
 
 @pytest.mark.parametrize("kind, key, value", [
+    ("circle", "samples", 1.5),
     ("kkt", "passed", "false"),
+    ("problem", "P", [0.05]),
     ("sim", "n", 2.7),
     ("sim", "trials", True),
     ("sim", "perception_violations", "3"),
@@ -159,12 +158,20 @@ STRICT_REPORTS = {
     ("solution", "iterations", 53.9),
 ], ids=lambda v: str(v))
 def test_report_readers_take_only_the_json_type_that_dumps_writes(kind, key, value):
-    report, to_dict, from_dict = STRICT_REPORTS[kind]
-    text = serialize.dumps(to_dict(report))
+    report = STRICT_REPORTS[kind]
+    text = serialize.dumps(serialize.to_dict(report))
     payload = json.loads(text)
-    assert serialize.dumps(to_dict(from_dict(payload))) == text
+    assert serialize.dumps(serialize.to_dict(serialize.from_dict(type(report), payload))) == text
     with pytest.raises(ValueError, match=f"'{key}'"):
-        from_dict({**payload, key: value})
+        serialize.from_dict(type(report), {**payload, key: value})
+
+
+@pytest.mark.parametrize("kind", sorted(STRICT_REPORTS))
+def test_tabled_readers_refuse_unknown_keys(kind):
+    cls = type(STRICT_REPORTS[kind])
+    payload = json.loads(serialize.dumps(serialize.to_dict(STRICT_REPORTS[kind])))
+    with pytest.raises(ValueError, match=f"^{cls.__name__} has no key 'extra'$"):
+        serialize.from_dict(cls, {**payload, "extra": 0})
 
 
 _PROBLEM = {
@@ -177,9 +184,10 @@ _PROBLEM = {
     (serialize.channel_from_dict, {"inputs": [0, 1], "rows": [["1", "0"], [False, True]]}, "rows"),
     (serialize.channel_from_dict, {"inputs": [0, 1], "rows": [[1.0, 0.0], [False, True]]}, "rows"),
     (serialize.pmf_from_dict, {"atoms": [{"label": 0, "prob": "0.75"}, {"label": 1, "prob": 0.25}]}, "prob"),
-    (serialize.problem_from_dict, {**_PROBLEM, "D": True}, "D"),
-    (serialize.problem_from_dict, {**_PROBLEM, "P": "none"}, "P"),
-    (serialize.problem_from_dict, {**_PROBLEM, "distortion": [[0.0, True], [1.0, 0.0]]}, "distortion"),
+    (functools.partial(serialize.from_dict, RdpProblem), {**_PROBLEM, "D": True}, "D"),
+    (functools.partial(serialize.from_dict, RdpProblem), {**_PROBLEM, "P": "none"}, "P"),
+    (functools.partial(serialize.from_dict, RdpProblem), {**_PROBLEM, "distortion": [[0.0, True], [1.0, 0.0]]},
+     "distortion"),
 ], ids=["channel-strings", "channel-bools", "pmf-string", "problem-budget", "problem-text-budget",
         "problem-distortion"])
 def test_nested_readers_take_only_json_numbers(reader, payload, key):
@@ -187,8 +195,20 @@ def test_nested_readers_take_only_json_numbers(reader, payload, key):
         reader(payload)
 
 
+@pytest.mark.parametrize("reader, payload, message", [
+    (serialize.pmf_from_dict, {"atoms": [{"label": 0, "prob": 1.0}], "labels": [0]}, "Pmf has no key 'labels'"),
+    (serialize.pmf_from_dict, {"atoms": [{"label": 0, "prob": 1.0, "weight": 1}]}, "Pmf atom has no key 'weight'"),
+    (serialize.channel_from_dict, {"inputs": [0, 1], "ouputs": [0], "rows": [[1.0], [1.0]]},
+     "Channel has no key 'ouputs'"),
+    (serialize.divergence_from_dict, {"kind": "total_variation", "weight": 1}, "DivergenceSpec has no key 'weight'"),
+], ids=["pmf", "pmf-atom", "channel", "divergence"])
+def test_nested_readers_refuse_unknown_keys(reader, payload, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reader(payload)
+
+
 def test_problem_files_keep_numeric_strings():
-    prob = serialize.problem_from_dict({**_PROBLEM, "distortion": [["0", "1"], ["1", "0"]], "D": "0.2"})
+    prob = serialize.from_dict(RdpProblem, {**_PROBLEM, "distortion": [["0", "1"], ["1", "0"]], "D": "0.2"})
     assert prob.dist_budget == 0.2
     assert prob.distortion.tolist() == HAMMING
 
@@ -238,7 +258,7 @@ def test_solve_command(problem_file, tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["rate_bits"] == pytest.approx(0.8112781244591328, abs=1e-6)
-    back = serialize.solution_from_dict(payload)
+    back = serialize.from_dict(RdpSolution, payload)
     assert back.status == "optimal"
 
 
@@ -352,7 +372,7 @@ def test_simulate_circle_and_determinism(tmp_path):
     assert main(argv + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
-    est = serialize.circle_estimate_from_dict(payload)
+    est = serialize.from_dict(CircleEstimate, payload)
     assert abs(est.mean - est.analytic) <= 4 * est.std_error
 
 
@@ -404,7 +424,7 @@ def test_simulate_block(tmp_path):
     csv_out = tmp_path / "marg.csv"
     code = main(_block_argv(tmp_path) + ["--output", str(out), "--marginals-csv", str(csv_out)])
     assert code == 0
-    rep = serialize.sim_report_from_dict(json.loads(out.read_text()))
+    rep = serialize.from_dict(SimReport, json.loads(out.read_text()))
     assert rep.n == 16 and rep.trials == 200
     lines = csv_out.read_text().strip().split("\n")
     assert lines[0] == "t,atom,prob"
@@ -474,7 +494,7 @@ def test_verify_kkt_exit_codes(tmp_path, capsys):
     assert main(["verify", "kkt", "--rho", "0.25", "--D", "0.2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
-    report = serialize.kkt_report_from_dict(payload)
+    report = serialize.from_dict(KktReport, payload)
     assert report.equality_residual <= 1e-9
     # boundary D is a domain error, not a failed certificate
     assert main(["verify", "kkt", "--rho", "0.25", "--D", "0.375"]) == 1
@@ -686,14 +706,14 @@ def test_cli_stdout_is_pinned(case, problem_file, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# the pins whose JSON has a typed reader, with its writer and reader
+# the pins whose JSON has a typed reader, with the type it reads
 TYPED_PINS = {
-    "solve": (serialize.solution_to_dict, serialize.solution_from_dict),
-    "solve-infeasible": (serialize.solution_to_dict, serialize.solution_from_dict),
-    "simulate-block": (serialize.sim_report_to_dict, serialize.sim_report_from_dict),
-    "simulate-circle-exact": (serialize.circle_estimate_to_dict, serialize.circle_estimate_from_dict),
-    "simulate-circle-sampled": (serialize.circle_estimate_to_dict, serialize.circle_estimate_from_dict),
-    "verify-kkt": (serialize.kkt_report_to_dict, serialize.kkt_report_from_dict),
+    "solve": RdpSolution,
+    "solve-infeasible": RdpSolution,
+    "simulate-block": SimReport,
+    "simulate-circle-exact": CircleEstimate,
+    "simulate-circle-sampled": CircleEstimate,
+    "verify-kkt": KktReport,
 }
 
 
@@ -705,9 +725,8 @@ def test_cli_output_file_holds_the_pinned_bytes(case, problem_file, tmp_path, ca
     assert capsys.readouterr() == ("", "")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     if case in TYPED_PINS:
-        to_dict, from_dict = TYPED_PINS[case]
         text = out.read_text()
-        assert serialize.dumps(to_dict(from_dict(json.loads(text)))) == text
+        assert serialize.dumps(serialize.to_dict(serialize.from_dict(TYPED_PINS[case], json.loads(text)))) == text
 
 
 @pytest.mark.parametrize("case", ["verify-kkt", "bad-rho", "solve-infeasible"])
@@ -802,18 +821,24 @@ def test_unknown_flag_prints_the_command_usage(argv, usage, problem_file, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "divergence, message",
+    "fields, message",
     [
-        ({"kind": "total_variation", "cost": HAMMING}, "total_variation takes no cost matrix"),
-        ({"kind": "coupling_cost"}, "coupling-cost divergence needs a cost matrix"),
+        ({"divergence": {"kind": "total_variation", "cost": HAMMING}}, "total_variation takes no cost matrix"),
+        ({"divergence": {"kind": "coupling_cost"}}, "coupling-cost divergence needs a cost matrix"),
+        ({"divergence": {"kind": "kullback_leibler", "weight": 2}}, "DivergenceSpec has no key 'weight'"),
+        ({"divergence": {"kind": "coupling_cost", "cost": [[0, True], [1, 0]]}},
+         "'cost' must be a JSON number or a numeric string, not True"),
+        # a misspelled key is refused, not read as an absent one (which
+        # would solve under total variation and exit 0)
+        ({"divergance": {"kind": "kullback_leibler"}}, "RdpProblem has no key 'divergance'"),
     ],
-    ids=["stray-cost", "missing-cost"],
+    ids=["stray-cost", "missing-cost", "unknown-nested-key", "bool-cost", "misspelled-key"],
 )
-def test_problem_file_divergence_is_read_strictly(divergence, message, tmp_path, capsys):
+def test_problem_file_divergence_is_read_strictly(fields, message, tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({
         "source": {"atoms": [{"label": 0, "prob": 0.75}, {"label": 1, "prob": 0.25}]},
-        "distortion": HAMMING, "divergence": divergence, "D": 0.2, "P": 0.05,
+        "distortion": HAMMING, "D": 0.2, "P": 0.05, **fields,
     }))
     assert main(["solve", "--problem", str(path), "--D", "0.2", "--P", "0.05"]) == 1
     out, err = capsys.readouterr()

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from rdplab.pmf import Channel, Pmf, is_delta_typical, mutual_information
 from rdplab.divergences import coupling_cost, divergence, total_variation, wasserstein_sq
-from rdplab.serialize import dumps, sim_report_from_dict, sim_report_to_dict
+from rdplab.serialize import dumps, from_dict, to_dict
 from rdplab.closed_forms import binary_optimal_construction
 from rdplab import coding
 from rdplab.coding import (
     Codebook,
     DERANDOMIZED,
     SHARED_SEED,
+    SimReport,
     empirical_perception_check,
     random_typical_codebook,
     shift_ensemble_sim,
@@ -417,7 +418,7 @@ GOLDEN_REPORTS = {
 def test_shift_ensemble_report_is_pinned(case, mode):
     channel, p_x, dist, kw = SIM_CASES[case](mode)
     rep = shift_ensemble_sim(channel, p_x, dist, **kw)
-    digest = hashlib.sha256(dumps(sim_report_to_dict(rep)).encode()).hexdigest()
+    digest = hashlib.sha256(dumps(to_dict(rep)).encode()).hexdigest()
     assert digest == GOLDEN_REPORTS[case, mode]
 
 
@@ -923,11 +924,11 @@ def test_shift_ensemble_timings_stay_out_of_the_report_bytes(mode):
     rep = shift_ensemble_sim(channel, p_x, dist, **kw)
     assert list(rep.timings) == ["draw_s", "seed_map_s", "encode_s", "audit_s"]
     assert all(t >= 0.0 for t in rep.timings.values())
-    payload = sim_report_to_dict(rep)
+    payload = to_dict(rep)
     assert "timings" not in payload
-    back = sim_report_from_dict(payload)
+    back = from_dict(SimReport, payload)
     assert back.timings is None
-    assert dumps(sim_report_to_dict(back)) == dumps(payload)
+    assert dumps(to_dict(back)) == dumps(payload)
 
 
 def test_soft_covering_point_mass():

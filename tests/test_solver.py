@@ -587,9 +587,7 @@ def test_solve_rdp_invariants(case):
     rates = {solve(dists[0], 0.0, kind=other).rate for other in _KINDS[1:]}
     assert max(rates) - min(rates) <= 1e-12
     again = solve_rdp(RdpProblem(source, delta, _divergence_of(kind, delta), dists[0], percs[0]), opts)
-    assert serialize.dumps(serialize.solution_to_dict(again)) == serialize.dumps(
-        serialize.solution_to_dict(base)
-    )
+    assert serialize.dumps(serialize.to_dict(again)) == serialize.dumps(serialize.to_dict(base))
 
 
 # solve_mix pool instances (perfbench/data/solve_pool.json) on the benchmark's
@@ -745,7 +743,7 @@ def test_solve_outputs_are_pinned(monkeypatch):
     got, want = {}, {}
     for name, (prob, n_calls, digest) in PINNED_SOLVES.items():
         calls.clear()
-        text = serialize.dumps(serialize.solution_to_dict(solve_rdp(prob)))
+        text = serialize.dumps(serialize.to_dict(solve_rdp(prob)))
         got[name] = (len(calls), hashlib.sha256(text.encode()).hexdigest())
         want[name] = (n_calls, digest)
     assert got == want
@@ -782,7 +780,7 @@ def test_engine_outputs_are_pinned():
     """The barrier Newton engine's floats, iteration counts included, through
     `solve_rdp`, `rd_function_grid` and `sweep_curve`."""
     def digest(solutions):
-        text = "".join(serialize.dumps(serialize.solution_to_dict(sol)) for sol in solutions)
+        text = "".join(serialize.dumps(serialize.to_dict(sol)) for sol in solutions)
         return hashlib.sha256(text.encode()).hexdigest()
 
     grid = np.linspace(0.0, 1.0, 513)
@@ -839,7 +837,7 @@ def test_engine_paths_without_a_digest_are_pinned():
     for div, perc in cases:
         sol = solve_rdp(RdpProblem(source, delta, div, 0.15, perc))
         assert sol.status == OPTIMAL
-        text = serialize.dumps(serialize.solution_to_dict(sol))
+        text = serialize.dumps(serialize.to_dict(sol))
         got.append(hashlib.sha256(text.encode()).hexdigest())
     assert got == [
         "410bb5640f5502c836d83edee193221c1d387e4210810544f7a66b884f97772b",
