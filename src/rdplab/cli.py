@@ -12,7 +12,7 @@ import gc
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -153,20 +153,16 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise CliError(f"bad grid spec {spec!r}, expected A:B:N") from exc
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, read):
+    """`read` applied to the JSON in `path`.  A file that cannot be read or
+    parsed, or whose JSON lacks a key or has the wrong shape, stops the run
+    with a CliError naming the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
+        return read(payload)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-
-
-@contextmanager
-def _malformed(path: str):
-    """Report a file whose JSON lacks a key or has the wrong shape as a
-    CliError naming the file."""
-    try:
-        yield
     except KeyError as exc:
         raise CliError(f"{path}: missing key {exc}") from exc
     except TypeError as exc:
@@ -176,9 +172,7 @@ def _malformed(path: str):
 def _load_problem(path: str, **budgets) -> RdpProblem:
     """The problem in `path`, with the `budgets` ("D", "P") given on the
     command line in place of the file's, which may then be absent."""
-    payload = _load_json(path)
-    with _malformed(path):
-        return serialize.from_dict(RdpProblem, {**payload, **budgets})
+    return _load(path, lambda payload: serialize.from_dict(RdpProblem, {**payload, **budgets}))
 
 
 def _curve_rows(kind: str, args) -> list[dict]:
@@ -242,11 +236,11 @@ def _run_simulate(args) -> int:
         _emit(serialize.dumps(serialize.to_dict(est)), args.output)
         return EXIT_OK
     if args.sim_kind == "block":
-        spec = _load_json(args.spec)
-        with _malformed(args.spec):
-            source = serialize.pmf_from_dict(spec["source"])
-            channel = serialize.channel_from_dict(spec["channel"])
-            distortion = serialize._matrix("distortion", spec["distortion"], True)
+        # two flags naming one file would leave it holding only the report
+        out, csv = args.output, args.marginals_csv
+        if out and csv and os.path.realpath(out) == os.path.realpath(csv):
+            raise CliError(f"--output and --marginals-csv both name {out}")
+        source, channel, distortion = _load(args.spec, serialize.block_spec_from_dict)
         rep = shift_ensemble_sim(
             channel,
             source,
@@ -260,17 +254,13 @@ def _run_simulate(args) -> int:
             alpha=args.alpha,
         )
         also = []
-        if args.marginals_csv:
-            also.append((serialize.marginals_csv(rep.per_letter_marginals), args.marginals_csv))
-        _emit(serialize.dumps(serialize.to_dict(rep)), args.output, *also)
+        if csv:
+            also.append((serialize.marginals_csv(rep.per_letter_marginals), csv))
+        _emit(serialize.dumps(serialize.to_dict(rep)), out, *also)
         return EXIT_OK
     if args.codebooks < 1:
         raise CliError("--codebooks must be positive")
-    spec = _load_json(args.spec)
-    with _malformed(args.spec):
-        target = serialize.pmf_from_dict(spec["target"])
-        channel = serialize.channel_from_dict(spec["channel"])
-        reference = serialize.pmf_from_dict(spec["reference"])
+    target, channel, reference = _load(args.spec, serialize.softcover_spec_from_dict)
     for n in args.n:
         check_soft_covering(channel, target.labels, reference, n)
         check_typical_codebook(target, n, args.rate, args.delta)

@@ -6,6 +6,10 @@ Channel:  {"inputs": [...], "outputs": [...], "rows": [[...], ...]}
 Problem:  {"source": Pmf, "distortion": [[...]], "divergence":
            {"kind": ..., "cost": [[...]]?}, "D": ..., "P": ...,
            "output_alphabet": [...]?}
+Specs:    {"source": Pmf, "channel": Channel, "distortion": [[...]]} for a
+          block simulation and {"target": Pmf, "channel": Channel,
+          "reference": Pmf} for soft covering, read by `block_spec_from_dict`
+          and `softcover_spec_from_dict` into tuples in that key order
 Reports:  RdpSolution, SimReport, CircleEstimate and KktReport, one key per
           field as `_FIELDS` names it; a solution's "channel" is a Channel,
           a SimReport's "per_letter_marginals" a list of Pmf and its
@@ -15,15 +19,16 @@ The problem and the four reports are each written by `to_dict(obj)` and
 read by `from_dict(cls, d)` through one table, `_FIELDS`, so a new format is
 one more entry there.  A key marked ? may be absent, and its field then keeps
 the dataclass default.  Every reader refuses a key its format does not name,
-with a ValueError naming the key and the type, so a misspelled key is never
+with a ValueError naming the key and the format, so a misspelled key is never
 read as an absent one.  The report readers are strict: a float field takes
 a number or "inf" / "-inf", an int field an int, a bool field a bool and a
 str field a str, never a bool for a number, and any other value raises a
 ValueError naming the key.  So are the nested readers: a law's "prob" and
 each entry of a channel's "rows" must be a JSON number, in every file that
-holds them.  Problem files are written by hand, so the problem's budgets,
-distortion entries and coupling-cost entries may also be numeric strings
-such as "0.2", but never bools.
+holds them.  Problem and spec files are written by hand, so the problem's
+budgets, distortion entries and coupling-cost entries, and a block spec's
+distortion entries, may also be numeric strings such as "0.2", but never
+bools.
 
 CSV files use '.' decimals and 12 significant digits so identical runs diff
 byte-identically across platforms.  Both formats follow one non-finite rule:
@@ -83,6 +88,18 @@ def divergence_to_dict(spec: DivergenceSpec) -> dict:
 def divergence_from_dict(d: dict) -> DivergenceSpec:
     _known("DivergenceSpec", d, ("kind", "cost"))
     return DivergenceSpec(d["kind"], cost=_matrix("cost", d["cost"], True) if "cost" in d else None)
+
+
+def block_spec_from_dict(d: dict) -> tuple[Pmf, Channel, np.ndarray]:
+    """The (source, channel, distortion) of a block-simulation spec."""
+    _known("block spec", d, ("source", "channel", "distortion"))
+    return pmf_from_dict(d["source"]), channel_from_dict(d["channel"]), _matrix("distortion", d["distortion"], True)
+
+
+def softcover_spec_from_dict(d: dict) -> tuple[Pmf, Channel, Pmf]:
+    """The (target, channel, reference) of a soft-covering spec."""
+    _known("soft-covering spec", d, ("target", "channel", "reference"))
+    return pmf_from_dict(d["target"]), channel_from_dict(d["channel"]), pmf_from_dict(d["reference"])
 
 
 def _as_is(value):

@@ -201,7 +201,13 @@ def test_nested_readers_take_only_json_numbers(reader, payload, key):
     (serialize.channel_from_dict, {"inputs": [0, 1], "ouputs": [0], "rows": [[1.0], [1.0]]},
      "Channel has no key 'ouputs'"),
     (serialize.divergence_from_dict, {"kind": "total_variation", "weight": 1}, "DivergenceSpec has no key 'weight'"),
-], ids=["pmf", "pmf-atom", "channel", "divergence"])
+    (serialize.block_spec_from_dict,
+     {"source": _PROBLEM["source"], "channel": {"inputs": [0, 1], "rows": [[1.0, 0.0], [0.0, 1.0]]},
+      "distortion": HAMMING, "rate": 0.9}, "block spec has no key 'rate'"),
+    (serialize.softcover_spec_from_dict,
+     {"target": _PROBLEM["source"], "channel": {"inputs": [0, 1], "rows": [[1.0, 0.0], [0.0, 1.0]]},
+      "reference": _PROBLEM["source"], "codebooks": 7}, "soft-covering spec has no key 'codebooks'"),
+], ids=["pmf", "pmf-atom", "channel", "divergence", "block-spec", "softcover-spec"])
 def test_nested_readers_refuse_unknown_keys(reader, payload, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         reader(payload)
@@ -470,6 +476,15 @@ def test_simulate_block_writes_nothing_when_a_destination_cannot_be_opened(outpu
             assert not path.exists() or path.read_text() == "", name
 
 
+def test_simulate_block_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    out = tmp_path / "same.out"
+    # a second spelling of the same path
+    argv = _block_argv(tmp_path) + ["--output", str(out), "--marginals-csv", os.path.join(tmp_path, ".", "same.out")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"rdplab: --output and --marginals-csv both name {out}\n")
+    assert not out.exists()
+
+
 def test_simulate_softcover(tmp_path):
     spec = {
         "target": {"atoms": [{"label": 0, "prob": 0.5}, {"label": 1, "prob": 0.5}]},
@@ -540,8 +555,9 @@ SPEC_FLAGS = ["--n", "4", "--rate", "1.0", "--delta", "0.6"]
          ["simulate", "block", "--spec", "{path}", *SPEC_FLAGS], "missing key 'source'"),
         ({"channel": SOFT_SPEC["channel"], "reference": SOFT_SPEC["reference"]},
          ["simulate", "softcover", "--spec", "{path}", *SPEC_FLAGS], "missing key 'target'"),
+        ([1, 2], ["simulate", "softcover", "--spec", "{path}", *SPEC_FLAGS], "malformed"),
     ],
-    ids=["solve-no-source", "solve-list", "block-no-source", "softcover-no-target"],
+    ids=["solve-no-source", "solve-list", "block-no-source", "softcover-no-target", "softcover-list"],
 )
 def test_malformed_input_file_exit(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -613,6 +629,19 @@ INFEASIBLE_PROBLEM = {
     "P": 0.5,
     "output_alphabet": [2, 3],
 }
+
+
+@pytest.mark.parametrize("kind, spec, key, name", [
+    ("block", BLOCK_SPEC, "rate", "block spec"),
+    ("softcover", SOFT_SPEC, "codebooks", "soft-covering spec"),
+], ids=["block", "softcover"])
+def test_spec_files_refuse_unknown_keys(kind, spec, key, name, tmp_path, capsys):
+    """A stray key, even one that names a flag, stops the run rather than
+    being ignored."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, key: 7}))
+    assert main(["simulate", kind, "--spec", str(path), *SPEC_FLAGS]) == 1
+    assert capsys.readouterr() == ("", f"rdplab: {name} has no key '{key}'\n")
 
 
 def _with_input_files(argv, problem_file, tmp_path):
