@@ -155,8 +155,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _load(path: str, read):
     """`read` applied to the JSON in `path`.  A file that cannot be read or
-    parsed, or whose JSON lacks a key or has the wrong shape, stops the run
-    with a CliError naming the file."""
+    parsed, or whose JSON lacks a key, breaks its format or has the wrong
+    shape, stops the run with a CliError naming the file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -165,6 +165,8 @@ def _load(path: str, read):
         raise CliError(f"cannot read {path}: {exc}") from exc
     except KeyError as exc:
         raise CliError(f"{path}: missing key {exc}") from exc
+    except serialize.FormatError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     except TypeError as exc:
         raise CliError(f"{path}: malformed ({exc})") from exc
 
@@ -172,7 +174,8 @@ def _load(path: str, read):
 def _load_problem(path: str, **budgets) -> RdpProblem:
     """The problem in `path`, with the `budgets` ("D", "P") given on the
     command line in place of the file's, which may then be absent."""
-    return _load(path, lambda payload: serialize.from_dict(RdpProblem, {**payload, **budgets}))
+    return _load(path, lambda payload: serialize.from_dict(
+        RdpProblem, {**payload, **budgets} if isinstance(payload, dict) else payload))
 
 
 def _curve_rows(kind: str, args) -> list[dict]:

@@ -208,14 +208,14 @@ def random_typical_codebook(
       from one search of each state's block sizes for all the words that
       reached it, and the words from one `gen.permuted` call over the
       stacked sorted multisets, so the stream yields every rank first and
-      then every permutation.  Every word starts at the root state, so the
-      first symbol's step is one search over all ranks, and the last
-      symbol's step keeps no remainder (its one completion has rank 0).
-      The block sizes of every state come from `_rank_trie`, built once per
-      (target, n, delta).  The ranks are int64 when the set has fewer than
-      2^63 words and Python ints (an object array) otherwise, and go to
-      int64 at the first step whose states all have fewer than 2^63
-      completions: the second for a ternary set of 2^91 words at n = 64,
+      then every permutation.  Every step takes one rule: the words are
+      grouped by their letters left (at the root, one group of all ranks),
+      and each rank keeps the remainder of its block (after the last step,
+      a 0 that is never read).  The block sizes of every state come from
+      `_rank_trie`, built once per (target, n, delta).  The ranks are
+      int64 when the set has fewer than 2^63 words and Python ints (an
+      object array) otherwise, and go to int64 at the first step whose
+      states all have fewer than 2^63 completions: the second for a ternary set of 2^91 words at n = 64,
       whose states after the first symbol hold fewer than 2^30.  The
       search, difference and floor division give the same integers in
       both.
@@ -247,27 +247,23 @@ def _unrank(ranks: np.ndarray, states: MappingProxyType, k: int, n: int, gen: np
     n_words = len(ranks)
     comps = np.empty((n_words, k), dtype=np.int64)
     left = np.full(n_words, n, dtype=np.int64)
-    reached = [(n, slice(None))]  # (m, its words): every word starts at state (0, n)
     for j in range(k - 1):
-        if j:
-            # the words with m letters left are at state (j, m)
-            order = np.argsort(left, kind="stable")
-            ms, starts = np.unique(left[order], return_index=True)
-            ms = ms.tolist()
-            # a rank, block size or C(m, c) at a state is at most its completion
-            # count, so int64 holds them all once every state reached has fewer
-            # than 2^63; until then the walk runs in python ints (object arrays)
-            if ranks.dtype == object and max(states[j, m][-1] for m in ms) < _INT64_RANKS:
-                ranks = ranks.astype(np.int64)
-            reached = zip(ms, np.split(order, starts[1:]))
-        for m, at in reached:
+        # the words with m letters left are at state (j, m)
+        order = np.argsort(left, kind="stable")
+        ms, starts = np.unique(left[order], return_index=True)
+        ms = ms.tolist()
+        # a rank, block size or C(m, c) at a state is at most its completion
+        # count, so int64 holds them all once every state reached has fewer
+        # than 2^63; until then the walk runs in python ints (object arrays)
+        if ranks.dtype == object and max(states[j, m][-1] for m in ms) < _INT64_RANKS:
+            ranks = ranks.astype(np.int64)
+        for m, at in zip(ms, np.split(order, starts[1:])):
             counts, cum, combs, _ = states[j, m]
             cum = cum.astype(ranks.dtype, copy=False)
             r = ranks[at]
             t = np.searchsorted(cum, r, side="right") - 1
             comps[at, j] = counts[t]
-            if j < k - 2:  # after the last step the remainder is 0 and unread
-                ranks[at] = (r - cum[t]) // combs.astype(ranks.dtype, copy=False)[t]
+            ranks[at] = (r - cum[t]) // combs.astype(ranks.dtype, copy=False)[t]
         left -= comps[:, j]
     comps[:, -1] = left
     words = np.repeat(np.tile(np.arange(k), n_words), comps.ravel()).reshape(n_words, n)
@@ -413,14 +409,15 @@ class SeedMap:
         keeps its state after every prefix.  The row's rank among the atoms
         of mass v, in index order, counts the atoms of mass v that share its
         first i letters and have a smaller letter at position i, summed over
-        the positions i.  At the last position each such atom is a letter
-        whose step lands on v.  Before it they are the completions of the
-        row's state at i that reach v, over the letters below the row's:
-        tables of completion counts (letters x states x masses), built
-        backward from the last position and summed over the letters in
-        place.  They are built for the rows' masses only, and in chunks of
-        masses, so that no table holds more entries than the map has atoms.
-        With one chunk every row takes part at once.
+        the positions i.  Those are the completions of the row's state at i
+        that reach v, over the letters below the row's: tables of completion
+        counts (letters x states x masses), built backward by one rule from
+        the identity on the masses past the last letter (a mass completes
+        only to itself) and summed over the letters in place.  They are
+        built for the rows' masses only, and in chunks of masses narrow
+        enough for every position's states, so that no table holds more
+        entries than the map has atoms.  With one chunk every row takes part
+        at once.
 
         Raises ValueError for a shape other than (T, n0), non-integer
         entries or a letter outside [0, k): a gather in the walk would read
@@ -434,19 +431,16 @@ class SeedMap:
             path.append(step[path[-1], x])
         masses = np.flatnonzero(np.bincount(path[-1], minlength=len(self.start)))  # the rows' masses
         col = np.searchsorted(masses, path[-1])
-        last = self.steps[-1]
-        # at the last position a letter leads to one mass
-        rank = ((np.arange(k) < letters[-1][:, None]) & (last[path[-2]] == path[-1][:, None])).sum(axis=1)
+        rank = np.zeros(len(col), dtype=np.int64)
         # masses a chunk: no table below holds more entries than the map has atoms
-        width = k ** (self.n0 - 1) // max(map(len, self.steps[:-1]), default=1)
-        for lo in range(0, len(masses) if self.n0 > 1 else 0, width):
+        width = k ** (self.n0 - 1) // max(map(len, self.steps))
+        for lo in range(0, len(masses), width):
             cols = masses[lo : lo + width]
             rows = np.flatnonzero((col >= lo) & (col < lo + width)) if len(masses) > width else slice(None)
-            # reach[s, c]: the letters that take state s at position n0 - 1 to mass cols[c]
-            pos = np.minimum(np.searchsorted(cols, last), len(cols) - 1)
-            flat = (np.arange(len(last))[:, None] * len(cols) + pos)[cols[pos] == last]
-            reach = np.bincount(flat, minlength=len(last) * len(cols)).reshape(len(last), len(cols))
-            for i in range(self.n0 - 2, -1, -1):
+            # reach[s, c]: the completions of state s past position i that reach
+            # mass cols[c]; past the last letter, 1 where s is cols[c]
+            reach = (np.arange(len(self.start))[:, None] == cols).astype(np.int64)
+            for i in range(self.n0 - 1, -1, -1):
                 # upto[a, s, c]: the completions of state s at position i that
                 # reach mass cols[c], over the letters up to a at i
                 upto = reach[self.steps[i].T]
@@ -831,22 +825,24 @@ def _sweep(x, factors, b_tot, order, bounds, classes):
     when q < 0) of S; at the end of the class its extreme is totalled in
     float64 once.  Otherwise a chunk's values are the float64 rule's
     totals (B_m + q_1 S_1) + q_2 S_2 + ..., one GEMM per group into the
-    buffer, and its argmin.  A later chunk of a run takes a trial's value
-    only by strict improvement, so the first word of the run's extreme is
-    kept; across runs a lower total takes the trial, and an equal one the
-    lower word.
+    buffer, and its argmin.  Each run's merge starts from the worst value
+    (+inf under argmin, -inf under argmax), and a chunk takes a trial's
+    value only by strict improvement, so the first word of the run's
+    extreme is kept; across runs a lower total takes the trial, and an
+    equal one the lower word.
     """
     rows = len(x)
     t_sides = [np.concatenate(u[:, x], axis=1) for _, u, _ in factors]
     width = max(1, _ENCODE_BUFFER_FLOATS // rows)
     buf = np.empty(rows * min(width, len(order)), dtype=np.float32)
     q = factors[0][0] if classes else 1.0
-    pick, better = (np.argmin, np.less) if q > 0 else (np.argmax, np.greater)
+    pick, better, worst = (np.argmin, np.less, np.inf) if q > 0 else (np.argmax, np.greater, -np.inf)
     at = np.arange(rows)
     low = np.full(rows, np.inf)
     m = np.full(rows, len(order))
     collapse = np.zeros(rows, dtype=bool)
     for start, end in zip(bounds[:-1], bounds[1:]):
+        extreme, first = worst, start
         for lo in range(start, end, width):
             hi = min(lo + width, end)
             out = buf[: rows * (hi - lo)].reshape(rows, hi - lo)
@@ -860,12 +856,9 @@ def _sweep(x, factors, b_tot, order, bounds, classes):
                     s = term
             pos = pick(s, axis=1)
             val = s[at, pos]
-            if lo == start:
-                extreme, first = val, lo + pos
-            else:
-                up = better(val, extreme)
-                extreme = np.where(up, val, extreme)
-                first = np.where(up, lo + pos, first)
+            up = better(val, extreme)
+            extreme = np.where(up, val, extreme)
+            first = np.where(up, lo + pos, first)
         word, tot, stuck = order[first], extreme, False
         if classes:
             b = b_tot[order[start]]

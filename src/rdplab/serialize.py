@@ -19,11 +19,12 @@ The problem and the four reports are each written by `to_dict(obj)` and
 read by `from_dict(cls, d)` through one table, `_FIELDS`, so a new format is
 one more entry there.  A key marked ? may be absent, and its field then keeps
 the dataclass default.  Every reader refuses a key its format does not name,
-with a ValueError naming the key and the format, so a misspelled key is never
-read as an absent one.  The report readers are strict: a float field takes
-a number or "inf" / "-inf", an int field an int, a bool field a bool and a
-str field a str, never a bool for a number, and any other value raises a
-ValueError naming the key.  So are the nested readers: a law's "prob" and
+with a FormatError (a ValueError) naming the key and the format, so a
+misspelled key is never read as an absent one, and refuses a non-object
+where its format takes an object.  The report readers are strict: a float
+field takes a number or "inf" / "-inf", an int field an int, a bool field a
+bool and a str field a str, never a bool for a number, and any other value
+raises a FormatError naming the key.  So are the nested readers: a law's "prob" and
 each entry of a channel's "rows" must be a JSON number, in every file that
 holds them.  Problem and spec files are written by hand, so the problem's
 budgets, distortion entries and coupling-cost entries, and a block spec's
@@ -48,6 +49,11 @@ from .coding import CircleEstimate, SimReport
 from .divergences import DivergenceSpec
 from .pmf import Channel, Pmf
 from .solver import RdpProblem, RdpSolution
+
+
+class FormatError(ValueError):
+    """A value that its file format does not allow: an unknown key, a
+    non-object where an object belongs, or an entry of the wrong type."""
 
 
 def fmt(x: float) -> str:
@@ -107,18 +113,19 @@ def _as_is(value):
 
 
 def _known(name: str, d: dict, keys) -> dict:
-    """`d` itself when each of its keys is one of `keys`; any other key
-    raises a ValueError naming it and `name`.  A value that is not an object
-    raises a TypeError."""
-    for key in dict.keys(d):
+    """`d` itself when it is an object each of whose keys is one of `keys`;
+    otherwise a FormatError naming `name`."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{name} must be a JSON object, not {type(d).__name__}")
+    for key in d:
         if key not in keys:
-            raise ValueError(f"{name} has no key {key!r}")
+            raise FormatError(f"{name} has no key {key!r}")
     return d
 
 
 def _number(key: str, value, strings: bool = False) -> float:
     """`value` as a float when it is a JSON number, or with `strings` a
-    numeric string, and never a bool; any other value raises a ValueError
+    numeric string, and never a bool; any other value raises a FormatError
     naming `key`."""
     if not isinstance(value, bool) and isinstance(value, (int, float, str) if strings else (int, float)):
         try:
@@ -126,7 +133,7 @@ def _number(key: str, value, strings: bool = False) -> float:
         except ValueError:
             pass
     kind = "a JSON number or a numeric string" if strings else "a JSON number"
-    raise ValueError(f"{key!r} must be {kind}, not {value!r}")
+    raise FormatError(f"{key!r} must be {kind}, not {value!r}")
 
 
 def _matrix(key: str, rows, strings: bool = False) -> np.ndarray:
@@ -140,7 +147,7 @@ def _matrix(key: str, rows, strings: bool = False) -> np.ndarray:
 def _scalar(key: str, kind: type, attr: str | None = None) -> tuple:
     """The entry of a report field written as it is and read strictly: its
     reader takes only the JSON type that `dumps` writes for `kind` and
-    raises a ValueError naming `key` for any other value."""
+    raises a FormatError naming `key` for any other value."""
     types = (int, float) if kind is float else kind
 
     def read(value):
@@ -148,7 +155,7 @@ def _scalar(key: str, kind: type, attr: str | None = None) -> tuple:
         if (isinstance(value, types) and isinstance(value, bool) == (kind is bool)
                 or kind is float and value in ("inf", "-inf")):
             return kind(value)
-        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, not {value!r}")
+        raise FormatError(f"{key!r} must be a JSON {kind.__name__}, not {value!r}")
 
     return key, attr or key, _as_is, read
 

@@ -550,14 +550,21 @@ SPEC_FLAGS = ["--n", "4", "--rate", "1.0", "--delta", "0.6"]
     [
         ({"distortion": HAMMING, "D": 0.2, "P": 0.0},
          ["solve", "--problem", "{path}", "--D", "0.2", "--P", "0.0"], "missing key 'source'"),
-        ([1, 2], ["solve", "--problem", "{path}", "--D", "0.2", "--P", "0.0"], "malformed"),
+        ([1, 2], ["solve", "--problem", "{path}", "--D", "0.2", "--P", "0.0"],
+         "RdpProblem must be a JSON object, not list"),
         ({"channel": SOFT_SPEC["channel"], "distortion": HAMMING},
          ["simulate", "block", "--spec", "{path}", *SPEC_FLAGS], "missing key 'source'"),
+        ([1, 2], ["simulate", "block", "--spec", "{path}", *SPEC_FLAGS], "block spec must be a JSON object, not list"),
+        ({"source": {"atoms": 5}, "channel": SOFT_SPEC["channel"], "distortion": HAMMING},
+         ["simulate", "block", "--spec", "{path}", *SPEC_FLAGS],
+         "malformed ('int' object is not iterable)"),
         ({"channel": SOFT_SPEC["channel"], "reference": SOFT_SPEC["reference"]},
          ["simulate", "softcover", "--spec", "{path}", *SPEC_FLAGS], "missing key 'target'"),
-        ([1, 2], ["simulate", "softcover", "--spec", "{path}", *SPEC_FLAGS], "malformed"),
+        ([1, 2], ["simulate", "softcover", "--spec", "{path}", *SPEC_FLAGS],
+         "soft-covering spec must be a JSON object, not list"),
     ],
-    ids=["solve-no-source", "solve-list", "block-no-source", "softcover-no-target", "softcover-list"],
+    ids=["solve-no-source", "solve-list", "block-no-source", "block-list", "block-atoms-int", "softcover-no-target",
+         "softcover-list"],
 )
 def test_malformed_input_file_exit(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -641,7 +648,7 @@ def test_spec_files_refuse_unknown_keys(kind, spec, key, name, tmp_path, capsys)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**spec, key: 7}))
     assert main(["simulate", kind, "--spec", str(path), *SPEC_FLAGS]) == 1
-    assert capsys.readouterr() == ("", f"rdplab: {name} has no key '{key}'\n")
+    assert capsys.readouterr() == ("", f"rdplab: {path}: {name} has no key '{key}'\n")
 
 
 def _with_input_files(argv, problem_file, tmp_path):
@@ -854,12 +861,13 @@ def test_unknown_flag_prints_the_command_usage(argv, usage, problem_file, tmp_pa
     [
         ({"divergence": {"kind": "total_variation", "cost": HAMMING}}, "total_variation takes no cost matrix"),
         ({"divergence": {"kind": "coupling_cost"}}, "coupling-cost divergence needs a cost matrix"),
-        ({"divergence": {"kind": "kullback_leibler", "weight": 2}}, "DivergenceSpec has no key 'weight'"),
+        # a format error names the file; a constructor's error does not
+        ({"divergence": {"kind": "kullback_leibler", "weight": 2}}, "{path}: DivergenceSpec has no key 'weight'"),
         ({"divergence": {"kind": "coupling_cost", "cost": [[0, True], [1, 0]]}},
-         "'cost' must be a JSON number or a numeric string, not True"),
+         "{path}: 'cost' must be a JSON number or a numeric string, not True"),
         # a misspelled key is refused, not read as an absent one (which
         # would solve under total variation and exit 0)
-        ({"divergance": {"kind": "kullback_leibler"}}, "RdpProblem has no key 'divergance'"),
+        ({"divergance": {"kind": "kullback_leibler"}}, "{path}: RdpProblem has no key 'divergance'"),
     ],
     ids=["stray-cost", "missing-cost", "unknown-nested-key", "bool-cost", "misspelled-key"],
 )
@@ -872,7 +880,7 @@ def test_problem_file_divergence_is_read_strictly(fields, message, tmp_path, cap
     assert main(["solve", "--problem", str(path), "--D", "0.2", "--P", "0.05"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"rdplab: {message}\n"
+    assert err == f"rdplab: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(
